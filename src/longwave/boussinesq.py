@@ -50,7 +50,7 @@ from .grid import (
     ModelCoefficients,
     TimeGrid,
 )
-from .kdv import PairTrajectory, _MEMORY_GUARD_BYTES, _snapshot_plan
+from .kdv import PairTrajectory, _drive
 
 __all__ = [
     "BoussinesqProblem",
@@ -274,23 +274,8 @@ def step_boussinesq(problem: BoussinesqProblem, state: BoussinesqState) -> Bouss
 def run_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field,
                    stride: int = 1) -> PairTrajectory:
     """Integrate over the full time grid, storing every stride-th pair."""
-    steps = problem.time_grid.num_steps
-    plan = _snapshot_plan(steps, stride)
-    nbytes = 2 * len(plan) * problem.grid.num_points * 8
-    if nbytes > _MEMORY_GUARD_BYTES:
-        raise ConfigurationError(
-            f"trajectory storage would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
-            "increase the stride or coarsen the run"
-        )
-    v_data = np.empty((len(plan), problem.grid.num_points))
-    eta_data = np.empty_like(v_data)
-    state = init_boussinesq(problem, v0, eta0)
-    v_data[0], eta_data[0] = state.v_current.values, state.eta_current.values
-    row = 1
-    for _ in range(steps):
-        state = step_boussinesq(problem, state)
-        if row < len(plan) and plan[row] == state.step_index:
-            v_data[row] = state.v_current.values
-            eta_data[row] = state.eta_current.values
-            row += 1
+    plan, (v_data, eta_data) = _drive(
+        problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq,
+        ("v_current", "eta_current"), stride,
+    )
     return PairTrajectory(problem.grid, problem.time_grid.dt, plan, v_data, eta_data)

@@ -12,15 +12,16 @@ the discrete inner product, which is what makes the conservation structure of
 the steppers hold at the discrete level.
 
 Per-step linear systems are cyclic banded matrices (band plus wrap-around
-corners).  They are solved with a banded LU on the corner-stripped band and a
-low-rank Woodbury correction for the corners; a dense path handles small
-systems (n <= 64) and serves as the reference in tests.
+corners).  Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that
+every cyclic neighbour is at most 2p positions away: a cyclic band of
+half-width p becomes an ordinary band of half-width 2p, which one LAPACK
+banded LU factors and solves for every n, with no corner correction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import GridMismatchError, SolverError
 from .grid import Field, Grid1D
@@ -37,9 +38,8 @@ __all__ = [
 
 # Residual acceptance threshold for solve(): ||A x - b||_inf <= RTOL * ||b||_inf.
 _SOLVE_RTOL = 1e-10
-# Condition-number guard corresponding to the "pivot below 1e-14" abort.
-_COND_LIMIT = 1e14
-_DENSE_LIMIT = 64
+# Pivot guard: the "pivot below 1e-14" abort, relative to the largest |U_ii|.
+_PIVOT_RTOL = 1e-14
 
 
 class CyclicBandedOperator:
@@ -145,12 +145,6 @@ class CyclicBandedMatrix:
                 contrib = contrib * np.roll(post_diag, -off)
             self._band(off)[:] += contrib
 
-    @property
-    def bandwidth(self) -> int:
-        if not self.data:
-            return 0
-        return max(abs(o) for o in self.data)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.n,):
             raise GridMismatchError("vector length does not match matrix dimension")
@@ -169,61 +163,35 @@ class CyclicBandedMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf.
 
-        Dispatches to a dense solve for n <= 64 (and whenever the band wraps
-        most of the matrix), otherwise to banded LU plus Woodbury corner
-        correction.  Singular or ill-conditioned systems raise SolverError.
+        One LAPACK banded LU (dgbtrf/dgbtrs) of the folded system, whatever
+        n is.  A zero pivot, a pivot below 1e-14 of the largest, or a
+        residual above the bound raises SolverError.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n,):
+        n = self.n
+        if rhs.shape != (n,):
             raise GridMismatchError("rhs length does not match matrix dimension")
-        p = self.bandwidth
-        if self.n <= max(_DENSE_LIMIT, 4 * p + 2):
-            x = self._solve_dense(rhs)
-        else:
-            x = self._solve_banded_woodbury(rhs, p)
+        # Node i sits at folded position pos[i]; each entry keeps |pos[i] - pos[j]| <= 2p.
+        nodes = np.arange(n)
+        pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
+        k = min(2 * max((abs(off) for off in self.data), default=0), n - 1)
+        # LAPACK band storage for dgbtrf: folded A[r, c] at ab[2k + r - c, c],
+        # under k extra rows for the pivoting fill-in.
+        ab = np.zeros((3 * k + 1, n))
+        flat = ab.reshape(-1)
+        for off, vals in self.data.items():
+            cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
+            flat[(2 * k + pos - cols) * n + cols] += vals
+        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
+        pivots = np.abs(lu[2 * k])
+        if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():
+            raise SolverError(f"matrix is singular or ill-conditioned (dgbtrf info={info})")
+        folded = np.empty(n)
+        folded[pos] = rhs
+        y, _ = dgbtrs(lu, k, k, folded, piv, overwrite_b=True)
+        x = y[pos]
         self._check_residual(x, rhs)
         return x
-
-    def _solve_dense(self, rhs: np.ndarray) -> np.ndarray:
-        dense = self.to_dense()
-        if np.linalg.cond(dense, 1) > _COND_LIMIT:
-            raise SolverError("matrix is singular or ill-conditioned (dense path)")
-        try:
-            return np.linalg.solve(dense, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dense solve failed: {exc}") from exc
-
-    def _solve_banded_woodbury(self, rhs: np.ndarray, p: int) -> np.ndarray:
-        n = self.n
-        # Corner-stripped band in solve_banded layout: ab[p - off, i + off].
-        ab = np.zeros((2 * p + 1, n))
-        corner_cols: dict[int, np.ndarray] = {}
-        for off, vals in self.data.items():
-            i = np.arange(n)
-            j = i + off
-            inband = (j >= 0) & (j < n)
-            ab[p - off, i[inband] + off] += vals[inband]
-            for ii in i[~inband]:
-                jj = (ii + off) % n
-                col = corner_cols.setdefault(jj, np.zeros(n))
-                col[ii] += vals[ii]
-        try:
-            if corner_cols:
-                cols = sorted(corner_cols)
-                u_mat = np.column_stack([corner_cols[j] for j in cols])
-                stacked = np.column_stack([rhs, u_mat])
-                sol = solve_banded((p, p), ab, stacked)
-                y, z_mat = sol[:, 0], sol[:, 1:]
-                capacitance = np.eye(len(cols)) + z_mat[cols, :]
-                if np.linalg.cond(capacitance, 1) > _COND_LIMIT:
-                    raise SolverError("corner correction is ill-conditioned")
-                correction = np.linalg.solve(capacitance, y[cols])
-                return y - z_mat @ correction
-            return solve_banded((p, p), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"banded solve failed: {exc}") from exc
-        except ValueError as exc:
-            raise SolverError(f"banded solve rejected the system: {exc}") from exc
 
     def _check_residual(self, x: np.ndarray, rhs: np.ndarray) -> None:
         residual = np.max(np.abs(self.matvec(x) - rhs))

@@ -453,19 +453,21 @@ def discrete_l2(f: Field) -> float:
 
 
 def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
-    """Square root of |v|^2 + |eta|^2 + eps*a2*|D1 v|^2 + eps*a4*|D1 eta|^2.
+    """Square root of |v|^2 + |eta|^2 + eps*a2*|D+ v|^2 + eps*a4*|D+ eta|^2.
 
-    This is the epsilon-weighted energy the symmetric system conserves;
-    derivatives use the centered difference operator.
+    This is the epsilon-weighted energy the symmetric system conserves:
+    derivatives use the forward difference D+, because the centered second
+    difference factors as D2 = -D+^T D+, so <w, (I - eps a D2) w> is exactly
+    |w|^2 + eps a |D+ w|^2.
     """
     grid = require_same_grid(v, eta)
     dx = grid.dx
     total = float(np.dot(v.values, v.values) + np.dot(eta.values, eta.values))
     if coeffs.a2 != 0.0:
-        dv = _centered_diff(v.values, dx)
+        dv = (np.roll(v.values, -1) - v.values) / dx
         total += coeffs.epsilon * coeffs.a2 * float(np.dot(dv, dv))
     if coeffs.a4 != 0.0:
-        de = _centered_diff(eta.values, dx)
+        de = (np.roll(eta.values, -1) - eta.values) / dx
         total += coeffs.epsilon * coeffs.a4 * float(np.dot(de, de))
     return math.sqrt(dx * total)
 

@@ -256,28 +256,40 @@ def step(problem: KdvProblem, state: KdvState) -> KdvState:
     )
 
 
-def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
-    """Integrate over the full time grid, storing every stride-th field."""
-    steps = problem.time_grid.num_steps
-    plan = _snapshot_plan(steps, stride)
-    nbytes = len(plan) * problem.grid.num_points * 8
+def _drive(problem, start, advance, fields: tuple[str, ...], stride: int):
+    """Run loop shared by both steppers.
+
+    Refuses storage above the 1 GB guard before any work, builds the initial
+    state with ``start()``, then applies ``advance(problem, state)`` over the
+    time grid.  The named state fields are stored at every stride-th step plus
+    the final one; a SolverError is re-raised naming its step.  Returns the
+    stored step indices and an array of shape (len(fields), snapshots, n).
+    """
+    plan = _snapshot_plan(problem.time_grid.num_steps, stride)
+    shape = (len(fields), len(plan), problem.grid.num_points)
+    nbytes = 8 * shape[0] * shape[1] * shape[2]
     if nbytes > _MEMORY_GUARD_BYTES:
         raise ConfigurationError(
             f"trajectory storage would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
             "increase the stride or coarsen the run"
         )
-    data = np.empty((len(plan), problem.grid.num_points))
-    state = init_predictor(problem, u0)
-    data[0] = state.u_current.values
-    row = 1
-    for m in range(1, steps + 1):
-        try:
-            state = step(problem, state)
-        except InstabilityError:
-            raise
-        except SolverError as exc:
-            raise SolverError(f"{exc} (at step {m})") from exc
-        if row < len(plan) and plan[row] == m:
-            data[row] = state.u_current.values
-            row += 1
-    return Trajectory(problem.grid, problem.time_grid.dt, plan, data)
+    data = np.empty(shape)
+    state = start()
+    for row, target in enumerate(plan):
+        while state.step_index < target:
+            try:
+                state = advance(problem, state)
+            except InstabilityError:
+                raise
+            except SolverError as exc:
+                raise SolverError(f"{exc} (at step {state.step_index + 1})") from exc
+        for f, name in enumerate(fields):
+            data[f, row] = getattr(state, name).values
+    return plan, data
+
+
+def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
+    """Integrate over the full time grid, storing every stride-th field."""
+    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step,
+                        ("u_current",), stride)
+    return Trajectory(problem.grid, problem.time_grid.dt, plan, data[0])

@@ -112,6 +112,15 @@ def _scenario_geometry(scenario: str, growth_kind: str | None,
     return table.get(epsilon, fallback)
 
 
+def _all_finite(value) -> bool:
+    """False when a float anywhere in value (lists and dicts included) is NaN or inf."""
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one experiment; mirrors the JSON config schema."""
@@ -141,6 +150,10 @@ class ScenarioConfig:
     topo_eta_bracket: str = "sign_split"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _all_finite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.scenario not in _SCENARIOS:
             raise ConfigurationError(
                 f"scenario must be one of {_SCENARIOS}, got {self.scenario!r}"
@@ -657,57 +670,56 @@ def _meta_payload(config: ScenarioConfig, coeffs: ModelCoefficients,
     return payload
 
 
-def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path]:
-    """Write snapshot CSVs, the error time series, and meta.json."""
+def _write_files(config: ScenarioConfig, tables: dict[str, tuple[list[str], list]],
+                 json_name: str, payload: dict) -> list[Path]:
+    """Write CSV tables {file name: (header, columns)} then one JSON file into
+    config.output_dir (created if missing); returns the paths in that order."""
     if config.output_dir is None:
         raise ConfigurationError("config.output_dir is required to write outputs")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for snap in report.snapshots:
-        path = out / f"snapshot_t{snap.time:g}.csv"
-        _write_csv(
-            path,
+    for name, (header, columns) in tables.items():
+        _write_csv(out / name, header, columns)
+        written.append(out / name)
+    with open(out / json_name, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    written.append(out / json_name)
+    return written
+
+
+def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path]:
+    """Write snapshot CSVs, the error time series, and meta.json."""
+    tables = {
+        f"snapshot_t{snap.time:g}.csv": (
             ["x", "eta_boussinesq", "eta_kdv", "eta_kdv_topo", "v_boussinesq",
              "bottom_rescaled"],
             [snap.x, snap.eta_boussinesq, snap.eta_kdv, snap.eta_kdv_topo,
              snap.v_boussinesq, snap.bottom_rescaled],
         )
-        written.append(path)
-    errors_path = out / "errors.csv"
-    _write_csv(
-        errors_path,
+        for snap in report.snapshots
+    }
+    tables["errors.csv"] = (
         ["t", "err_kdv", "err_kdv_topo", "refl_b", "refl_kdv", "refl_topo",
          "l2_drift", "h1eps_drift"],
         [report.error_times, report.err_kdv, report.err_kdv_topo,
          report.refl_boussinesq, report.refl_kdv, report.refl_topo,
          report.l2_drift, report.h1eps_drift],
     )
-    written.append(errors_path)
     meta = _meta_payload(config, report.coefficients, report.runtimes, {
         "realized_final_time": report.realized_final_time,
         "validation_error": report.validation_error,
         "wrap_contamination": report.wrap_contamination,
     })
-    meta_path = out / "meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(meta_path)
-    return written
+    return _write_files(config, tables, "meta.json", meta)
 
 
 def write_growth_outputs(report: GrowthReport, config: ScenarioConfig) -> list[Path]:
     """Write the corrector norm series (growth.csv) and meta.json."""
-    if config.output_dir is None:
-        raise ConfigurationError("config.output_dir is required to write outputs")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     diag = report.diagnostic
     header = ["t", "u1_norm"] + list(diag.term_norms)
     cols = [diag.times, diag.u1_norms] + [diag.term_norms[k] for k in diag.term_norms]
-    csv_path = out / "growth.csv"
-    _write_csv(csv_path, header, cols)
     meta = _meta_payload(config, config.build_coefficients(), report.runtimes, {
         "sobolev_order": diag.sobolev_order,
         "fit": {
@@ -718,19 +730,11 @@ def write_growth_outputs(report: GrowthReport, config: ScenarioConfig) -> list[P
         },
         "crossing_time": report.crossing_time,
     })
-    meta_path = out / "meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [csv_path, meta_path]
+    return _write_files(config, {"growth.csv": (header, cols)}, "meta.json", meta)
 
 
 def write_convergence_outputs(report: ConvergenceReport,
                               config: ScenarioConfig) -> list[Path]:
-    if config.output_dir is None:
-        raise ConfigurationError("config.output_dir is required to write outputs")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = _meta_payload(config, config.build_coefficients(), {}, {
         "deltas": report.deltas,
         "kdv_errors": report.kdv_errors,
@@ -739,8 +743,4 @@ def write_convergence_outputs(report: ConvergenceReport,
         "boussinesq_orders": report.boussinesq_orders,
         "monotone": report.monotone,
     })
-    path = out / "convergence.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [path]
+    return _write_files(config, {}, "convergence.json", payload)

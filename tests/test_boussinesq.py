@@ -7,7 +7,7 @@ from longwave.boussinesq import (
     run_boussinesq,
     step_boussinesq,
 )
-from longwave.errors import ConfigurationError
+from longwave.errors import ConfigurationError, SolverError
 from longwave.findiff import make_d1, make_d2, make_d3
 from longwave.grid import (
     Field,
@@ -199,6 +199,46 @@ class TestRun:
             for i in range(len(traj.step_indices))
         ]
         assert max(drifts) < 0.05
+
+    def test_step_bottom_conserves_h1_eps(self):
+        # the conservative assembly conserves the forward-difference energy
+        # to round-off over topography as well, not only on a flat bottom
+        eps = 0.2
+        grid = Grid1D.from_length(80.0, 0.05)
+        tg = TimeGrid.from_final_time(5.0, 0.05)
+        coeffs = ModelCoefficients.balanced(eps)
+        spec = SolitonSpec(alpha=0.5, shift=-38.0, epsilon=eps)
+        half = Field(soliton_field(spec, grid).values / 2.0, grid)
+        traj = run_boussinesq(
+            BoussinesqProblem(coeffs, StepBottom(0.5, 40.0, 1.5), grid, tg),
+            half, half, stride=20,
+        )
+        ref = discrete_h1_eps(half, half, coeffs)
+        drifts = [
+            abs(discrete_h1_eps(Field(traj.v_data[i], grid),
+                                Field(traj.eta_data[i], grid), coeffs) - ref) / ref
+            for i in range(len(traj.step_indices))
+        ]
+        assert len(drifts) > 4 and max(drifts) <= 1e-12
+
+    def test_solver_failure_names_its_step(self, setup, monkeypatch):
+        from longwave.findiff import CyclicBandedMatrix
+
+        _, grid, tg, coeffs, half = setup
+        original = CyclicBandedMatrix.solve
+        block_solves = []
+
+        def failing_solve(self, rhs):
+            if self.n == 2 * grid.num_points:  # the per-step block system
+                block_solves.append(self.n)
+                if len(block_solves) == 3:
+                    raise SolverError("planted failure")
+            return original(self, rhs)
+
+        monkeypatch.setattr(CyclicBandedMatrix, "solve", failing_solve)
+        with pytest.raises(SolverError, match=r"planted failure \(at step 3\)"):
+            run_boussinesq(BoussinesqProblem(coeffs, FlatBottom(), grid, tg),
+                           half, half, stride=10)
 
     def test_pair_lookup(self, setup):
         _, grid, tg, coeffs, half = setup

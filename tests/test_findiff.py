@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from longwave.errors import GridMismatchError, SolverError
 from longwave.findiff import (
@@ -165,8 +166,8 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve(m, np.ones(n))
 
-    def test_woodbury_path_matches_dense(self, rng):
-        n = 200  # large enough to take the banded + corner-correction path
+    def test_random_band_matches_dense(self, rng):
+        n = 200
         m = _random_cyclic_banded(n, rng)
         rhs = rng.standard_normal(n)
         x = m.solve(rhs)
@@ -223,3 +224,51 @@ class TestSolve:
         dense = m.to_dense()
         assert dense[0, 0] == 2.0 and dense[1, 1] == 3.0
         assert dense[2, 3] == 0.5 and dense[3, 2] == 0.0
+
+
+def _dominant_cyclic_banded(n, p, rng):
+    """Random bands in [-1, 1] plus a diagonal that outweighs them even after aliasing."""
+    m = CyclicBandedMatrix(n, max_offset=5)
+    for off in range(-p, p + 1):
+        vals = rng.uniform(-1.0, 1.0, n)
+        if off == 0:
+            vals += 4 * p + 2
+        m.add_strided_band(off, vals)
+    return m
+
+
+class TestSolveProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300), p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    # n <= 2p makes stencil offsets alias onto the same entry
+    @example(n=1, p=5, seed=1)
+    @example(n=2, p=1, seed=2)
+    @example(n=4, p=2, seed=3)
+    @example(n=10, p=5, seed=4)
+    @example(n=11, p=5, seed=5)
+    def test_matches_dense_and_meets_residual_contract(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        m = _dominant_cyclic_banded(n, p, rng)
+        rhs = rng.standard_normal(n)
+        x = m.solve(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(m.to_dense(), rhs), rtol=0, atol=1e-12)
+        assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+           stencil=st.sampled_from(["d1", "d2", "ones5"]))
+    def test_singular_circulants_raise(self, n, scale, seed, stencil):
+        # D1 and D2 annihilate constants at every n; the all-ones five-band
+        # symbol vanishes at 2*pi/5, so it is singular when 5 divides n.
+        offsets, coeffs = {
+            "d1": ((-1, 1), (-0.5, 0.5)),
+            "d2": ((-1, 0, 1), (1.0, -2.0, 1.0)),
+            "ones5": ((-2, -1, 0, 1, 2), (1.0,) * 5),
+        }[stencil]
+        if stencil == "ones5":
+            n = 5 * max(1, n // 5)
+        m = CyclicBandedMatrix(n)
+        for off, c in zip(offsets, coeffs):
+            m.add_strided_band(off, np.full(n, scale * c))
+        with pytest.raises(SolverError):
+            m.solve(np.random.default_rng(seed).standard_normal(n))

@@ -334,6 +334,26 @@ class TestCli:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 
+    @pytest.mark.parametrize("field,value", [
+        ("dx", math.nan),
+        ("final_time", math.nan),
+        ("error_interval", math.nan),
+        ("domain_length", math.inf),
+        ("epsilon", math.nan),
+        ("alpha", math.nan),
+        ("shift", -math.inf),
+        ("snapshot_times", [1.0, math.nan]),
+        ("bathymetry", {"kind": "step", "beta0": math.nan, "center": 40.0,
+                        "ramp_half_width": 1.5}),
+    ])
+    def test_non_finite_config_exits_2(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, field: value}))
+        proc = self._run("simulate", "--config", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert f"configuration error: {field} must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")
         assert proc.returncode == 2
