@@ -273,7 +273,9 @@ def step_boussinesq(problem: BoussinesqProblem, state: BoussinesqState) -> Bouss
 
 def run_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field,
                    stride: int = 1) -> PairTrajectory:
-    """Integrate over the full time grid, storing every stride-th pair."""
+    """Integrate over the full time grid, storing every stride-th pair.
+
+    The returned ``v_data`` and ``eta_data`` arrays are read-only."""
     plan, (v_data, eta_data) = _drive(
         problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq,
         ("v_current", "eta_current"), stride,

@@ -20,6 +20,8 @@ banded LU factors and solves for every n, with no corner correction.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -100,6 +102,30 @@ def apply(op: CyclicBandedOperator, f: Field) -> Field:
     return Field(op.apply_values(f.values), f.grid)
 
 
+@functools.lru_cache(maxsize=32)
+def _fold_layout(n: int, offsets: tuple[int, ...]):
+    """Folded positions, half-bandwidth k and band-storage scatter indices.
+
+    Node i sits at folded position pos[i]; each entry keeps
+    |pos[i] - pos[j]| <= 2p.  LAPACK band storage for dgbtrf holds folded
+    A[r, c] at ab[2k + r - c, c], under k extra rows for the pivoting
+    fill-in; ``scatter[j]`` is the Fortran-order flat index in ab of
+    A[i, (i + offsets[j]) mod n] for every row i.  The arrays are read-only
+    because every call with the same (n, offsets) shares them.
+    """
+    nodes = np.arange(n)
+    pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
+    k = min(2 * max((abs(off) for off in offsets), default=0), n - 1)
+    scatter = []
+    for off in offsets:
+        cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
+        idx = 2 * k + pos - cols + cols * (3 * k + 1)
+        idx.flags.writeable = False
+        scatter.append(idx)
+    pos.flags.writeable = False
+    return pos, k, tuple(scatter)
+
+
 class CyclicBandedMatrix:
     """Cyclic banded matrix with position-dependent band entries.
 
@@ -171,17 +197,13 @@ class CyclicBandedMatrix:
         n = self.n
         if rhs.shape != (n,):
             raise GridMismatchError("rhs length does not match matrix dimension")
-        # Node i sits at folded position pos[i]; each entry keeps |pos[i] - pos[j]| <= 2p.
-        nodes = np.arange(n)
-        pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
-        k = min(2 * max((abs(off) for off in self.data), default=0), n - 1)
-        # LAPACK band storage for dgbtrf: folded A[r, c] at ab[2k + r - c, c],
-        # under k extra rows for the pivoting fill-in.
-        ab = np.zeros((3 * k + 1, n))
-        flat = ab.reshape(-1)
-        for off, vals in self.data.items():
-            cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
-            flat[(2 * k + pos - cols) * n + cols] += vals
+        offsets = tuple(self.data)
+        pos, k, scatter = _fold_layout(n, offsets)
+        # Fortran order lets dgbtrf factor ab in place instead of a copy.
+        ab = np.zeros((3 * k + 1, n), order="F")
+        flat = ab.reshape(-1, order="F")
+        for off, idx in zip(offsets, scatter):
+            flat[idx] += self.data[off]
         lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
         pivots = np.abs(lu[2 * k])
         if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():

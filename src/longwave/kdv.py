@@ -263,7 +263,9 @@ def _drive(problem, start, advance, fields: tuple[str, ...], stride: int):
     state with ``start()``, then applies ``advance(problem, state)`` over the
     time grid.  The named state fields are stored at every stride-th step plus
     the final one; a SolverError is re-raised naming its step.  Returns the
-    stored step indices and an array of shape (len(fields), snapshots, n).
+    stored step indices and a read-only array of shape (len(fields),
+    snapshots, n): results computed from a trajectory, such as the running
+    sums of the reconstruction, then stay valid for as long as it lives.
     """
     plan = _snapshot_plan(problem.time_grid.num_steps, stride)
     shape = (len(fields), len(plan), problem.grid.num_points)
@@ -285,11 +287,14 @@ def _drive(problem, start, advance, fields: tuple[str, ...], stride: int):
                 raise SolverError(f"{exc} (at step {state.step_index + 1})") from exc
         for f, name in enumerate(fields):
             data[f, row] = getattr(state, name).values
+    data.flags.writeable = False
     return plan, data
 
 
 def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
-    """Integrate over the full time grid, storing every stride-th field."""
+    """Integrate over the full time grid, storing every stride-th field.
+
+    The returned ``data`` array is read-only."""
     plan, data = _drive(problem, lambda: init_predictor(problem, u0), step,
                         ("u_current",), stride)
     return Trajectory(problem.grid, problem.time_grid.dt, plan, data[0])

@@ -43,10 +43,30 @@ bottom profile sampled on the whole real line (no wrap) and the wave
 snapshots with periodic wrap.  Quadrature abscissae of the form x - t + 2s
 are read from the counter-propagating snapshot at the matching time, which
 requires that trajectory to be stored at every step.
+
+Each characteristic quadrature is a running sum.  Along the characteristic
+with foot c the integrand at step j sits at lattice point y = c + j ('right')
+or y = c - j ('left'), so the sum over steps 0..m obeys
+
+    A_m(c) = A_{m-1}(c) + F_m(c +- m),
+
+kept on the extended lattice of n + M feet (M the last step the trajectory
+can resolve); the trapezoid end weights -F_0/2 and -F_m/2 are applied when
+the sum is read out.  One accumulator is kept per (trajectory, direction,
+weight kind) and a call at step m' >= m adds only the snapshots m+1..m', at
+cost O((m' - m) (n + M)); a call at an earlier step starts again from step 0.
+A stored sum is reused only while the trajectory holds the same data array,
+that array (and any array it views) is read-only, and the weight sampled on
+the extended lattice is unchanged.  Run output is read-only (``kdv.run`` and
+``boussinesq.run_boussinesq``), so a sum over it cannot go stale;
+a hand-built trajectory over a writeable array is summed from step 0 on
+every call.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +197,65 @@ def _bottom_integral_nodes(b: BathymetryProfile, grid: Grid1D, m: int,
     return dt * (sums - 0.5 * ext[first] - 0.5 * ext[last])
 
 
+class _RunningSum:
+    """Trapezoid sums along the characteristics of one counter trajectory.
+
+    ``acc[q]`` holds sum_{j <= step} F_j over the characteristic with foot
+    q - M ('right') or q ('left'), where F_j is the weighted counter snapshot
+    j on the extended lattice of n + M points.
+    """
+
+    def __init__(self, data: np.ndarray, direction: str, lattice: np.ndarray,
+                 w_ext: np.ndarray | None):
+        self.data = data
+        self.direction = direction
+        self.w_ext = w_ext
+        self.big_m = len(lattice) - data.shape[1]
+        self.wrap = lattice % data.shape[1]
+        self.acc = np.zeros(len(lattice))
+        self.step = -1
+
+    def _integrand(self, j: int, lattice: slice) -> np.ndarray:
+        vals = self.data[j][self.wrap[lattice]]
+        return vals if self.w_ext is None else vals * self.w_ext[lattice]
+
+    def advance(self, m: int) -> None:
+        length = len(self.acc)
+        for j in range(self.step + 1, m + 1):
+            if self.direction == "right":
+                self.acc[:length - j] += self._integrand(j, slice(j, None))
+            else:
+                self.acc[j:] += self._integrand(j, slice(0, length - j))
+        self.step = m
+
+    def read(self, m: int, dt: float) -> np.ndarray:
+        n = self.data.shape[1]
+        if self.direction == "right":
+            feet = slice(self.big_m - m, self.big_m - m + n)
+            here = slice(self.big_m, self.big_m + n)
+        else:
+            feet = slice(m, m + n)
+            here = slice(0, n)
+        first = self._integrand(0, feet)
+        last = self.data[m] if self.w_ext is None else self.data[m] * self.w_ext[here]
+        return dt * (self.acc[feet] - 0.5 * first - 0.5 * last)
+
+
+# Running sums per counter trajectory, keyed by (direction, weight kind); a
+# trajectory that is garbage collected drops its sums.
+_RUNNING_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_RUNNING_SUMS_LOCK = threading.Lock()
+
+
+def _read_only(a) -> bool:
+    """True when neither ``a`` nor any array it is a view of is writeable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -> np.ndarray:
     """Trapezoid of weight(y) * field(s, y) along the characteristic for all nodes.
 
@@ -184,44 +263,37 @@ def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -
     (abscissa x_i - t + 2s collapses to y once the snapshot time matches s);
     direction 'left':  y = x_i + t - s.  The weight is evaluated unwrapped when
     it is a bottom profile (derivative) and with periodic wrap when it is a
-    per-node array; the counter snapshots always wrap periodically.
+    per-node array; the counter snapshots always wrap periodically.  The sum
+    is advanced from the trajectory's stored running sum (module docstring).
     """
     grid = counter.grid
     n = grid.num_points
-    dt = grid.dx
     if m == 0:
         return np.zeros(n)
     _require_full_history(counter, m, "counter-propagating")
-    if direction == "right":
-        ext_idx = np.arange(-m, n)
-    elif direction == "left":
-        ext_idx = np.arange(0, n + m)
-    else:
+    if direction not in ("right", "left"):
         raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
-
+    # Steps 0..m stored means m < number of snapshots: M bounds every valid m.
+    big_m = len(counter.step_indices) - 1
+    lattice = np.arange(-big_m, n) if direction == "right" else np.arange(0, n + big_m)
     if weight is None:
-        w_ext = None
+        kind, w_ext = "one", None
     elif isinstance(weight, BathymetryProfile):
-        w_ext = np.asarray(weight.derivative(ext_idx * dt), dtype=float)
+        kind, w_ext = "profile", np.asarray(weight.derivative(lattice * grid.dx), dtype=float)
     else:
         vals = weight.values if isinstance(weight, Field) else np.asarray(weight, dtype=float)
-        w_ext = vals[ext_idx % n]
+        kind, w_ext = "array", vals[lattice % n]
 
-    weights = _trapezoid_weights(m, dt)
-    out = np.zeros(n)
-    for j in range(m + 1):
-        snap = counter.data[j]
-        if direction == "right":
-            shift = j - m
-            sl = slice(j, j + n)
-        else:
-            shift = m - j
-            sl = slice(m - j, m - j + n)
-        contrib = np.roll(snap, -shift)
-        if w_ext is not None:
-            contrib = contrib * w_ext[sl]
-        out += weights[j] * contrib
-    return out
+    with _RUNNING_SUMS_LOCK:
+        sums = _RUNNING_SUMS.setdefault(counter, {})
+        state = sums.get((direction, kind))
+        if (state is None or state.data is not counter.data or state.step > m
+                or not _read_only(counter.data)
+                or (w_ext is not None and not np.array_equal(w_ext, state.w_ext))):
+            state = _RunningSum(counter.data, direction, lattice, w_ext)
+            sums[(direction, kind)] = state
+        state.advance(m)
+        return state.read(m, grid.dx)
 
 
 def bottom_shift_integral(b: BathymetryProfile, t: float, x: float,
@@ -253,15 +325,33 @@ def characteristic_cross_integral(weight, counter: Trajectory, t: float, x: floa
     the mirror with x+t-s and x+t-2s.  ``weight`` may be a bottom profile
     (its derivative is used), a per-node array, or None for weight one.
     ``x`` must be a grid node and the counter trajectory must be stored at
-    every step (dt = dx).
+    every step (dt = dx).  A direct O(m) sum over the m+1 snapshots, kept as
+    the reference for the running sums of the per-node quadrature.
     """
     _check_alignment(counter)
     grid = counter.grid
-    i = int(round(x / grid.dx))
-    if abs(i * grid.dx - x) > 1e-9 * max(1.0, abs(x)) or not 0 <= i < grid.num_points:
+    n, dt = grid.num_points, grid.dx
+    i = int(round(x / dt))
+    if abs(i * dt - x) > 1e-9 * max(1.0, abs(x)) or not 0 <= i < n:
         raise ConfigurationError(f"x={x} is not a node of the counter trajectory grid")
     m = counter.step_of_time(t)
-    return float(_cross_integral_nodes(weight, counter, m, direction)[i])
+    if m == 0:
+        return 0.0
+    _require_full_history(counter, m, "counter-propagating")
+    steps = np.arange(m + 1)
+    if direction == "right":
+        y = i - m + steps
+    elif direction == "left":
+        y = i + m - steps
+    else:
+        raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
+    vals = counter.data[steps, y % n]
+    if isinstance(weight, BathymetryProfile):
+        vals = vals * np.asarray(weight.derivative(y * dt), dtype=float)
+    elif weight is not None:
+        w = weight.values if isinstance(weight, Field) else np.asarray(weight, dtype=float)
+        vals = vals * w[y % n]
+    return float(np.dot(_trapezoid_weights(m, dt), vals))
 
 
 def classical_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
@@ -298,7 +388,6 @@ def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
     m = u_traj.step_of_time(t)
     u = u_traj.at_step(m)
     n = _counter_values(n_traj, grid, m)
-    have_counter = n_traj is not None and bool(np.any(n_traj.data))
 
     d1 = make_d1(grid)
     d2 = make_d2(grid)
@@ -310,7 +399,7 @@ def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
     b_back = np.asarray(b.value(nodes - m * dx), dtype=float)
 
     ib_right = _bottom_integral_nodes(b, grid, m, "right")
-    if have_counter:
+    if n_traj is not None:
         cp_right = _cross_integral_nodes(None, n_traj, m, "right")
         jb_right = _cross_integral_nodes(b, n_traj, m, "right")
     else:
@@ -336,11 +425,8 @@ def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
     dn = d1.apply_values(n)
     b_fwd = np.asarray(b.value(nodes + m * dx), dtype=float)
     ib_left = _bottom_integral_nodes(b, grid, m, "left")
-    if np.any(u_traj.data):
-        cp_left = _cross_integral_nodes(None, u_traj, m, "left")
-        jb_left = _cross_integral_nodes(b, u_traj, m, "left")
-    else:
-        cp_left = jb_left = np.zeros(n_pts)
+    cp_left = _cross_integral_nodes(None, u_traj, m, "left")
+    jb_left = _cross_integral_nodes(b, u_traj, m, "left")
 
     # Left-going corrector: shifted reads u(t, x + 2t) etc.
     u_fwd = np.roll(u, -2 * m)
@@ -382,8 +468,6 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     m = u_traj.step_of_time(t)
     u = u_traj.at_step(m)
     n = _counter_values(n_traj, grid, m)
-    have_counter = n_traj is not None and bool(np.any(n_traj.data))
-    u_has_signal = bool(np.any(u_traj.data))
     eps = coeffs.epsilon
 
     d1 = make_d1(grid)
@@ -399,21 +483,19 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     common = du * _bottom_integral_nodes(b, grid, m, "right")
     common += 0.5 * u * (b_here - b_back)
     flipped = 0.5 * n * (b_fwd - b_here)
-    if have_counter:
+    if n_traj is not None:
         flipped -= dn * _bottom_integral_nodes(b, grid, m, "left")
         common += 0.5 * _cross_integral_nodes(b, n_traj, m, "right")
-    if u_has_signal:
-        flipped -= 0.5 * _cross_integral_nodes(b, u_traj, m, "left")
+    flipped -= 0.5 * _cross_integral_nodes(b, u_traj, m, "left")
 
     v_vals = (u + n) / 2.0 + eps / 4.0 * (common + flipped)
     eta_sign = 1.0 if eta_bracket == "identical" else -1.0
     eta_vals = (u - n) / 2.0 + eps / 4.0 * (common + eta_sign * flipped)
     variant = "topo_modified"
     if periodic_variant:
-        right_part = du * _cross_integral_nodes(None, n_traj, m, "right") if have_counter \
+        right_part = du * _cross_integral_nodes(None, n_traj, m, "right") if n_traj is not None \
             else np.zeros(grid.num_points)
-        left_part = dn * _cross_integral_nodes(None, u_traj, m, "left") if u_has_signal \
-            else np.zeros(grid.num_points)
+        left_part = dn * _cross_integral_nodes(None, u_traj, m, "left")
         v_vals -= eps / 8.0 * (right_part + left_part)
         eta_vals -= eps / 8.0 * (right_part - left_part)
         variant = "topo_modified_periodic"

@@ -188,11 +188,10 @@ class ScenarioConfig:
             self.dx = dx_def
         if self.shift is None:
             self.shift = -x0_def
-        if self.theta is None or self.lambda1 is None or self.lambda2 is None:
-            triple = (
-                _ZERO_SMOOTHING_TRIPLE if self.scenario == "growth" else _BALANCED_TRIPLE
-            )
-            self.theta, self.lambda1, self.lambda2 = triple
+        triple = _ZERO_SMOOTHING_TRIPLE if self.scenario == "growth" else _BALANCED_TRIPLE
+        for name, default in zip(("theta", "lambda1", "lambda2"), triple):
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         if self.bathymetry is None:
             self.bathymetry = self._default_bathymetry()
         if self.error_interval is None:
@@ -245,6 +244,7 @@ class ScenarioConfig:
         if self.topo_eta_bracket not in ("sign_split", "identical"):
             raise ConfigurationError(f"unknown topo_eta_bracket {self.topo_eta_bracket!r}")
         bathymetry_from_config(self.bathymetry)  # raises on bad parameters
+        self.build_coefficients()  # raises on an inadmissible triple
         for t in self.snapshot_times:
             if t < -1e-12 or t > self.final_time + 1e-9:
                 raise ConfigurationError(

@@ -167,6 +167,9 @@ class TestRun:
             Field.zeros(grid), Field.zeros(grid), stride=10,
         )
         assert np.all(traj.v_data == 0.0) and np.all(traj.eta_data == 0.0)
+        for data in (traj.v_data, traj.eta_data):
+            with pytest.raises(ValueError):
+                data[0, 0] = 1.0
 
     def test_flat_bottom_conservation_over_run(self, setup):
         _, grid, tg, coeffs, half = setup

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg.lapack import dgbtrf
 
+from longwave import findiff
 from longwave.errors import GridMismatchError, SolverError
 from longwave.findiff import (
     CyclicBandedMatrix,
@@ -197,8 +199,17 @@ class TestSolve:
         )
         np.testing.assert_allclose(m.to_dense(), dense, atol=1e-13)
 
-    def test_solve_after_assemble_roundtrip(self, rng):
-        # solve(A, A @ x) == x for a stepper-like system matrix
+    def test_solve_after_assemble_roundtrip(self, rng, monkeypatch):
+        # solve(A, A @ x) == x for a stepper-like system matrix, with the
+        # band storage factored in place on both the first and a repeat call
+        in_place = []
+
+        def spy(ab, *args, **kwargs):
+            lu, piv, info = dgbtrf(ab, *args, **kwargs)
+            in_place.append(np.shares_memory(lu, ab))
+            return lu, piv, info
+
+        monkeypatch.setattr(findiff, "dgbtrf", spy)
         grid = Grid1D(128, 0.05)
         m = CyclicBandedMatrix(128)
         m.add_diagonal(np.full(128, 2.0 / 0.05))
@@ -206,8 +217,10 @@ class TestSolve:
         m.add_operator(make_d3(grid), scale=0.2 / 6.0)
         m.add_operator(make_d1(grid), pre_diag=rng.standard_normal(128) * 0.1)
         x = rng.standard_normal(128)
-        x_hat = m.solve(m.matvec(x))
-        assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
+        for _ in range(2):
+            x_hat = m.solve(m.matvec(x))
+            assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
+        assert in_place == [True, True]
 
     def test_rhs_dimension_check(self):
         m = CyclicBandedMatrix(16)

@@ -153,6 +153,8 @@ class TestRun:
         eps, grid, tg, _ = setup
         traj = run(KdvProblem(eps, grid, tg), Field.zeros(grid), stride=10)
         assert np.all(traj.data == 0.0)
+        with pytest.raises(ValueError):
+            traj.data[0, 0] = 1.0
 
     def test_snapshot_plan_includes_final(self, setup):
         eps, grid, tg, spec = setup

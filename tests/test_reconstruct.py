@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longwave.errors import ConfigurationError, DiagnosticError, MissingSnapshotError
 from longwave.findiff import make_d1
@@ -17,6 +18,7 @@ from longwave.grid import (
 from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
     TERM_NAMES,
+    _cross_integral_nodes,
     bottom_shift_integral,
     characteristic_cross_integral,
     classical_surfaces,
@@ -201,6 +203,70 @@ class TestCharacteristicCrossIntegral:
         traj = _constant_trajectory(grid, 10, 1.0)
         with pytest.raises(ConfigurationError):
             characteristic_cross_integral(bottom, traj, 10 * grid.dx, 0.123, "right")
+
+
+def _oracle_nodes(weight, traj, m, direction):
+    grid = traj.grid
+    return np.array([characteristic_cross_integral(weight, traj, m * grid.dx, i * grid.dx,
+                                                   direction)
+                     for i in range(grid.num_points)])
+
+
+class TestRunningSum:
+    """The per-node running sums against the direct single-node quadrature."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(8, 40), steps=st.integers(1, 30),
+           dx=st.sampled_from([0.05, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1),
+           source=st.sampled_from(["run", "hand_writeable", "hand_read_only"]),
+           direction=st.sampled_from(["right", "left"]),
+           weight_kind=st.sampled_from(["none", "bottom", "array"]),
+           order=st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    def test_matches_direct_sum(self, n, steps, dx, seed, source, direction, weight_kind,
+                                order):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(n, dx)
+        if source == "run":
+            u0 = Field(0.3 * np.sin(2 * np.pi * np.arange(n) / n + rng.uniform(0, 6)), grid)
+            traj = run(KdvProblem(0.2, grid, TimeGrid(steps, dx), direction=direction),
+                       u0, stride=1)
+        else:
+            data = rng.standard_normal((steps + 1, n))
+            data.flags.writeable = source != "hand_read_only"
+            traj = Trajectory(grid, dx, np.arange(steps + 1), data)
+        if weight_kind == "none":
+            weight, w_max = None, 1.0
+        elif weight_kind == "bottom":
+            weight = StepBottom(rng.uniform(-1, 1), rng.uniform(-steps, n) * dx,
+                                rng.uniform(0.5, 5) * dx)
+            w_max = np.pi / 4 * abs(weight.beta0) / weight.ramp_half_width
+        else:
+            weight = rng.standard_normal(n)
+            w_max = np.max(np.abs(weight))
+        bound = 1e-12 * max(w_max * np.max(np.abs(traj.data)), 1e-300)
+        for m in order:
+            m = min(m, steps)
+            got = _cross_integral_nodes(weight, traj, m, direction)
+            want = _oracle_nodes(weight, traj, m, direction)
+            assert np.max(np.abs(got - want)) <= bound
+
+    def test_writes_and_replaced_data_are_seen(self):
+        grid = Grid1D(16, 0.5)
+        rng = np.random.default_rng(3)
+        traj = Trajectory(grid, grid.dx, np.arange(9), rng.standard_normal((9, 16)))
+        bottom = StepBottom(0.5, 4.0, 1.0)
+        _cross_integral_nodes(bottom, traj, 8, "left")
+        traj.data[3] += 1.0
+        np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
+                                   _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
+        frozen = rng.standard_normal((9, 16))
+        frozen.flags.writeable = False
+        traj.data = frozen
+        np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
+                                   _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
+        other = StepBottom(-0.3, 2.0, 1.0)
+        np.testing.assert_allclose(_cross_integral_nodes(other, traj, 8, "left"),
+                                   _oracle_nodes(other, traj, 8, "left"), atol=1e-13)
 
 
 class TestCorrectorFields:

@@ -60,6 +60,13 @@ class TestScenarioConfig:
         assert coeffs.a1 == pytest.approx(1 / 6, abs=1e-12)
         assert coeffs.a2 == 0.0 and coeffs.a4 == 0.0
 
+    def test_partial_smoothing_triple_keeps_given_members(self):
+        cfg = ScenarioConfig.from_dict({"scenario": "step", "epsilon": 0.2,
+                                        "lambda1": 0.3, "lambda2": 0.3})
+        assert (cfg.theta, cfg.lambda1, cfg.lambda2) == (math.sqrt(2.0 / 3.0), 0.3, 0.3)
+        with pytest.raises(ConfigurationError, match="inadmissible"):
+            ScenarioConfig.from_dict({"scenario": "step", "epsilon": 0.2, "theta": 0.7})
+
     def test_overtime_sets_final_time(self):
         cfg = ScenarioConfig(scenario="step", epsilon=0.2, overtime=True)
         assert cfg.final_time == pytest.approx(0.2 ** -1.5)
@@ -333,6 +340,14 @@ class TestCli:
         proc = self._run("simulate", "--config", str(path))
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
+
+    def test_inadmissible_partial_triple_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "theta": 0.7}))
+        proc = self._run("simulate", "--config", str(path))
+        assert proc.returncode == 2
+        assert "configuration error: inadmissible triple" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("field,value", [
         ("dx", math.nan),
