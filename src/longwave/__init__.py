@@ -47,10 +47,9 @@ from .findiff import (
     make_d3,
     solve,
 )
-from .kdv import KdvProblem, KdvState, PairTrajectory, Trajectory, init_predictor, run, step
+from .kdv import KdvProblem, PairTrajectory, RelaxationState, Trajectory, init_predictor, run, step
 from .boussinesq import (
     BoussinesqProblem,
-    BoussinesqState,
     init_boussinesq,
     run_boussinesq,
     step_boussinesq,

@@ -12,10 +12,14 @@ the discrete inner product, which is what makes the conservation structure of
 the steppers hold at the discrete level.
 
 Per-step linear systems are cyclic banded matrices (band plus wrap-around
-corners).  Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that
-every cyclic neighbour is at most 2p positions away: a cyclic band of
-half-width p becomes an ordinary band of half-width 2p, which one LAPACK
-banded LU factors and solves for every n, with no corner correction.
+corners), assembled by one path: each term is a stencil between two diagonal
+matrices, placed into block (row, col) of a matrix whose unknowns interleave
+``blocks`` fields per node (one for the scalar stepper, two for the coupled
+one, whose stencil offset o then becomes band offset 2o + col - row).
+Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that every
+cyclic neighbour is at most 2p positions away: a cyclic band of half-width p
+becomes an ordinary band of half-width 2p, which one LAPACK banded LU factors
+and solves for every n, with no corner correction.
 """
 
 from __future__ import annotations
@@ -130,46 +134,39 @@ class CyclicBandedMatrix:
     """Cyclic banded matrix with position-dependent band entries.
 
     Storage is dense-in-band: ``data[offset][i]`` holds A[i, (i+offset) mod n].
-    Rows can be accumulated from stencil operators sandwiched between diagonal
-    matrices, which covers every term the time steppers assemble:
-
-        A += scale * diag(pre) @ Op @ diag(post)
-
-    ``add_strided_band`` additionally supports interleaved block systems (the
-    coupled stepper stores its two unknowns as z = (v_0, e_0, v_1, e_1, ...)).
+    With ``blocks`` interleaved fields per node, block (row, col) couples field
+    ``row`` of a node to field ``col`` of its neighbours; every term the
+    steppers assemble is A[row, col] += scale * diag(pre) @ Op @ diag(post).
     """
 
-    def __init__(self, n: int, max_offset: int = 5):
+    def __init__(self, n: int, blocks: int = 1):
         self.n = int(n)
-        self.max_offset = int(max_offset)
+        self.blocks = int(blocks)
         self.data = {}
 
     def _band(self, offset: int) -> np.ndarray:
-        if abs(offset) > self.max_offset:
-            raise ValueError(f"offset {offset} exceeds declared bandwidth {self.max_offset}")
         if offset not in self.data:
             self.data[offset] = np.zeros(self.n)
         return self.data[offset]
 
-    def add_diagonal(self, values) -> None:
-        self._band(0)[:] += values
-
-    def add_strided_band(self, offset: int, values, row_start: int = 0, row_step: int = 1) -> None:
-        """A[r, (r+offset) mod n] += values for rows r = row_start, row_start+row_step, ..."""
-        self._band(offset)[row_start::row_step] += values
+    def add_diagonal(self, values, block: tuple[int, int] = (0, 0)) -> None:
+        """A[row, col] += diag(values): values per node, or one scalar."""
+        row, col = block
+        self._band(col - row)[row::self.blocks] += values
 
     def add_operator(self, op: CyclicBandedOperator, pre_diag=None, post_diag=None,
-                     scale: float = 1.0) -> None:
-        """A += scale * diag(pre_diag) @ op @ diag(post_diag) (diags optional)."""
-        if op.n != self.n:
+                     scale: float = 1.0, block: tuple[int, int] = (0, 0)) -> None:
+        """A[row, col] += scale * diag(pre_diag) @ op @ diag(post_diag) (diags optional)."""
+        if op.n * self.blocks != self.n:
             raise GridMismatchError("operator dimension does not match matrix")
+        row, col = block
         for off, c in zip(op.offsets, op.coeffs):
-            contrib = np.full(self.n, scale * c)
+            contrib = np.full(op.n, scale * c)
             if pre_diag is not None:
                 contrib = contrib * pre_diag
             if post_diag is not None:
                 contrib = contrib * np.roll(post_diag, -off)
-            self._band(off)[:] += contrib
+            self._band(self.blocks * off + col - row)[row::self.blocks] += contrib
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.n,):

@@ -25,6 +25,15 @@ discrete L2 norm of the scheme conserved up to round-off for smooth states.
 An alternative assembly ("split_form") uses the exactly skew-symmetric pair
 eps/4 * (u^p D1 w + D1(u^p w)) instead; both are second order and agree to
 O(dx^2).
+
+The relaxation step itself is shared with the coupled stepper.  A run state
+(``RelaxationState``) holds two raw arrays, the unknown z^n and its predictor
+z^{n+1/2}, where z is u here and the interleaved (v_0, eta_0, v_1, eta_1, ...)
+for the coupled system.  A problem supplies ``rhs(z)``, the explicit F of
+z_t = F(z) that starts the predictor at z^0 + dt/2 F(z^0), and
+``system(predictor, current)``, the banded matrix and right-hand side of the
+half-sum w; one step solves for w, sets z^{n+1} = 2w - z^n and relaxes the
+predictor to 2 z^{n+1} - z^{n+1/2}.  ``_drive`` is the one run loop of both.
 """
 
 from __future__ import annotations
@@ -45,23 +54,16 @@ __all__ = [
     "Trajectory",
     "PairTrajectory",
     "KdvProblem",
-    "KdvState",
+    "RelaxationState",
     "init_predictor",
     "step",
     "run",
 ]
 
 _MEMORY_GUARD_BYTES = 1 << 30  # refuse trajectories above 1 GB
+_WORK_GUARD_NODE_STEPS = 1e10  # refuse runs above ~3 h at 1e6 node-steps/s
 
-
-def _snapshot_plan(num_steps: int, stride: int) -> np.ndarray:
-    """Step indices stored by a run: every stride-th step plus the final one."""
-    if stride < 1:
-        raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    idx = list(range(0, num_steps + 1, stride))
-    if idx[-1] != num_steps:
-        idx.append(num_steps)
-    return np.asarray(idx, dtype=int)
+KDV_NONLINEAR_MODES = ("neighbor_average", "split_form")
 
 
 class _TrajectoryBase:
@@ -155,8 +157,10 @@ class KdvProblem:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         if direction not in ("right", "left"):
             raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
-        if nonlinear_mode not in ("neighbor_average", "split_form"):
-            raise ConfigurationError(f"unknown nonlinear_mode {nonlinear_mode!r}")
+        if nonlinear_mode not in KDV_NONLINEAR_MODES:
+            raise ConfigurationError(
+                f"nonlinear_mode must be one of {KDV_NONLINEAR_MODES}, got {nonlinear_mode!r}"
+            )
         self.epsilon = float(epsilon)
         self.grid = grid
         self.time_grid = time_grid
@@ -189,92 +193,106 @@ class KdvProblem:
             out -= s * eps * (0.5 * self.bottom * du + 0.25 * self.bottom_slope * values)
         return -out
 
+    def system(self, predictor: np.ndarray, current: np.ndarray):
+        """Matrix and rhs of (2/dt) w + L w = (2/dt) u^n for the half-sum w."""
+        eps, s, dt = self.epsilon, self._sign, self.time_grid.dt
+        d1 = self._d1
+        matrix = CyclicBandedMatrix(self.grid.num_points)
+        matrix.add_diagonal(2.0 / dt)
+        matrix.add_operator(d1, scale=s)
+        matrix.add_operator(self._d3, scale=s * eps / 6.0)
+        dup = d1.apply_values(predictor)
+        if self.nonlinear_mode == "neighbor_average":
+            smoothed = predictor + 0.5 * (np.roll(predictor, -1) + np.roll(predictor, 1))
+            matrix.add_operator(d1, pre_diag=smoothed, scale=eps / 4.0)
+            matrix.add_diagonal(eps / 4.0 * dup)
+        else:
+            matrix.add_operator(d1, pre_diag=predictor, scale=eps / 4.0)
+            matrix.add_operator(d1, post_diag=predictor, scale=eps / 4.0)
+        if self.bottom is not None:
+            matrix.add_operator(d1, pre_diag=self.bottom, scale=-s * eps / 2.0)
+            matrix.add_diagonal(-s * eps / 4.0 * self.bottom_slope)
+        return matrix, 2.0 / dt * current
 
-class KdvState:
-    """State after n steps: u^n, the predictor u^{n+1/2}, and the step index."""
 
-    def __init__(self, u_current: Field, u_predictor: Field, step_index: int, dt: float):
-        if u_current.grid != u_predictor.grid:
-            raise GridMismatchError("state fields live on different grids")
-        self.u_current = u_current
-        self.u_predictor = u_predictor
+class RelaxationState:
+    """State after n steps: raw arrays of the unknown z^n and its predictor
+    z^{n+1/2}, and the step index; the coupled stepper's z interleaves
+    (v_0, eta_0, v_1, eta_1, ...)."""
+
+    def __init__(self, current: np.ndarray, predictor: np.ndarray, step_index: int,
+                 dt: float):
+        self.current = current
+        self.predictor = predictor
         self.step_index = int(step_index)
         self.dt = float(dt)
 
-    @property
-    def time(self) -> float:
-        return self.step_index * self.dt
 
-
-def init_predictor(problem: KdvProblem, u0: Field) -> KdvState:
-    """Start a run: the first predictor is an explicit half-step from u0."""
-    if u0.grid != problem.grid:
-        raise GridMismatchError("initial data does not live on the problem grid")
+def _start(problem, current: np.ndarray) -> RelaxationState:
+    """First predictor: an explicit half-step z + dt/2 F(z) of either model."""
     dt = problem.time_grid.dt
-    predictor = u0.values + 0.5 * dt * problem.rhs(u0.values)
+    predictor = current + 0.5 * dt * problem.rhs(current)
     if not np.all(np.isfinite(predictor)):
         raise InstabilityError("non-finite predictor during initialization", step_index=0)
-    return KdvState(u0.copy(), Field(predictor, problem.grid), 0, dt)
+    return RelaxationState(current, predictor, 0, dt)
 
 
-def _assemble_system(problem: KdvProblem, predictor: np.ndarray, dt: float) -> CyclicBandedMatrix:
-    """Matrix of (2/dt) w + L w = (2/dt) u^n for the half-sum w."""
-    eps, s = problem.epsilon, problem._sign
-    n = problem.grid.num_points
-    matrix = CyclicBandedMatrix(n, max_offset=2)
-    matrix.add_diagonal(2.0 / dt)
-    matrix.add_operator(problem._d1, scale=s)
-    matrix.add_operator(problem._d3, scale=s * eps / 6.0)
-    dup = problem._d1.apply_values(predictor)
-    if problem.nonlinear_mode == "neighbor_average":
-        smoothed = predictor + 0.5 * (np.roll(predictor, -1) + np.roll(predictor, 1))
-        matrix.add_operator(problem._d1, pre_diag=smoothed, scale=eps / 4.0)
-        matrix.add_diagonal(eps / 4.0 * dup)
-    else:
-        matrix.add_operator(problem._d1, pre_diag=predictor, scale=eps / 4.0)
-        matrix.add_operator(problem._d1, post_diag=predictor, scale=eps / 4.0)
-    if problem.bottom is not None:
-        matrix.add_operator(problem._d1, pre_diag=problem.bottom, scale=-s * eps / 2.0)
-        matrix.add_diagonal(-s * eps / 4.0 * problem.bottom_slope)
-    return matrix
-
-
-def step(problem: KdvProblem, state: KdvState) -> KdvState:
-    """Advance one time step; the predictor follows the relaxation recurrence."""
-    dt = problem.time_grid.dt
-    matrix = _assemble_system(problem, state.u_predictor.values, dt)
-    w = matrix.solve(2.0 / dt * state.u_current.values)
-    u_next = 2.0 * w - state.u_current.values
+def _advance(problem, state: RelaxationState) -> RelaxationState:
+    """One relaxation step of either model: solve for the half-sum w at the
+    frozen predictor, set z^{n+1} = 2w - z^n, then relax the predictor."""
+    matrix, rhs = problem.system(state.predictor, state.current)
+    current = 2.0 * matrix.solve(rhs) - state.current
     next_index = state.step_index + 1
-    if not np.all(np.isfinite(u_next)):
+    if not np.all(np.isfinite(current)):
         raise InstabilityError(
             f"non-finite solution at step {next_index}", step_index=next_index
         )
-    predictor_next = 2.0 * u_next - state.u_predictor.values
-    return KdvState(
-        Field(u_next, problem.grid), Field(predictor_next, problem.grid), next_index, dt
-    )
+    return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt)
 
 
-def _drive(problem, start, advance, fields: tuple[str, ...], stride: int):
+def init_predictor(problem: KdvProblem, u0: Field) -> RelaxationState:
+    """Start a run: the first predictor is an explicit half-step from u0."""
+    if u0.grid != problem.grid:
+        raise GridMismatchError("initial data does not live on the problem grid")
+    return _start(problem, u0.values.copy())
+
+
+def step(problem: KdvProblem, state: RelaxationState) -> RelaxationState:
+    """Advance one time step; the predictor follows the relaxation recurrence."""
+    return _advance(problem, state)
+
+
+def _drive(problem, start, advance, blocks: int, stride: int):
     """Run loop shared by both steppers.
 
-    Refuses storage above the 1 GB guard before any work, builds the initial
-    state with ``start()``, then applies ``advance(problem, state)`` over the
-    time grid.  The named state fields are stored at every stride-th step plus
-    the final one; a SolverError is re-raised naming its step.  Returns the
-    stored step indices and a read-only array of shape (len(fields),
-    snapshots, n): results computed from a trajectory, such as the running
-    sums of the reconstruction, then stay valid for as long as it lives.
+    Refuses runs above the node-step or the 1 GB storage guard before any
+    work, builds the initial state with ``start()``, then applies
+    ``advance(problem, state)`` over the time grid.  The ``blocks`` fields
+    interleaved in the unknown are stored at every stride-th step plus the
+    final one; a SolverError is re-raised naming its step.  Returns the stored
+    step indices and a read-only array of shape (blocks, snapshots, n):
+    results computed from a trajectory, such as the running sums of the
+    reconstruction, then stay valid for as long as it lives.
     """
-    plan = _snapshot_plan(problem.time_grid.num_steps, stride)
-    shape = (len(fields), len(plan), problem.grid.num_points)
+    n, num_steps = problem.grid.num_points, problem.time_grid.num_steps
+    if stride < 1:
+        raise ConfigurationError(f"stride must be >= 1, got {stride}")
+    work = n * num_steps
+    if work > _WORK_GUARD_NODE_STEPS:
+        raise ConfigurationError(
+            f"run would take {work:.3g} node-steps, about {work / 1e6 / 3600:.3g} h "
+            f"at 1e6 node-steps/s (> {_WORK_GUARD_NODE_STEPS:.0e} guard); "
+            "shorten final_time or coarsen the grid"
+        )
+    shape = (blocks, -(-num_steps // stride) + 1, n)
     nbytes = 8 * shape[0] * shape[1] * shape[2]
     if nbytes > _MEMORY_GUARD_BYTES:
         raise ConfigurationError(
             f"trajectory storage would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
             "increase the stride or coarsen the run"
         )
+    # every stride-th step plus the final one
+    plan = np.append(np.arange(0, num_steps, stride), num_steps)
     data = np.empty(shape)
     state = start()
     for row, target in enumerate(plan):
@@ -285,8 +303,7 @@ def _drive(problem, start, advance, fields: tuple[str, ...], stride: int):
                 raise
             except SolverError as exc:
                 raise SolverError(f"{exc} (at step {state.step_index + 1})") from exc
-        for f, name in enumerate(fields):
-            data[f, row] = getattr(state, name).values
+        data[:, row] = state.current.reshape(n, blocks).T
     data.flags.writeable = False
     return plan, data
 
@@ -295,6 +312,5 @@ def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
     """Integrate over the full time grid, storing every stride-th field.
 
     The returned ``data`` array is read-only."""
-    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step,
-                        ("u_current",), stride)
+    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step, 1, stride)
     return Trajectory(problem.grid, problem.time_grid.dt, plan, data[0])

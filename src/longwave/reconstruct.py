@@ -94,6 +94,8 @@ __all__ = [
     "growth_diagnostic",
 ]
 
+ETA_BRACKETS = ("sign_split", "identical")
+
 TERM_NAMES = (
     "quadratic_difference",
     "dispersive_difference",
@@ -460,8 +462,10 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     wave the same polarity as the coupled model; ``identical`` adds the
     v-bracket to eta unchanged and is kept for sensitivity studies.
     """
-    if eta_bracket not in ("sign_split", "identical"):
-        raise ConfigurationError(f"unknown eta_bracket mode {eta_bracket!r}")
+    if eta_bracket not in ETA_BRACKETS:
+        raise ConfigurationError(
+            f"eta_bracket must be one of {ETA_BRACKETS}, got {eta_bracket!r}"
+        )
     _check_alignment(u_traj)
     grid = u_traj.grid
     dx = grid.dx

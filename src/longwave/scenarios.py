@@ -37,7 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boussinesq import BoussinesqProblem, run_boussinesq
+from .boussinesq import (
+    BOUSSINESQ_NONLINEAR_MODES,
+    LAGGED_ETA_LEVELS,
+    BoussinesqProblem,
+    run_boussinesq,
+)
 from .errors import ConfigurationError
 from .grid import (
     BathymetryProfile,
@@ -51,8 +56,13 @@ from .grid import (
     discrete_l2,
     soliton_field,
 )
-from .kdv import KdvProblem, run
-from .reconstruct import GrowthDiagnostic, growth_diagnostic, topo_modified_surfaces
+from .kdv import KDV_NONLINEAR_MODES, KdvProblem, run
+from .reconstruct import (
+    ETA_BRACKETS,
+    GrowthDiagnostic,
+    growth_diagnostic,
+    topo_modified_surfaces,
+)
 
 __all__ = [
     "ScenarioConfig",
@@ -233,16 +243,14 @@ class ScenarioConfig:
             raise ConfigurationError("dx, final_time and domain_length must be positive")
         if self.error_interval < self.dx - 1e-12:
             raise ConfigurationError("error_interval must be at least one step dx")
-        if self.boussinesq_nonlinear_mode not in ("conservative", "weighted"):
-            raise ConfigurationError(
-                f"unknown boussinesq_nonlinear_mode {self.boussinesq_nonlinear_mode!r}"
-            )
-        if self.kdv_nonlinear_mode not in ("neighbor_average", "split_form"):
-            raise ConfigurationError(f"unknown kdv_nonlinear_mode {self.kdv_nonlinear_mode!r}")
-        if self.lagged_eta_level not in ("n", "predictor"):
-            raise ConfigurationError(f"unknown lagged_eta_level {self.lagged_eta_level!r}")
-        if self.topo_eta_bracket not in ("sign_split", "identical"):
-            raise ConfigurationError(f"unknown topo_eta_bracket {self.topo_eta_bracket!r}")
+        for name, allowed in (("boussinesq_nonlinear_mode", BOUSSINESQ_NONLINEAR_MODES),
+                              ("kdv_nonlinear_mode", KDV_NONLINEAR_MODES),
+                              ("lagged_eta_level", LAGGED_ETA_LEVELS),
+                              ("topo_eta_bracket", ETA_BRACKETS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
         bathymetry_from_config(self.bathymetry)  # raises on bad parameters
         self.build_coefficients()  # raises on an inadmissible triple
         for t in self.snapshot_times:
@@ -250,6 +258,14 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"snapshot time {t} outside the simulated window [0, {self.final_time}]"
                 )
+        time_grid = self.build_time_grid()
+        steps = self.snapshot_steps(time_grid)
+        names = [_snapshot_name(m * time_grid.dt) for m in steps]
+        if len(set(names)) < len(names):
+            raise ConfigurationError(
+                f"snapshot steps {steps} share file names {names}; "
+                "space the snapshot times further apart"
+            )
 
     # -- derived quantities ------------------------------------------------
 
@@ -637,6 +653,11 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
 # File output
 # ---------------------------------------------------------------------------
 
+def _snapshot_name(time: float) -> str:
+    """File name of the snapshot at ``time``; ``:g`` keeps 6 significant digits."""
+    return f"snapshot_t{time:g}.csv"
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -692,7 +713,7 @@ def _write_files(config: ScenarioConfig, tables: dict[str, tuple[list[str], list
 def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path]:
     """Write snapshot CSVs, the error time series, and meta.json."""
     tables = {
-        f"snapshot_t{snap.time:g}.csv": (
+        _snapshot_name(snap.time): (
             ["x", "eta_boussinesq", "eta_kdv", "eta_kdv_topo", "v_boussinesq",
              "bottom_rescaled"],
             [snap.x, snap.eta_boussinesq, snap.eta_kdv, snap.eta_kdv_topo,

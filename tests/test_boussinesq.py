@@ -44,16 +44,16 @@ class TestInit:
         _, grid, tg, coeffs, _ = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
         state = init_boussinesq(problem, Field.zeros(grid), Field.zeros(grid))
-        np.testing.assert_allclose(state.v_predictor.values, 0.0)
-        np.testing.assert_allclose(state.eta_predictor.values, 0.0)
+        np.testing.assert_allclose(state.predictor[0::2], 0.0)
+        np.testing.assert_allclose(state.predictor[1::2], 0.0)
 
     def test_constant_pair_is_stationary_on_flat_bottom(self, setup):
         _, grid, tg, coeffs, _ = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
         c = Field.full(grid, 0.3)
         state = init_boussinesq(problem, c, c)
-        np.testing.assert_allclose(state.v_predictor.values, 0.3, atol=1e-13)
-        np.testing.assert_allclose(state.eta_predictor.values, 0.3, atol=1e-13)
+        np.testing.assert_allclose(state.predictor[0::2], 0.3, atol=1e-13)
+        np.testing.assert_allclose(state.predictor[1::2], 0.3, atol=1e-13)
 
     def test_matches_hand_assembled_half_step(self, setup):
         eps, grid, tg, coeffs, half = setup
@@ -77,8 +77,8 @@ class TestInit:
         mass_e = np.eye(n) - eps * coeffs.a4 * d2.as_dense()
         expected_v = half.values + 0.5 * tg.dt * np.linalg.solve(mass_v, f_v)
         expected_e = half.values + 0.5 * tg.dt * np.linalg.solve(mass_e, f_eta)
-        np.testing.assert_allclose(state.v_predictor.values, expected_v, atol=1e-13)
-        np.testing.assert_allclose(state.eta_predictor.values, expected_e, atol=1e-13)
+        np.testing.assert_allclose(state.predictor[0::2], expected_v, atol=1e-13)
+        np.testing.assert_allclose(state.predictor[1::2], expected_e, atol=1e-13)
 
 
 class TestStep:
@@ -87,16 +87,18 @@ class TestStep:
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
         state = init_boussinesq(problem, Field.zeros(grid), Field.zeros(grid))
         state = step_boussinesq(problem, state)
-        np.testing.assert_allclose(state.v_current.values, 0.0, atol=1e-14)
-        np.testing.assert_allclose(state.eta_current.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(state.current[0::2], 0.0, atol=1e-14)
+        np.testing.assert_allclose(state.current[1::2], 0.0, atol=1e-14)
 
     def test_one_step_preserves_h1_eps(self, setup):
         _, grid, tg, coeffs, half = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
         state = init_boussinesq(problem, half, half)
-        before = discrete_h1_eps(state.v_current, state.eta_current, coeffs)
+        before = discrete_h1_eps(Field(state.current[0::2], grid),
+                                 Field(state.current[1::2], grid), coeffs)
         state = step_boussinesq(problem, state)
-        after = discrete_h1_eps(state.v_current, state.eta_current, coeffs)
+        after = discrete_h1_eps(Field(state.current[0::2], grid),
+                                Field(state.current[1::2], grid), coeffs)
         assert abs(after - before) / before < 1e-10
 
     def test_bottom_matrix_is_profile_at_nodes(self, setup):
@@ -121,10 +123,10 @@ class TestStep:
         for _ in range(5):
             state_m = step_boussinesq(problem, state_m)
         np.testing.assert_allclose(
-            state_m.v_current.values, -_mirror(state.v_current.values), atol=1e-10
+            state_m.current[0::2], -_mirror(state.current[0::2]), atol=1e-10
         )
         np.testing.assert_allclose(
-            state_m.eta_current.values, _mirror(state.eta_current.values), atol=1e-10
+            state_m.current[1::2], _mirror(state.current[1::2]), atol=1e-10
         )
 
     def test_printed_assembly_differs_but_stays_close(self, setup):
@@ -135,7 +137,7 @@ class TestStep:
                                         nonlinear_mode=mode)
             state = init_boussinesq(problem, half, half)
             state = step_boussinesq(problem, state)
-            results[mode] = state.eta_current.values
+            results[mode] = state.current[1::2]
         diff = np.max(np.abs(results["conservative"] - results["weighted"]))
         assert 0.0 < diff < 1e-5
 
@@ -149,7 +151,7 @@ class TestStep:
             state = init_boussinesq(problem, half, half)
             for _ in range(2):
                 state = step_boussinesq(problem, state)
-            results[level] = state.eta_current.values
+            results[level] = state.current[1::2]
         diff = np.max(np.abs(results["n"] - results["predictor"]))
         assert 0.0 < diff < 1e-6
 
@@ -253,16 +255,12 @@ class TestRun:
 
     def test_block_system_solve_roundtrip(self, setup, rng):
         # solve(A, A x) == x for the coupled per-step system matrix
-        from longwave.boussinesq import _assemble_block
-
         _, grid, tg, coeffs, half = setup
         problem = BoussinesqProblem(coeffs, StepBottom(0.5, 20.0, 1.5), grid, tg)
         state = init_boussinesq(problem, half, half)
-        sys, _ = _assemble_block(problem, state.v_predictor.values,
-                                 state.eta_predictor.values,
-                                 state.eta_current.values, tg.dt)
+        matrix, _ = problem.system(state.predictor, state.current)
         x = rng.standard_normal(2 * grid.num_points)
-        x_hat = sys.matrix.solve(sys.matrix.matvec(x))
+        x_hat = matrix.solve(matrix.matvec(x))
         assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
 
     def test_surfaces_track_scalar_model_at_large_time(self):

@@ -129,13 +129,13 @@ class TestOperatorAlgebra:
         assert _inner(grid, d2.apply_values(f), f) <= 1e-12
 
 
-def _random_cyclic_banded(n, rng, max_offset=2, diag_boost=4.0):
-    m = CyclicBandedMatrix(n, max_offset=max_offset)
-    for off in range(-max_offset, max_offset + 1):
+def _random_cyclic_banded(n, rng, p=2, diag_boost=4.0):
+    m = CyclicBandedMatrix(n)
+    for off in range(-p, p + 1):
         vals = rng.standard_normal(n)
         if off == 0:
             vals += diag_boost
-        m.add_strided_band(off, vals)
+        m.data[off] = vals
     return m
 
 
@@ -163,7 +163,7 @@ class TestSolve:
         n = 20
         m = CyclicBandedMatrix(n)
         for off in (-2, -1, 0, 1, 2):
-            m.add_strided_band(off, np.ones(n))
+            m.data[off] = np.ones(n)
         assert np.linalg.matrix_rank(m.to_dense()) < n
         with pytest.raises(SolverError):
             solve(m, np.ones(n))
@@ -230,10 +230,10 @@ class TestSolve:
 
     def test_interleaved_strided_bands(self):
         # two interleaved unknowns with distinct diagonals
-        m = CyclicBandedMatrix(8, max_offset=3)
-        m.add_strided_band(0, np.full(4, 2.0), row_start=0, row_step=2)
-        m.add_strided_band(0, np.full(4, 3.0), row_start=1, row_step=2)
-        m.add_strided_band(1, np.full(4, 0.5), row_start=0, row_step=2)
+        m = CyclicBandedMatrix(8, blocks=2)
+        m.add_diagonal(np.full(4, 2.0), block=(0, 0))
+        m.add_diagonal(np.full(4, 3.0), block=(1, 1))
+        m.add_diagonal(np.full(4, 0.5), block=(0, 1))
         dense = m.to_dense()
         assert dense[0, 0] == 2.0 and dense[1, 1] == 3.0
         assert dense[2, 3] == 0.5 and dense[3, 2] == 0.0
@@ -241,12 +241,12 @@ class TestSolve:
 
 def _dominant_cyclic_banded(n, p, rng):
     """Random bands in [-1, 1] plus a diagonal that outweighs them even after aliasing."""
-    m = CyclicBandedMatrix(n, max_offset=5)
+    m = CyclicBandedMatrix(n)
     for off in range(-p, p + 1):
         vals = rng.uniform(-1.0, 1.0, n)
         if off == 0:
             vals += 4 * p + 2
-        m.add_strided_band(off, vals)
+        m.data[off] = vals
     return m
 
 
@@ -282,6 +282,6 @@ class TestSolveProperties:
             n = 5 * max(1, n // 5)
         m = CyclicBandedMatrix(n)
         for off, c in zip(offsets, coeffs):
-            m.add_strided_band(off, np.full(n, scale * c))
+            m.data[off] = np.full(n, scale * c)
         with pytest.raises(SolverError):
             m.solve(np.random.default_rng(seed).standard_normal(n))

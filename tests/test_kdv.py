@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from longwave import kdv
 from longwave.errors import (
     ConfigurationError,
     InstabilityError,
@@ -38,13 +39,13 @@ class TestInitPredictor:
     def test_zero_initial_data_gives_zero_predictor(self, setup):
         eps, grid, tg, _ = setup
         state = init_predictor(KdvProblem(eps, grid, tg), Field.zeros(grid))
-        np.testing.assert_allclose(state.u_predictor.values, 0.0)
+        np.testing.assert_allclose(state.predictor, 0.0)
         assert state.step_index == 0
 
     def test_constant_initial_data_unchanged(self, setup):
         eps, grid, tg, _ = setup
         state = init_predictor(KdvProblem(eps, grid, tg), Field.full(grid, 0.3))
-        np.testing.assert_allclose(state.u_predictor.values, 0.3, atol=1e-15)
+        np.testing.assert_allclose(state.predictor, 0.3, atol=1e-15)
 
     def test_matches_hand_assembled_half_step(self, setup):
         eps, grid, tg, spec = setup
@@ -55,7 +56,7 @@ class TestInitPredictor:
         expected = u0.values + 0.5 * tg.dt * (
             -d1 - eps * (0.75 * u0.values * d1 + d3 / 6.0)
         )
-        np.testing.assert_allclose(state.u_predictor.values, expected, atol=1e-14)
+        np.testing.assert_allclose(state.predictor, expected, atol=1e-14)
 
     def test_variable_coefficient_half_step(self, setup):
         eps, grid, tg, spec = setup
@@ -70,7 +71,7 @@ class TestInitPredictor:
             -d1 - eps * (0.75 * u0.values * d1 + d3 / 6.0
                          - 0.5 * b * d1 - 0.25 * db * u0.values)
         )
-        np.testing.assert_allclose(state.u_predictor.values, expected, atol=1e-14)
+        np.testing.assert_allclose(state.predictor, expected, atol=1e-14)
 
 
 class TestStep:
@@ -79,7 +80,7 @@ class TestStep:
         problem = KdvProblem(eps, grid, tg)
         state = init_predictor(problem, Field.zeros(grid))
         state = step(problem, state)
-        np.testing.assert_allclose(state.u_current.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(state.current, 0.0, atol=1e-14)
 
     def test_constant_is_fixed_point(self, setup):
         eps, grid, tg, _ = setup
@@ -87,7 +88,7 @@ class TestStep:
         state = init_predictor(problem, Field.full(grid, 0.4))
         for _ in range(3):
             state = step(problem, state)
-        np.testing.assert_allclose(state.u_current.values, 0.4, atol=1e-12)
+        np.testing.assert_allclose(state.current, 0.4, atol=1e-12)
 
     def test_one_step_preserves_l2(self):
         eps = 0.05
@@ -96,19 +97,19 @@ class TestStep:
         spec = SolitonSpec(alpha=0.5, shift=-30.0, epsilon=eps)
         problem = KdvProblem(eps, grid, tg)
         state = init_predictor(problem, soliton_field(spec, grid))
-        before = discrete_l2(state.u_current)
+        before = discrete_l2(Field(state.current, grid))
         state = step(problem, state)
-        after = discrete_l2(state.u_current)
+        after = discrete_l2(Field(state.current, grid))
         assert abs(after - before) / before < 1e-10
 
     def test_relaxation_recurrence(self, setup):
         eps, grid, tg, spec = setup
         problem = KdvProblem(eps, grid, tg)
         state = init_predictor(problem, soliton_field(spec, grid))
-        pred_before = state.u_predictor.values.copy()
+        pred_before = state.predictor.copy()
         new = step(problem, state)
         np.testing.assert_allclose(
-            new.u_predictor.values, 2.0 * new.u_current.values - pred_before, atol=1e-14
+            new.predictor, 2.0 * new.current - pred_before, atol=1e-14
         )
 
     def test_left_variant_mirrors_right(self, setup):
@@ -125,7 +126,7 @@ class TestStep:
         n0 = Field(-_mirror(u0.values), grid)
         s_left = step(left, init_predictor(left, n0))
         np.testing.assert_allclose(
-            s_left.u_current.values, -_mirror(s_right.u_current.values), atol=1e-12
+            s_left.current, -_mirror(s_right.current), atol=1e-12
         )
 
     def test_split_form_close_to_default(self, setup):
@@ -135,8 +136,8 @@ class TestStep:
         for mode in ("neighbor_average", "split_form"):
             problem = KdvProblem(eps, grid, tg, nonlinear_mode=mode)
             states[mode] = step(problem, init_predictor(problem, u0))
-        diff = np.max(np.abs(states["neighbor_average"].u_current.values
-                             - states["split_form"].u_current.values))
+        diff = np.max(np.abs(states["neighbor_average"].current
+                             - states["split_form"].current))
         assert 0.0 < diff < 1e-6  # distinct assemblies, O(eps dt dx^2) apart
 
     def test_variable_coefficient_constant_not_fixed(self, setup):
@@ -145,7 +146,7 @@ class TestStep:
         problem = KdvProblem(eps, grid, tg, bathymetry=StepBottom(0.5, 20.0, 1.5))
         state = init_predictor(problem, Field.full(grid, 0.4))
         state = step(problem, state)
-        assert np.max(np.abs(state.u_current.values - 0.4)) > 1e-6
+        assert np.max(np.abs(state.current - 0.4)) > 1e-6
 
 
 class TestRun:
@@ -188,9 +189,21 @@ class TestRun:
     def test_memory_guard(self):
         eps = 0.1
         grid = Grid1D(200_000, 0.01)
-        tg = TimeGrid(100_000, 0.01)
-        with pytest.raises(ConfigurationError):
+        tg = TimeGrid(1_000, 0.01)
+        with pytest.raises(ConfigurationError, match="1 GB guard"):
             run(KdvProblem(eps, grid, tg), Field.zeros(grid), stride=1)
+
+    def test_work_guard(self, monkeypatch):
+        # 1e5 nodes x (1e5 + 1) steps is just above 1e10 node-steps; the
+        # guard fires before the run starts
+        def no_start(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(kdv, "_start", no_start)
+        grid = Grid1D(100_000, 0.01)
+        tg = TimeGrid(100_001, 0.01)
+        with pytest.raises(ConfigurationError, match="node-steps"):
+            run(KdvProblem(0.1, grid, tg), Field.zeros(grid), stride=100_001)
 
     def test_l2_drift_over_run(self):
         eps = 0.2

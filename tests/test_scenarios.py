@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from longwave import scenarios
+from longwave.cli import main
 from longwave.errors import ConfigurationError
 from longwave.grid import Field, Grid1D, SolitonSpec, soliton_field
 from longwave.scenarios import (
@@ -97,6 +99,12 @@ class TestScenarioConfig:
     def test_snapshot_outside_window_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(scenario="validate", epsilon=0.2, snapshot_times=[99.0])
+
+    def test_colliding_snapshot_names_rejected(self):
+        # steps 200001 and 200002 both print as snapshot_t10000.1.csv under :g
+        with pytest.raises(ConfigurationError, match="share file names"):
+            ScenarioConfig(scenario="validate", epsilon=0.2, final_time=10000.2,
+                           error_interval=0.05, snapshot_times=[10000.05, 10000.1])
 
     def test_bad_bathymetry_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -368,6 +376,34 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert f"configuration error: {field} must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field", ["boussinesq_nonlinear_mode", "kdv_nonlinear_mode",
+                                       "lagged_eta_level", "topo_eta_bracket"])
+    def test_unknown_mode_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys, field):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, field: "bogus"}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"configuration error: {field} must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"scenario": "validate", "epsilon": 0.2, "final_time": 1e9}, "node-steps"),
+        ({"scenario": "validate", "epsilon": 0.2, "final_time": 10000.2,
+          "error_interval": 0.05, "snapshot_times": [10000.05, 10000.1]}, "share file names"),
+    ])
+    def test_unbounded_or_colliding_run_refused_up_front(self, tmp_path, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, output_dir=str(tmp_path / "out"))))
+        proc = subprocess.run([sys.executable, "-m", "longwave.cli", "simulate",
+                               "--config", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")

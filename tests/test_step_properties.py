@@ -1,0 +1,115 @@
+"""Hypothesis properties of the relaxation step shared by both steppers.
+
+* One coupled step in the conservative assembly conserves the energy
+  ``discrete_h1_eps`` to round-off, for any admissible coefficients, any
+  bottom and any data.
+* Mirror symmetry: u(x) -> -u(-x) maps the right-going scalar step onto the
+  left-going one, and (v, eta) -> (-v(-x), eta(-x)) maps the coupled step on
+  a flat bottom onto itself in the conservative assembly.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from longwave.boussinesq import BoussinesqProblem, init_boussinesq, step_boussinesq
+from longwave.grid import (
+    Field,
+    FlatBottom,
+    Grid1D,
+    ModelCoefficients,
+    SinusoidBottom,
+    StepBottom,
+    TimeGrid,
+    discrete_h1_eps,
+)
+from longwave.kdv import KdvProblem, init_predictor, step
+
+grids = st.builds(Grid1D, st.integers(16, 400), st.floats(0.01, 0.5))
+epsilons = st.floats(0.01, 0.5)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def admissible_coefficients(draw, epsilon):
+    """Draw theta and lambda1, then solve lambda2 from a1 = a3."""
+    theta = draw(st.floats(0.0, 1.0))
+    lambda1 = draw(st.floats(-0.5, 1.0))
+    c = theta**2 / 2.0 - 1.0 / 6.0
+    assume(abs(c) > 1e-3)
+    a1 = -lambda1 * (theta**2 - 1.0) / 2.0
+    lambda2 = a1 / c
+    a2 = (lambda1 - 1.0) * (theta**2 - 1.0) / 2.0
+    a4 = (1.0 - lambda2) * c
+    assume(a2 >= 0.0 and a4 >= 0.0)
+    return ModelCoefficients(theta, lambda1, lambda2, epsilon)
+
+
+def _bottom(kind, grid):
+    if kind == "flat":
+        return FlatBottom()
+    if kind == "step":
+        return StepBottom(0.5, grid.length / 2.0, max(1.5, 2.0 * grid.dx))
+    return SinusoidBottom(0.5, grid.length / 3.0)
+
+
+def _mirror(values):
+    n = len(values)
+    return values[(n - np.arange(n)) % n]
+
+
+def _fields(state, grid):
+    return Field(state.current[0::2], grid), Field(state.current[1::2], grid)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=grids, eps=epsilons, data=st.data(), seed=seeds,
+       bottom=st.sampled_from(["flat", "step", "sinusoid"]),
+       amplitude=st.floats(0.01, 1.0))
+def test_coupled_step_conserves_h1_eps(grid, eps, data, seed, bottom, amplitude):
+    coeffs = data.draw(admissible_coefficients(eps))
+    rng = np.random.default_rng(seed)
+    v0 = Field(amplitude * rng.standard_normal(grid.num_points), grid)
+    eta0 = Field(amplitude * rng.standard_normal(grid.num_points), grid)
+    problem = BoussinesqProblem(coeffs, _bottom(bottom, grid), grid, TimeGrid(1, grid.dx))
+    before = discrete_h1_eps(v0, eta0, coeffs)
+    state = step_boussinesq(problem, init_boussinesq(problem, v0, eta0))
+    after = discrete_h1_eps(*_fields(state, grid), coeffs)
+    assert abs(after - before) <= 1e-12 * before
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=grids, eps=epsilons, seed=seeds, amplitude=st.floats(0.01, 1.0),
+       mode=st.sampled_from(["neighbor_average", "split_form"]),
+       bathymetry=st.sampled_from([None, FlatBottom()]))
+def test_mirror_maps_right_going_onto_left_going(grid, eps, seed, amplitude, mode,
+                                                 bathymetry):
+    u0 = amplitude * np.random.default_rng(seed).standard_normal(grid.num_points)
+    tg = TimeGrid(2, grid.dx)
+    right = KdvProblem(eps, grid, tg, bathymetry=bathymetry, nonlinear_mode=mode)
+    left = KdvProblem(eps, grid, tg, bathymetry=bathymetry, direction="left",
+                      nonlinear_mode=mode)
+    s_right = init_predictor(right, Field(u0, grid))
+    s_left = init_predictor(left, Field(-_mirror(u0), grid))
+    for _ in range(2):
+        s_right, s_left = step(right, s_right), step(left, s_left)
+    np.testing.assert_allclose(s_left.current, -_mirror(s_right.current),
+                               rtol=0, atol=1e-11 * amplitude)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=grids, eps=epsilons, data=st.data(), seed=seeds, amplitude=st.floats(0.01, 1.0))
+def test_mirror_maps_coupled_flat_bottom_onto_itself(grid, eps, data, seed, amplitude):
+    coeffs = data.draw(admissible_coefficients(eps))
+    rng = np.random.default_rng(seed)
+    v0 = amplitude * rng.standard_normal(grid.num_points)
+    eta0 = amplitude * rng.standard_normal(grid.num_points)
+    problem = BoussinesqProblem(coeffs, FlatBottom(), grid, TimeGrid(2, grid.dx))
+    state = init_boussinesq(problem, Field(v0, grid), Field(eta0, grid))
+    mirrored = init_boussinesq(problem, Field(-_mirror(v0), grid), Field(_mirror(eta0), grid))
+    for _ in range(2):
+        state, mirrored = step_boussinesq(problem, state), step_boussinesq(problem, mirrored)
+    v, eta = _fields(state, grid)
+    v_m, eta_m = _fields(mirrored, grid)
+    np.testing.assert_allclose(v_m.values, -_mirror(v.values), rtol=0, atol=1e-11 * amplitude)
+    np.testing.assert_allclose(eta_m.values, _mirror(eta.values), rtol=0,
+                               atol=1e-11 * amplitude)
