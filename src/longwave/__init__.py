@@ -41,11 +41,10 @@ from .grid import (
 from .findiff import (
     CyclicBandedMatrix,
     CyclicBandedOperator,
-    apply,
+    StepOperator,
     make_d1,
     make_d2,
     make_d3,
-    solve,
 )
 from .kdv import KdvProblem, PairTrajectory, RelaxationState, Trajectory, init_predictor, run, step
 from .boussinesq import (

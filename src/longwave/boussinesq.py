@@ -14,9 +14,12 @@ eps-weighted energy |v|^2 + |eta|^2 + eps a2 |v_x|^2 + eps a4 |eta_x|^2.
 Both unknowns are advanced together as one interleaved array
 z = (v_0, eta_0, v_1, eta_1, ...), which keeps the bandwidth at 5.  The run
 state, the predictor start and the relaxation step are the scalar stepper's
-(``kdv.RelaxationState``, one banded solve per step); this module supplies
-``rhs(z)`` and ``system(predictor, current)``, whose terms go into the 2x2
-blocks (equation, unknown) of a ``CyclicBandedMatrix`` with blocks=2.
+(``kdv.RelaxationState``, one step-operator solve per step); this module
+supplies ``rhs(z)``, ``add_constant_terms`` (the mass terms, the linear D1
+and D3 terms and every bottom term, folded once per run) and
+``add_predictor_terms`` (the nonlinear terms frozen at the predictor, and the
+rhs), whose terms go into the 2x2 blocks (equation, unknown) of a matrix
+with blocks=2.
 
 Two assemblies of the nonlinear/bottom terms are provided:
 
@@ -35,7 +38,11 @@ Two assemblies of the nonlinear/bottom terms are provided:
   (I - eps/2 B) D1; its energy defect is O(dx^2) per step and drifts over
   long runs, so it is kept for sensitivity studies only.  Its lagged
   eta-factor can be read at time level n (default) or at the predictor
-  (``lagged_eta_level``).
+  (``lagged_eta_level``).  This assembly is not mirror-symmetric: its
+  explicit lagged term eps/3 D1(eta^p) * lag_factor in the eta rows holds no
+  v factor, so (v, eta) -> (-v(-x), eta(-x)) does not map a weighted run onto
+  itself even on a flat bottom (on the eps = 0.2 soliton, n = 800, the
+  mirrored run differs by 1.0e-3 in eta after 5 steps).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .grid import (
     ModelCoefficients,
     TimeGrid,
 )
-from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start
+from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start, _system
 
 __all__ = [
     "BoussinesqProblem",
@@ -70,6 +77,8 @@ _VV, _VE, _EV, _EE = (0, 0), (0, 1), (1, 0), (1, 1)
 
 class BoussinesqProblem:
     """Coefficients, bottom profile and discretization for one run."""
+
+    blocks = 2  # fields per node in the unknown: (v, eta)
 
     def __init__(self, coeffs: ModelCoefficients, bathymetry: BathymetryProfile,
                  grid: Grid1D, time_grid: TimeGrid,
@@ -134,67 +143,77 @@ class BoussinesqProblem:
         out[1::2] = -self._mass_solve(self.coeffs.a4, f_eta)
         return out
 
-    def system(self, predictor: np.ndarray, current: np.ndarray):
-        """Matrix and rhs of one step for the interleaved half-sum w = (w_v, w_eta).
-
-        The rhs is (2/dt)(I - eps a D2) z^n per field, plus the explicit
-        lagged-eta term of the weighted assembly."""
+    def add_constant_terms(self, target) -> None:
+        """The step-matrix terms that stay fixed over a run: the mass terms
+        (2/dt)(I - eps a D2), the linear D1 and D3 terms and every bottom term."""
         coeffs = self.coeffs
         eps, a1, a2, a4 = coeffs.epsilon, coeffs.a1, coeffs.a2, coeffs.a4
         dt = self.time_grid.dt
         b = self.bottom_matrix
         d1, d2, d3 = self._d1, self._d2, self._d3
+
+        target.add_diagonal(2.0 / dt, _VV)
+        target.add_diagonal(2.0 / dt, _EE)
+        if a2 != 0.0:
+            target.add_operator(d2, scale=-2.0 * eps * a2 / dt, block=_VV)
+        if a4 != 0.0:
+            target.add_operator(d2, scale=-2.0 * eps * a4 / dt, block=_EE)
+        target.add_operator(d3, scale=eps * a1, block=_VE)
+        target.add_operator(d3, scale=eps * a1, block=_EV)
+        # v-equation: (I - eps/2 B) D1 w_eta
+        target.add_operator(d1, scale=1.0, block=_VE)
+        target.add_operator(d1, pre_diag=b, scale=-eps / 2.0, block=_VE)
+        target.add_operator(d1, scale=1.0, block=_EV)
+        if self.nonlinear_mode == "conservative":
+            # eta-equation: D1 w_v - eps/2 D1 diag(b) w_v
+            target.add_operator(d1, post_diag=b, scale=-eps / 2.0, block=_EV)
+        else:
+            # eta-equation: (I - eps/2 B) D1 w_v
+            target.add_operator(d1, pre_diag=b, scale=-eps / 2.0, block=_EV)
+
+    def add_predictor_terms(self, target, predictor: np.ndarray,
+                            current: np.ndarray) -> np.ndarray:
+        """Add the nonlinear terms frozen at the predictor and return the rhs,
+        (2/dt)(I - eps a D2) z^n per field plus the explicit lagged-eta term
+        of the weighted assembly."""
+        coeffs = self.coeffs
+        eps, a2, a4 = coeffs.epsilon, coeffs.a2, coeffs.a4
+        dt = self.time_grid.dt
+        d1 = self._d1
         vp, ep = predictor[0::2], predictor[1::2]
-        matrix = CyclicBandedMatrix(2 * self.grid.num_points, blocks=2)
         rhs = np.empty(2 * self.grid.num_points)
         rhs[0::2] = 2.0 / dt * self._mass_apply(a2, current[0::2])
         rhs[1::2] = 2.0 / dt * self._mass_apply(a4, current[1::2])
 
-        # Mass terms (2/dt)(I - eps a D2) on each unknown.
-        matrix.add_diagonal(2.0 / dt, _VV)
-        matrix.add_diagonal(2.0 / dt, _EE)
-        if a2 != 0.0:
-            matrix.add_operator(d2, scale=-2.0 * eps * a2 / dt, block=_VV)
-        if a4 != 0.0:
-            matrix.add_operator(d2, scale=-2.0 * eps * a4 / dt, block=_EE)
-
-        # Dispersive terms.
-        matrix.add_operator(d3, scale=eps * a1, block=_VE)
-        matrix.add_operator(d3, scale=eps * a1, block=_EV)
-
         if self.nonlinear_mode == "conservative":
-            # v-equation: (I - eps/2 B) D1 w_eta + eps/2 eta^p D1 w_eta
-            matrix.add_operator(d1, scale=1.0, block=_VE)
-            matrix.add_operator(d1, pre_diag=b, scale=-eps / 2.0, block=_VE)
-            matrix.add_operator(d1, pre_diag=ep, scale=eps / 2.0, block=_VE)
-            # v-equation: eps/2 [ diag(v^p) D1 + D1 diag(v^p) ] w_v
-            matrix.add_operator(d1, pre_diag=vp, scale=eps / 2.0, block=_VV)
-            matrix.add_operator(d1, post_diag=vp, scale=eps / 2.0, block=_VV)
-            # eta-equation: D1 w_v + eps/2 D1 diag(eta^p - b) w_v
-            matrix.add_operator(d1, scale=1.0, block=_EV)
-            matrix.add_operator(d1, post_diag=ep - b, scale=eps / 2.0, block=_EV)
+            # v-equation: eps/2 eta^p D1 w_eta + eps/2 [ diag(v^p) D1 + D1 diag(v^p) ] w_v
+            target.add_operator(d1, pre_diag=ep, scale=eps / 2.0, block=_VE)
+            target.add_operator(d1, pre_diag=vp, scale=eps / 2.0, block=_VV)
+            target.add_operator(d1, post_diag=vp, scale=eps / 2.0, block=_VV)
+            # eta-equation: eps/2 D1 diag(eta^p) w_v
+            target.add_operator(d1, post_diag=ep, scale=eps / 2.0, block=_EV)
         else:
             smoothed_vp = vp + 0.5 * (np.roll(vp, -1) + np.roll(vp, 1))
             smoothed_ep = 0.5 * (np.roll(ep, -1) + np.roll(ep, 1))
             dvp = d1.apply_values(vp)
             dep = d1.apply_values(ep)
-            # v-equation: (I - eps/2 B) D1 w_eta then the two per-node weightings.
-            matrix.add_operator(d1, scale=1.0, block=_VE)
-            matrix.add_operator(d1, pre_diag=b, scale=-eps / 2.0, block=_VE)
-            matrix.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 2.0, block=_VV)
-            matrix.add_diagonal(eps / 2.0 * dvp, _VV)
-            matrix.add_operator(d1, pre_diag=ep, scale=eps / 3.0, block=_VE)
-            matrix.add_diagonal(eps / 6.0 * dep, _VE)
+            # v-equation: the two per-node weightings.
+            target.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 2.0, block=_VV)
+            target.add_diagonal(eps / 2.0 * dvp, _VV)
+            target.add_operator(d1, pre_diag=ep, scale=eps / 3.0, block=_VE)
+            target.add_diagonal(eps / 6.0 * dep, _VE)
             # eta-equation, with the lagged eta factor fully explicit.
-            matrix.add_operator(d1, scale=1.0, block=_EV)
-            matrix.add_operator(d1, pre_diag=b, scale=-eps / 2.0, block=_EV)
-            matrix.add_operator(d1, pre_diag=smoothed_ep, scale=eps / 3.0, block=_EV)
-            matrix.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 6.0, block=_EV)
-            matrix.add_diagonal(eps / 6.0 * dvp, _EV)
+            target.add_operator(d1, pre_diag=smoothed_ep, scale=eps / 3.0, block=_EV)
+            target.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 6.0, block=_EV)
+            target.add_diagonal(eps / 6.0 * dvp, _EV)
             lagged = ep if self.lagged_eta_level == "predictor" else current[1::2]
             lag_factor = 0.5 * (np.roll(lagged, -1) + np.roll(lagged, 1)) - 0.5 * lagged
             rhs[1::2] -= eps / 3.0 * dep * lag_factor
-        return matrix, rhs
+        return rhs
+
+    def system(self, predictor: np.ndarray, current: np.ndarray):
+        """Matrix and rhs of one step for the interleaved half-sum w = (w_v, w_eta)."""
+        return _system(self, predictor, current)
 
 
 def init_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field) -> RelaxationState:
@@ -217,6 +236,6 @@ def run_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field,
 
     The returned ``v_data`` and ``eta_data`` arrays are read-only."""
     plan, (v_data, eta_data) = _drive(
-        problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq, 2, stride,
+        problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq, stride,
     )
     return PairTrajectory(problem.grid, problem.time_grid.dt, plan, v_data, eta_data)

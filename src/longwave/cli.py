@@ -115,7 +115,7 @@ def _cmd_convergence(args) -> int:
         )
     if args.out:
         config.output_dir = args.out
-    if args.levels:
+    if args.levels is not None:
         config.refinement_levels = args.levels
     report = convergence_study(config)
     print(f"deltas: {['%g' % d for d in report.deltas]}")

@@ -18,8 +18,23 @@ matrices, placed into block (row, col) of a matrix whose unknowns interleave
 one, whose stencil offset o then becomes band offset 2o + col - row).
 Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that every
 cyclic neighbour is at most 2p positions away: a cyclic band of half-width p
-becomes an ordinary band of half-width 2p, which one LAPACK banded LU factors
-and solves for every n, with no corner correction.
+becomes an ordinary band of half-width 2p, which one LAPACK banded LU
+factors and solves for every n, with no corner correction.
+
+A run solves one such system per step, and most of its matrix does not
+change: the mass terms, D1, D3, the D2 smoothing and every bottom term.  A
+``StepOperator`` folds that constant part into band storage once.  Each step
+copies it into a work band, adds the predictor-dependent entries through
+scatter indices precomputed by ``_fold_layout``, and refines from a guess
+with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the residual
+taken against the work band.  Refinement stops once the estimated remaining
+error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most 1e-15 ||x||.
+A correction that does not halve the previous one, or a third that still
+misses the stop, refactors the work band at once and solves directly; a step
+that needed a third correction refactors at the next solve.
+``CyclicBandedMatrix.solve`` is the one-off case: a fresh LU and no guess.
+Every factorization passes the pivot guard, and every returned x meets
+||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
 """
 
 from __future__ import annotations
@@ -27,25 +42,35 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import GridMismatchError, SolverError
-from .grid import Field, Grid1D
+from .grid import Grid1D
 
 __all__ = [
     "CyclicBandedOperator",
     "CyclicBandedMatrix",
+    "StepOperator",
     "make_d1",
     "make_d2",
     "make_d3",
-    "apply",
-    "solve",
 ]
 
-# Residual acceptance threshold for solve(): ||A x - b||_inf <= RTOL * ||b||_inf.
+# Residual acceptance threshold: ||A x - b||_inf <= RTOL * ||b||_inf.
 _SOLVE_RTOL = 1e-10
 # Pivot guard: the "pivot below 1e-14" abort, relative to the largest |U_ii|.
 _PIVOT_RTOL = 1e-14
+# Refinement with a kept LU ends once ||d_k||^2 / ||d_{k-1}|| <= this * ||x||.
+_REFINE_RTOL = 1e-15
+# Corrections a kept LU takes per solve; one more marks it for refactoring.
+_KEPT_LU_CORRECTIONS = 2
+
+
+def _shifted(values: np.ndarray, off: int) -> np.ndarray:
+    """values[(i + off) mod n] for every i, built from two slices."""
+    s = off % len(values)
+    return np.concatenate((values[s:], values[:s]))
 
 
 class CyclicBandedOperator:
@@ -71,7 +96,7 @@ class CyclicBandedOperator:
             )
         out = np.zeros_like(values)
         for off, c in zip(self.offsets, self.coeffs):
-            out += c * np.roll(values, -off)
+            out += c * _shifted(values, off)
         return out
 
     def as_dense(self) -> np.ndarray:
@@ -101,58 +126,43 @@ def make_d3(grid: Grid1D) -> CyclicBandedOperator:
     return CyclicBandedOperator((-2, -1, 1, 2), (-s, 2.0 * s, -2.0 * s, s), grid.num_points)
 
 
-def apply(op: CyclicBandedOperator, f: Field) -> Field:
-    """Matrix-vector product with periodic wrap."""
-    return Field(op.apply_values(f.values), f.grid)
-
-
 @functools.lru_cache(maxsize=32)
-def _fold_layout(n: int, offsets: tuple[int, ...]):
+def _fold_layout(n: int, reach: int):
     """Folded positions, half-bandwidth k and band-storage scatter indices.
 
-    Node i sits at folded position pos[i]; each entry keeps
-    |pos[i] - pos[j]| <= 2p.  LAPACK band storage for dgbtrf holds folded
-    A[r, c] at ab[2k + r - c, c], under k extra rows for the pivoting
-    fill-in; ``scatter[j]`` is the Fortran-order flat index in ab of
-    A[i, (i + offsets[j]) mod n] for every row i.  The arrays are read-only
-    because every call with the same (n, offsets) shares them.
+    Node i sits at folded position pos[i]; an entry at cyclic offset
+    |o| <= reach keeps |pos[i] - pos[j]| <= 2 reach.  Band storage, shape
+    (2k + 1, n) in Fortran order, holds folded A[r, c] at [k + r - c, c];
+    ``scatter[o + reach]`` is the flat index in it of A[i, (i + o) mod n] for
+    every row i.  The arrays are read-only because every call with the same
+    (n, reach) shares them.
     """
     nodes = np.arange(n)
     pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
-    k = min(2 * max((abs(off) for off in offsets), default=0), n - 1)
+    k = min(2 * reach, n - 1)
     scatter = []
-    for off in offsets:
-        cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
-        idx = 2 * k + pos - cols + cols * (3 * k + 1)
+    for off in range(-reach, reach + 1):
+        cols = _shifted(pos, off)  # folded column of A[i, (i + off) mod n]
+        idx = k + pos - cols + cols * (2 * k + 1)
         idx.flags.writeable = False
         scatter.append(idx)
     pos.flags.writeable = False
     return pos, k, tuple(scatter)
 
 
-class CyclicBandedMatrix:
-    """Cyclic banded matrix with position-dependent band entries.
+class _BandAssembly:
+    """The one assembly path: every term the steppers build is
+    A[row, col] += scale * diag(pre) @ Op @ diag(post), placed at band offset
+    blocks * off + col - row over the rows row::blocks of the interleaved
+    unknowns.  Subclasses store a band through ``_add(offset, row, values)``."""
 
-    Storage is dense-in-band: ``data[offset][i]`` holds A[i, (i+offset) mod n].
-    With ``blocks`` interleaved fields per node, block (row, col) couples field
-    ``row`` of a node to field ``col`` of its neighbours; every term the
-    steppers assemble is A[row, col] += scale * diag(pre) @ Op @ diag(post).
-    """
-
-    def __init__(self, n: int, blocks: int = 1):
-        self.n = int(n)
-        self.blocks = int(blocks)
-        self.data = {}
-
-    def _band(self, offset: int) -> np.ndarray:
-        if offset not in self.data:
-            self.data[offset] = np.zeros(self.n)
-        return self.data[offset]
+    n: int
+    blocks: int
 
     def add_diagonal(self, values, block: tuple[int, int] = (0, 0)) -> None:
         """A[row, col] += diag(values): values per node, or one scalar."""
         row, col = block
-        self._band(col - row)[row::self.blocks] += values
+        self._add(col - row, row, values)
 
     def add_operator(self, op: CyclicBandedOperator, pre_diag=None, post_diag=None,
                      scale: float = 1.0, block: tuple[int, int] = (0, 0)) -> None:
@@ -165,15 +175,34 @@ class CyclicBandedMatrix:
             if pre_diag is not None:
                 contrib = contrib * pre_diag
             if post_diag is not None:
-                contrib = contrib * np.roll(post_diag, -off)
-            self._band(self.blocks * off + col - row)[row::self.blocks] += contrib
+                contrib = contrib * _shifted(post_diag, off)
+            self._add(self.blocks * off + col - row, row, contrib)
+
+
+class CyclicBandedMatrix(_BandAssembly):
+    """Cyclic banded matrix with position-dependent band entries.
+
+    Storage is dense-in-band: ``data[offset][i]`` holds A[i, (i+offset) mod n].
+    With ``blocks`` interleaved fields per node, block (row, col) couples field
+    ``row`` of a node to field ``col`` of its neighbours.
+    """
+
+    def __init__(self, n: int, blocks: int = 1):
+        self.n = int(n)
+        self.blocks = int(blocks)
+        self.data = {}
+
+    def _add(self, offset: int, row: int, values) -> None:
+        if offset not in self.data:
+            self.data[offset] = np.zeros(self.n)
+        self.data[offset][row::self.blocks] += values
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.n,):
             raise GridMismatchError("vector length does not match matrix dimension")
         out = np.zeros_like(x, dtype=float)
         for off, vals in self.data.items():
-            out += vals * np.roll(x, -off)
+            out += vals * _shifted(x, off)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -186,41 +215,126 @@ class CyclicBandedMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf.
 
-        One LAPACK banded LU (dgbtrf/dgbtrs) of the folded system, whatever
-        n is.  A zero pivot, a pivot below 1e-14 of the largest, or a
-        residual above the bound raises SolverError.
+        The one-off case of ``StepOperator.solve``: this matrix is the
+        constant part, factored afresh, with no guess.  A zero pivot, a pivot
+        below 1e-14 of the largest, or a residual above the bound raises
+        SolverError.
+        """
+        return StepOperator(self).solve(rhs)
+
+
+class StepOperator(_BandAssembly):
+    """Folded banded system A = C + V of one run, solved with a kept LU.
+
+    ``constant`` (C) fixes the band: its widest offset bounds every entry
+    the per-step part V may add.  ``reset()`` starts a step with the work
+    band equal to C; V is then added through ``add_operator``/``add_diagonal``
+    as on a ``CyclicBandedMatrix``, and ``solve(rhs, guess)`` refines from the
+    guess with the LU of an earlier step, refactoring the work band when that
+    LU no longer converges in two corrections.  ``factorizations`` and
+    ``corrections`` (LU applications) count the solver's work.  One LU buffer
+    and one work band are kept per operator, so a run holds its own.
+    """
+
+    def __init__(self, constant: CyclicBandedMatrix):
+        self.n, self.blocks = constant.n, constant.blocks
+        self._reach = max((abs(off) for off in constant.data), default=0)
+        self._pos, self._k, self._scatter = _fold_layout(self.n, self._reach)
+        # dgbmv needs at least 2k + 1 rows; rows past n meet only zero storage
+        self._rows = max(self.n, 2 * self._k + 1)
+        self._constant = np.zeros((2 * self._k + 1, self.n), order="F")
+        flat = self._constant.reshape(-1, order="F")
+        for off, vals in constant.data.items():
+            flat[self._scatter[off + self._reach]] += vals
+        self._work = self._constant.copy(order="F")
+        self._work_flat = self._work.reshape(-1, order="F")
+        self._lu = None
+        self._piv = None
+        self._stale = False
+        self.factorizations = 0
+        self.corrections = 0
+
+    def reset(self) -> None:
+        """Start a step: the work band holds the constant part alone."""
+        np.copyto(self._work, self._constant)
+
+    def _add(self, offset: int, row: int, values) -> None:
+        if abs(offset) > self._reach:
+            raise GridMismatchError(
+                f"band offset {offset} lies outside the constant band (+-{self._reach})"
+            )
+        np.add.at(self._work_flat, self._scatter[offset + self._reach][row::self.blocks], values)
+
+    def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf for the
+        current work band.
+
+        With a kept LU and a guess: corrections x <- x + LU^-1 (rhs - A x),
+        accepted once ||d_k||^2 / ||d_{k-1}|| <= 1e-15 ||x|| and the residual
+        meets the bound.  Two corrections are the rule; a third is taken
+        while each correction at least halves the previous one, and then the
+        next solve refactors.  Otherwise the work band is factored again and
+        x = LU^-1 rhs.  A zero pivot, a pivot below 1e-14 of the largest, or
+        a direct solve above the residual bound raises SolverError.
         """
         rhs = np.asarray(rhs, dtype=float)
-        n = self.n
-        if rhs.shape != (n,):
+        if rhs.shape != (self.n,):
             raise GridMismatchError("rhs length does not match matrix dimension")
-        offsets = tuple(self.data)
-        pos, k, scatter = _fold_layout(n, offsets)
-        # Fortran order lets dgbtrf factor ab in place instead of a copy.
-        ab = np.zeros((3 * k + 1, n), order="F")
-        flat = ab.reshape(-1, order="F")
-        for off, idx in zip(offsets, scatter):
-            flat[idx] += self.data[off]
-        lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
-        pivots = np.abs(lu[2 * k])
-        if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():
-            raise SolverError(f"matrix is singular or ill-conditioned (dgbtrf info={info})")
-        folded = np.empty(n)
-        folded[pos] = rhs
-        y, _ = dgbtrs(lu, k, k, folded, piv, overwrite_b=True)
-        x = y[pos]
-        self._check_residual(x, rhs)
-        return x
-
-    def _check_residual(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        residual = np.max(np.abs(self.matvec(x) - rhs))
-        scale = max(np.max(np.abs(rhs)), 1e-300)
-        if not np.isfinite(residual) or residual > _SOLVE_RTOL * scale:
+        pos = self._pos
+        b = np.empty(self.n)
+        b[pos] = rhs
+        bound = _SOLVE_RTOL * max(np.max(np.abs(rhs)), 1e-300)
+        if self._lu is not None and guess is not None and not self._stale:
+            x = np.empty(self.n)
+            x[pos] = guess
+            residual = self._residual(x, b)
+            last = None
+            for count in range(1, _KEPT_LU_CORRECTIONS + 2):
+                d = self._apply_lu(residual)
+                x += d
+                residual = self._residual(x, b)
+                size = np.max(np.abs(d))
+                if (last is not None and size * size <= _REFINE_RTOL * np.max(np.abs(x)) * last
+                        and np.max(np.abs(residual)) <= bound):
+                    # a step that needed more than two corrections: refactor next time
+                    self._stale = count > _KEPT_LU_CORRECTIONS
+                    return x[pos]
+                if last is not None and size > 0.5 * last:
+                    break  # the kept LU no longer halves the error
+                last = size
+        self._factor()
+        x = self._apply_lu(b)
+        residual = np.max(np.abs(self._residual(x, b)))
+        if not np.isfinite(residual) or residual > bound:
             raise SolverError(
                 f"solver residual {residual:.3e} exceeds {_SOLVE_RTOL:.1e} * ||rhs||_inf"
             )
+        return x[pos]
 
+    def _factor(self) -> None:
+        """LU of the work band, in place in the one LU buffer (Fortran order)."""
+        k = self._k
+        if self._lu is None:
+            self._lu = np.zeros((3 * k + 1, self.n), order="F")
+        else:
+            self._lu[:k] = 0.0
+        self._lu[k:] = self._work
+        lu, piv, info = dgbtrf(self._lu, k, k, overwrite_ab=True)
+        self.factorizations += 1
+        pivots = np.abs(lu[2 * k])
+        if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():
+            self._lu = None
+            raise SolverError(f"matrix is singular or ill-conditioned (dgbtrf info={info})")
+        self._lu, self._piv, self._stale = lu, piv, False
 
-def solve(matrix: CyclicBandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Functional form of CyclicBandedMatrix.solve."""
-    return matrix.solve(rhs)
+    def _apply_lu(self, r: np.ndarray) -> np.ndarray:
+        self.corrections += 1
+        d, _ = dgbtrs(self._lu, self._k, self._k, r, self._piv)
+        return d
+
+    def _residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b - A x in folded order, against the current work band."""
+        y = np.zeros(self._rows)
+        y[:self.n] = b
+        return dgbmv(self._rows, self.n, self._k, self._k, -1.0, self._work, x,
+                     beta=1.0, y=y, overwrite_y=1)[:self.n]

@@ -30,10 +30,22 @@ The relaxation step itself is shared with the coupled stepper.  A run state
 (``RelaxationState``) holds two raw arrays, the unknown z^n and its predictor
 z^{n+1/2}, where z is u here and the interleaved (v_0, eta_0, v_1, eta_1, ...)
 for the coupled system.  A problem supplies ``rhs(z)``, the explicit F of
-z_t = F(z) that starts the predictor at z^0 + dt/2 F(z^0), and
-``system(predictor, current)``, the banded matrix and right-hand side of the
-half-sum w; one step solves for w, sets z^{n+1} = 2w - z^n and relaxes the
-predictor to 2 z^{n+1} - z^{n+1/2}.  ``_drive`` is the one run loop of both.
+z_t = F(z) that starts the predictor at z^0 + dt/2 F(z^0), and the banded
+matrix of the half-sum w in two parts: ``add_constant_terms(target)``, the
+terms fixed over a run (the 2/dt mass terms, the linear D1, D3 and D2 terms,
+every bottom term), and ``add_predictor_terms(target, predictor, current)``,
+the nonlinear terms frozen at the predictor, returning the right-hand side.
+``_start`` folds the constant terms once into the run's ``StepOperator``,
+which the state carries.  Each step copies that band, adds the predictor
+terms and solves for w by refinement with the LU kept from an earlier step,
+starting from the guess z^{n+1/2} + 2 delta_1 - delta_2, where
+delta = w - z^{n+1/2} of the last two steps (also carried by the state, so
+two runs of one problem never share it); the stop and refactor rules are in
+``findiff``, and the solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf
+contract as a direct solve.  The step then sets z^{n+1} = 2w - z^n and
+relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.  ``system(predictor,
+current)`` assembles the same matrix as one ``CyclicBandedMatrix``.
+``_drive`` is the one run loop of both steppers.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from .errors import (
     MissingSnapshotError,
     SolverError,
 )
-from .findiff import CyclicBandedMatrix, make_d1, make_d3
+from .findiff import CyclicBandedMatrix, StepOperator, make_d1, make_d3
 from .grid import BathymetryProfile, Field, Grid1D, TimeGrid
 
 __all__ = [
@@ -149,6 +161,8 @@ class KdvProblem:
     sampled at the nodes.
     """
 
+    blocks = 1  # fields per node in the unknown
+
     def __init__(self, epsilon: float, grid: Grid1D, time_grid: TimeGrid,
                  bathymetry: BathymetryProfile | None = None,
                  direction: str = "right",
@@ -193,61 +207,97 @@ class KdvProblem:
             out -= s * eps * (0.5 * self.bottom * du + 0.25 * self.bottom_slope * values)
         return -out
 
-    def system(self, predictor: np.ndarray, current: np.ndarray):
-        """Matrix and rhs of (2/dt) w + L w = (2/dt) u^n for the half-sum w."""
+    def add_constant_terms(self, target) -> None:
+        """The step-matrix terms that stay fixed over a run: (2/dt) I + L_0."""
         eps, s, dt = self.epsilon, self._sign, self.time_grid.dt
-        d1 = self._d1
-        matrix = CyclicBandedMatrix(self.grid.num_points)
-        matrix.add_diagonal(2.0 / dt)
-        matrix.add_operator(d1, scale=s)
-        matrix.add_operator(self._d3, scale=s * eps / 6.0)
-        dup = d1.apply_values(predictor)
+        target.add_diagonal(2.0 / dt)
+        target.add_operator(self._d1, scale=s)
+        target.add_operator(self._d3, scale=s * eps / 6.0)
+        if self.bottom is not None:
+            target.add_operator(self._d1, pre_diag=self.bottom, scale=-s * eps / 2.0)
+            target.add_diagonal(-s * eps / 4.0 * self.bottom_slope)
+
+    def add_predictor_terms(self, target, predictor: np.ndarray,
+                            current: np.ndarray) -> np.ndarray:
+        """Add the nonlinear terms frozen at the predictor; return the rhs (2/dt) u^n."""
+        eps, d1 = self.epsilon, self._d1
         if self.nonlinear_mode == "neighbor_average":
             smoothed = predictor + 0.5 * (np.roll(predictor, -1) + np.roll(predictor, 1))
-            matrix.add_operator(d1, pre_diag=smoothed, scale=eps / 4.0)
-            matrix.add_diagonal(eps / 4.0 * dup)
+            target.add_operator(d1, pre_diag=smoothed, scale=eps / 4.0)
+            target.add_diagonal(eps / 4.0 * d1.apply_values(predictor))
         else:
-            matrix.add_operator(d1, pre_diag=predictor, scale=eps / 4.0)
-            matrix.add_operator(d1, post_diag=predictor, scale=eps / 4.0)
-        if self.bottom is not None:
-            matrix.add_operator(d1, pre_diag=self.bottom, scale=-s * eps / 2.0)
-            matrix.add_diagonal(-s * eps / 4.0 * self.bottom_slope)
-        return matrix, 2.0 / dt * current
+            target.add_operator(d1, pre_diag=predictor, scale=eps / 4.0)
+            target.add_operator(d1, post_diag=predictor, scale=eps / 4.0)
+        return 2.0 / self.time_grid.dt * current
+
+    def system(self, predictor: np.ndarray, current: np.ndarray):
+        """Matrix and rhs of (2/dt) w + L w = (2/dt) u^n for the half-sum w."""
+        return _system(self, predictor, current)
+
+
+def _constant_matrix(problem) -> CyclicBandedMatrix:
+    matrix = CyclicBandedMatrix(problem.blocks * problem.grid.num_points, problem.blocks)
+    problem.add_constant_terms(matrix)
+    return matrix
+
+
+def _system(problem, predictor: np.ndarray, current: np.ndarray):
+    """The whole step matrix of either model as one CyclicBandedMatrix, and its rhs."""
+    matrix = _constant_matrix(problem)
+    return matrix, problem.add_predictor_terms(matrix, predictor, current)
 
 
 class RelaxationState:
-    """State after n steps: raw arrays of the unknown z^n and its predictor
-    z^{n+1/2}, and the step index; the coupled stepper's z interleaves
-    (v_0, eta_0, v_1, eta_1, ...)."""
+    """State after n steps of one run: raw arrays of the unknown z^n and its
+    predictor z^{n+1/2} (the coupled stepper's z interleaves
+    (v_0, eta_0, v_1, eta_1, ...)), the step index, the run's step operator,
+    and the offsets delta = w - z^{n-1/2} of the last (up to) two solves,
+    latest first, from which the next solve's guess is extrapolated.  A state
+    is advanced by the problem that started it."""
 
     def __init__(self, current: np.ndarray, predictor: np.ndarray, step_index: int,
-                 dt: float):
+                 dt: float, operator: StepOperator, deltas: tuple = ()):
         self.current = current
         self.predictor = predictor
         self.step_index = int(step_index)
         self.dt = float(dt)
+        self.operator = operator
+        self.deltas = deltas
 
 
 def _start(problem, current: np.ndarray) -> RelaxationState:
-    """First predictor: an explicit half-step z + dt/2 F(z) of either model."""
+    """First predictor: an explicit half-step z + dt/2 F(z) of either model;
+    the run's step operator is built here, once."""
     dt = problem.time_grid.dt
     predictor = current + 0.5 * dt * problem.rhs(current)
     if not np.all(np.isfinite(predictor)):
         raise InstabilityError("non-finite predictor during initialization", step_index=0)
-    return RelaxationState(current, predictor, 0, dt)
+    return RelaxationState(current, predictor, 0, dt, StepOperator(_constant_matrix(problem)))
 
 
 def _advance(problem, state: RelaxationState) -> RelaxationState:
     """One relaxation step of either model: solve for the half-sum w at the
-    frozen predictor, set z^{n+1} = 2w - z^n, then relax the predictor."""
-    matrix, rhs = problem.system(state.predictor, state.current)
-    current = 2.0 * matrix.solve(rhs) - state.current
+    frozen predictor, set z^{n+1} = 2w - z^n, then relax the predictor.
+
+    The solve starts from the guess predictor + 2 delta_1 - delta_2, a
+    linear extrapolation of the last two offsets delta = w - predictor."""
+    operator, deltas = state.operator, state.deltas
+    operator.reset()
+    rhs = problem.add_predictor_terms(operator, state.predictor, state.current)
+    guess = state.predictor
+    if len(deltas) == 2:
+        guess = guess + (2.0 * deltas[0] - deltas[1])
+    elif deltas:
+        guess = guess + deltas[0]
+    w = operator.solve(rhs, guess)
+    current = 2.0 * w - state.current
     next_index = state.step_index + 1
     if not np.all(np.isfinite(current)):
         raise InstabilityError(
             f"non-finite solution at step {next_index}", step_index=next_index
         )
-    return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt)
+    return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt,
+                           operator, (w - state.predictor,) + deltas[:1])
 
 
 def init_predictor(problem: KdvProblem, u0: Field) -> RelaxationState:
@@ -262,12 +312,22 @@ def step(problem: KdvProblem, state: RelaxationState) -> RelaxationState:
     return _advance(problem, state)
 
 
-def _drive(problem, start, advance, blocks: int, stride: int):
+def _check_work(what: str, work: float) -> None:
+    """Refuse work above the node-step guard (grid points x time steps)."""
+    if work > _WORK_GUARD_NODE_STEPS:
+        raise ConfigurationError(
+            f"{what} would take {work:.3g} node-steps, about {work / 1e6 / 3600:.3g} h "
+            f"at 1e6 node-steps/s (> {_WORK_GUARD_NODE_STEPS:.0e} guard); "
+            "shorten final_time or coarsen the grid"
+        )
+
+
+def _drive(problem, start, advance, stride: int):
     """Run loop shared by both steppers.
 
     Refuses runs above the node-step or the 1 GB storage guard before any
     work, builds the initial state with ``start()``, then applies
-    ``advance(problem, state)`` over the time grid.  The ``blocks`` fields
+    ``advance(problem, state)`` over the time grid.  The ``problem.blocks`` fields
     interleaved in the unknown are stored at every stride-th step plus the
     final one; a SolverError is re-raised naming its step.  Returns the stored
     step indices and a read-only array of shape (blocks, snapshots, n):
@@ -275,15 +335,10 @@ def _drive(problem, start, advance, blocks: int, stride: int):
     reconstruction, then stay valid for as long as it lives.
     """
     n, num_steps = problem.grid.num_points, problem.time_grid.num_steps
+    blocks = problem.blocks
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    work = n * num_steps
-    if work > _WORK_GUARD_NODE_STEPS:
-        raise ConfigurationError(
-            f"run would take {work:.3g} node-steps, about {work / 1e6 / 3600:.3g} h "
-            f"at 1e6 node-steps/s (> {_WORK_GUARD_NODE_STEPS:.0e} guard); "
-            "shorten final_time or coarsen the grid"
-        )
+    _check_work("run", n * num_steps)
     shape = (blocks, -(-num_steps // stride) + 1, n)
     nbytes = 8 * shape[0] * shape[1] * shape[2]
     if nbytes > _MEMORY_GUARD_BYTES:
@@ -312,5 +367,5 @@ def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
     """Integrate over the full time grid, storing every stride-th field.
 
     The returned ``data`` array is read-only."""
-    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step, 1, stride)
+    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step, stride)
     return Trajectory(problem.grid, problem.time_grid.dt, plan, data[0])

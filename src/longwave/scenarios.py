@@ -56,7 +56,7 @@ from .grid import (
     discrete_l2,
     soliton_field,
 )
-from .kdv import KDV_NONLINEAR_MODES, KdvProblem, run
+from .kdv import KDV_NONLINEAR_MODES, KdvProblem, _check_work, run
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
@@ -601,17 +601,27 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
 
     The scalar stepper is measured against the analytic solitary wave; the
     coupled stepper against its own next-finer solution (the grids nest, so
-    coarse nodes are a subset of fine ones)."""
+    coarse nodes are a subset of fine ones).  A study whose levels add up to
+    more node-steps, over both steppers, than one run may take is refused
+    before the first run."""
+    if config.scenario != "convergence":
+        raise ConfigurationError(
+            f"convergence_study needs a convergence scenario, got {config.scenario!r}"
+        )
     if config.refinement_levels < 3:
         raise ConfigurationError("convergence study needs at least 3 refinement levels")
-    base = dataclasses.replace(config)
-    deltas = [base.dx / 2**k for k in range(config.refinement_levels)]
+    deltas = [config.dx / 2**k for k in range(config.refinement_levels)]
+    levels = []
+    for d in deltas:
+        ratio = int(round(config.dx / d))
+        levels.append((Grid1D(int(round(config.domain_length / config.dx)) * ratio, d),
+                       TimeGrid(int(round(config.final_time / config.dx)) * ratio, d)))
+    _check_work("convergence study",
+                2 * sum(grid.num_points * time_grid.num_steps for grid, time_grid in levels))
 
     kdv_errors = []
     eta_fields = []
-    for d in deltas:
-        grid = Grid1D(int(round(config.domain_length / config.dx)) * int(round(config.dx / d)), d)
-        time_grid = TimeGrid(int(round(config.final_time / config.dx)) * int(round(config.dx / d)), d)
+    for grid, time_grid in levels:
         spec = SolitonSpec(config.alpha, config.shift, config.epsilon)
         u0 = soliton_field(spec, grid)
         traj = run(KdvProblem(config.epsilon, grid, time_grid,

@@ -227,20 +227,20 @@ class TestRun:
         assert len(drifts) > 4 and max(drifts) <= 1e-12
 
     def test_solver_failure_names_its_step(self, setup, monkeypatch):
-        from longwave.findiff import CyclicBandedMatrix
+        from longwave.findiff import StepOperator
 
         _, grid, tg, coeffs, half = setup
-        original = CyclicBandedMatrix.solve
+        original = StepOperator.solve
         block_solves = []
 
-        def failing_solve(self, rhs):
+        def failing_solve(self, rhs, guess=None):
             if self.n == 2 * grid.num_points:  # the per-step block system
                 block_solves.append(self.n)
                 if len(block_solves) == 3:
                     raise SolverError("planted failure")
-            return original(self, rhs)
+            return original(self, rhs, guess)
 
-        monkeypatch.setattr(CyclicBandedMatrix, "solve", failing_solve)
+        monkeypatch.setattr(StepOperator, "solve", failing_solve)
         with pytest.raises(SolverError, match=r"planted failure \(at step 3\)"):
             run_boussinesq(BoussinesqProblem(coeffs, FlatBottom(), grid, tg),
                            half, half, stride=10)

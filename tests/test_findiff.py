@@ -10,13 +10,12 @@ from longwave.errors import GridMismatchError, SolverError
 from longwave.findiff import (
     CyclicBandedMatrix,
     CyclicBandedOperator,
-    apply,
+    StepOperator,
     make_d1,
     make_d2,
     make_d3,
-    solve,
 )
-from longwave.grid import Field, Grid1D
+from longwave.grid import Grid1D
 from conftest import random_field
 
 
@@ -84,8 +83,8 @@ class TestStencils:
     def test_apply_wrapper_and_dimension_check(self, small_grid, rng):
         f = random_field(small_grid, rng)
         d1 = make_d1(small_grid)
-        out = apply(d1, f)
-        np.testing.assert_allclose(out.values, d1.apply_values(f.values))
+        out = d1.apply_values(f.values)
+        np.testing.assert_allclose(out, d1.as_dense() @ f.values, atol=1e-12)
         with pytest.raises(GridMismatchError):
             d1.apply_values(np.zeros(10))
 
@@ -145,7 +144,7 @@ class TestSolve:
         m = CyclicBandedMatrix(n)
         m.add_diagonal(np.ones(n))
         rhs = rng.standard_normal(n)
-        np.testing.assert_allclose(solve(m, rhs), rhs, atol=1e-14)
+        np.testing.assert_allclose(m.solve(rhs), rhs, atol=1e-14)
 
     def test_diffusion_like_matches_dense(self, rng):
         grid = Grid1D(32, 0.5)
@@ -153,7 +152,7 @@ class TestSolve:
         m.add_diagonal(np.ones(32))
         m.add_operator(make_d2(grid), scale=0.1)
         rhs = rng.standard_normal(32)
-        x = solve(m, rhs)
+        x = m.solve(rhs)
         x_dense = np.linalg.solve(m.to_dense(), rhs)
         np.testing.assert_allclose(x, x_dense, atol=1e-12)
 
@@ -166,7 +165,7 @@ class TestSolve:
             m.data[off] = np.ones(n)
         assert np.linalg.matrix_rank(m.to_dense()) < n
         with pytest.raises(SolverError):
-            solve(m, np.ones(n))
+            m.solve(np.ones(n))
 
     def test_random_band_matches_dense(self, rng):
         n = 200
@@ -200,8 +199,9 @@ class TestSolve:
         np.testing.assert_allclose(m.to_dense(), dense, atol=1e-13)
 
     def test_solve_after_assemble_roundtrip(self, rng, monkeypatch):
-        # solve(A, A @ x) == x for a stepper-like system matrix, with the
-        # band storage factored in place on both the first and a repeat call
+        # solve(A, A @ x) == x for a stepper-like system matrix through a step
+        # operator, with the LU buffer factored in place on both the first and
+        # a repeat call
         in_place = []
 
         def spy(ab, *args, **kwargs):
@@ -216,9 +216,10 @@ class TestSolve:
         m.add_operator(make_d1(grid))
         m.add_operator(make_d3(grid), scale=0.2 / 6.0)
         m.add_operator(make_d1(grid), pre_diag=rng.standard_normal(128) * 0.1)
+        operator = StepOperator(m)
         x = rng.standard_normal(128)
         for _ in range(2):
-            x_hat = m.solve(m.matvec(x))
+            x_hat = operator.solve(m.matvec(x))
             assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
         assert in_place == [True, True]
 
@@ -285,3 +286,107 @@ class TestSolveProperties:
             m.data[off] = np.full(n, scale * c)
         with pytest.raises(SolverError):
             m.solve(np.random.default_rng(seed).standard_normal(n))
+
+
+def _variable_terms(n, p, scale, rng):
+    """Random per-step terms within the stencil reach min(p, 2), as
+    (operator, pre_diag) pairs to pass to ``add_operator``."""
+    reach = min(p, 2)
+    return [(CyclicBandedOperator((off,), (1.0,), n), scale * rng.uniform(-1.0, 1.0, n))
+            for off in range(-reach, reach + 1)]
+
+
+def _step(operator, constant, terms):
+    """Write one step's terms into the operator; return the dense matrix."""
+    reference = CyclicBandedMatrix(constant.n)
+    reference.data = {off: vals.copy() for off, vals in constant.data.items()}
+    operator.reset()
+    for op, pre in terms:
+        operator.add_operator(op, pre_diag=pre)
+        reference.add_operator(op, pre_diag=pre)
+    return reference.to_dense()
+
+
+class TestStepOperator:
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 300), p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           guess=st.sampled_from(["zero", "random", "adversarial", "near"]),
+           drift=st.sampled_from([1e-9, 1e-5, 1e-2, 1.0]))
+    # n <= 2p makes stencil offsets alias onto the same entry, and the folded
+    # half-width k = n - 1 leaves fewer rows than the banded matvec needs
+    @example(n=1, p=5, seed=1, guess="near", drift=1e-9)
+    @example(n=2, p=1, seed=2, guess="random", drift=1e-5)
+    @example(n=4, p=2, seed=3, guess="near", drift=1e-9)
+    @example(n=10, p=5, seed=4, guess="adversarial", drift=1e-2)
+    @example(n=11, p=5, seed=5, guess="near", drift=1e-9)
+    def test_steps_match_dense_and_meet_residual_contract(self, n, p, seed, guess, drift):
+        # The constant part is fixed, the per-step part drifts by ``drift``
+        # between steps; the first LU comes from an unrelated per-step part.
+        rng = np.random.default_rng(seed)
+        constant = _dominant_cyclic_banded(n, p, rng)
+        constant.data[0] += 2 * min(p, 2) + 1  # keeps C + V dominant
+        operator = StepOperator(constant)
+        _step(operator, constant, _variable_terms(n, p, 1.0, rng))
+        operator.solve(rng.standard_normal(n))
+        terms = _variable_terms(n, p, 1.0, rng)
+        for _ in range(4):
+            terms = [(op, pre + drift * rng.uniform(-1.0, 1.0, n)) for op, pre in terms]
+            dense = _step(operator, constant, terms)
+            rhs = rng.standard_normal(n)
+            expected = np.linalg.solve(dense, rhs)
+            start = {
+                "zero": np.zeros(n),
+                "random": rng.standard_normal(n),
+                "adversarial": np.full(n, np.nan) if rng.random() < 0.5 else 1e12 * rhs,
+                "near": expected + 1e-9 * rng.standard_normal(n),
+            }[guess]
+            x = operator.solve(rhs, start)
+            np.testing.assert_allclose(x, expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+            assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+    def test_far_kept_lu_refactors_and_keeps_the_bound(self, rng):
+        n = 64
+        constant = _dominant_cyclic_banded(n, 2, rng)
+        operator = StepOperator(constant)
+        _step(operator, constant, _variable_terms(n, 2, 1e-7, rng))
+        operator.solve(rng.standard_normal(n))
+        assert operator.factorizations == 1
+        # a nearby step reuses the LU ...
+        _step(operator, constant, _variable_terms(n, 2, 1e-7, rng))
+        operator.solve(rng.standard_normal(n), np.zeros(n))
+        assert operator.factorizations == 1
+        # ... a far one cannot, and its answer is as tight as a direct solve
+        dense = _step(operator, constant, _variable_terms(n, 2, 5.0, rng))
+        rhs = rng.standard_normal(n)
+        x = operator.solve(rhs, np.zeros(n))
+        assert operator.factorizations == 2
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+           stencil=st.sampled_from(["d1", "d2"]))
+    def test_singular_step_raises(self, n, scale, seed, stencil):
+        # C = scale I is regular; the per-step part turns it into a singular
+        # circulant (D1 or D2, both annihilate constants), with a kept LU of C.
+        rng = np.random.default_rng(seed)
+        constant = CyclicBandedMatrix(n)
+        for off in (-1, 0, 1):
+            constant.data[off] = np.full(n, scale if off == 0 else 0.0)
+        operator = StepOperator(constant)
+        operator.solve(rng.standard_normal(n))
+        operator.reset()
+        ones = np.ones(n)
+        d1 = CyclicBandedOperator((-1, 1), (-0.5, 0.5), n)
+        d2 = CyclicBandedOperator((-1, 0, 1), (1.0, -2.0, 1.0), n)
+        operator.add_operator(d1 if stencil == "d1" else d2, scale=scale)
+        operator.add_diagonal(-scale * ones)
+        with pytest.raises(SolverError):
+            operator.solve(rng.standard_normal(n), rng.standard_normal(n))
+
+    def test_term_outside_constant_band_rejected(self):
+        constant = CyclicBandedMatrix(16)
+        constant.add_diagonal(np.ones(16))
+        operator = StepOperator(constant)
+        with pytest.raises(GridMismatchError):
+            operator.add_operator(make_d1(Grid1D(16, 0.1)))

@@ -140,6 +140,26 @@ class TestStep:
                              - states["split_form"].current))
         assert 0.0 < diff < 1e-6  # distinct assemblies, O(eps dt dx^2) apart
 
+    def test_runs_of_one_problem_keep_their_own_state(self, setup):
+        # the step operator, its kept LU and the guess history belong to a
+        # run, so two runs of one problem stepped alternately match the same
+        # runs stepped one after the other, bit for bit
+        eps, grid, tg, spec = setup
+        problem = KdvProblem(eps, grid, tg, bathymetry=StepBottom(0.5, 20.0, 1.5))
+        u0 = soliton_field(spec, grid)
+        starts = [u0, Field(0.5 * _mirror(u0.values), grid)]
+        alone = []
+        for u0 in starts:
+            state = init_predictor(problem, u0)
+            for _ in range(12):
+                state = step(problem, state)
+            alone.append(state.current)
+        states = [init_predictor(problem, u0) for u0 in starts]
+        for _ in range(12):
+            states = [step(problem, state) for state in states]
+        for state, expected in zip(states, alone):
+            assert np.array_equal(state.current, expected)
+
     def test_variable_coefficient_constant_not_fixed(self, setup):
         # a sloped bottom forces d/dt u != 0 through the b_x u term
         eps, grid, tg, _ = setup
@@ -232,18 +252,18 @@ class TestRun:
 
     def test_instability_reports_step_index(self, setup, monkeypatch):
         # the per-step non-finite check must fire and carry the step index
-        from longwave.findiff import CyclicBandedMatrix
+        from longwave.findiff import StepOperator
 
         eps, grid, tg, spec = setup
         problem = KdvProblem(eps, grid, tg)
         state = init_predictor(problem, soliton_field(spec, grid))
         state = step(problem, state)
 
-        def poisoned_solve(self, rhs):
+        def poisoned_solve(self, rhs, guess=None):
             out = np.full_like(np.asarray(rhs, dtype=float), np.inf)
             return out
 
-        monkeypatch.setattr(CyclicBandedMatrix, "solve", poisoned_solve)
+        monkeypatch.setattr(StepOperator, "solve", poisoned_solve)
         with pytest.raises(InstabilityError) as excinfo:
             step(problem, state)
         assert excinfo.value.step_index == state.step_index + 1

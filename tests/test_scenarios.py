@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from longwave import scenarios
 from longwave.cli import main
@@ -317,6 +318,32 @@ class TestConvergenceStudy:
         assert report.monotone
 
 
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2**64 - 1).map(
+                lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+            ).filter(math.isfinite),
+        ),
+        min_size=1, max_size=20,
+    ))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308])
+    def test_float64_round_trips_bit_exactly(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "values.csv"
+        column = np.array(values, dtype=np.float64)
+        scenarios._write_csv(path, ["x", "minus_x"], [column, -column])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "minus_x"]
+        read = np.array([[float(cell) for cell in row] for row in rows[1:]])
+        # compare the bits, so that -0.0 and 0.0 differ
+        assert read[:, 0].view(np.uint64).tolist() == column.view(np.uint64).tolist()
+        assert read[:, 1].view(np.uint64).tolist() == (-column).view(np.uint64).tolist()
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -415,6 +442,28 @@ class TestCli:
                          "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "growth.csv").exists()
+
+    @pytest.mark.parametrize("argv,cfg,message", [
+        (["--epsilon", "0.1", "--levels", "9"], None, "convergence study would take"),
+        (["--levels", "9"], {"scenario": "convergence", "epsilon": 0.1}, "node-steps"),
+        ([], {"scenario": "growth", "epsilon": 0.2, "growth_kind": "step"},
+         "needs a convergence scenario"),
+        (["--levels", "0"], {"scenario": "convergence", "epsilon": 0.1},
+         "at least 3 refinement levels"),
+    ])
+    def test_convergence_refused_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                 argv, cfg, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        if cfg is not None:
+            path = tmp_path / "conv.json"
+            path.write_text(json.dumps(cfg))
+            argv = ["--config", str(path), *argv]
+        assert main(["convergence", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_convergence_guard_exits_2(self, tmp_path):
         cfg = {"scenario": "convergence", "epsilon": 0.1, "refinement_levels": 1}
