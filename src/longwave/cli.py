@@ -84,10 +84,6 @@ def _config_from_args(args, scenario_key: str | None = None) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args, args.scenario)
-    if config.scenario not in ("validate", "step", "sinusoid"):
-        raise ConfigurationError(
-            f"simulate handles validate/step/sinusoid scenarios, got {config.scenario!r}"
-        )
     report = run_scenario(config)
     if config.output_dir:
         paths = write_outputs(report, config)

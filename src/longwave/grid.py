@@ -326,7 +326,7 @@ def bathymetry_from_config(cfg: dict) -> BathymetryProfile:
         raise ConfigurationError(f"unknown bathymetry kind {kind!r}")
     try:
         return builders[kind](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for bathymetry {kind!r}: {exc}") from exc
 
 

@@ -19,24 +19,18 @@ The first-order corrector of the right-going component is
          + 1/2 U0'(x-t) Int_0^t b(x-t+s) ds
          + 1/4 Int_0^t b'(x-t+s) N0(x-t+2s) ds
 
-(its mirror holds for N1 with x+t arguments and flipped signs).  The last
-three integrals can grow secularly for bottoms without decay; the
-topography-modified reconstruction promotes exactly those bottom terms into
-the surfaces:
+N1 is its mirror: U0 and N0 swap places, the signs of t and s flip in every
+argument (x - t + 2s becomes x + t - 2s), and the dispersive and the three
+bottom terms change sign.  The integrals can grow secularly for bottoms
+without decay; the topography-modified reconstruction adds the bottom terms
+X_b = bottom_jump + bottom_integral + bottom_derivative_integral of both
+correctors to the classical surfaces,
 
-    v    +=  eps/4 [ U0'(x-t) Int b(x-t+s) ds  -  N0'(x+t) Int b(x+t-s) ds
-                     + 1/2 Int b'(x-t+s) N0(x-t+2s) ds
-                     - 1/2 Int b'(x+t-s) U0(x+t-2s) ds
-                     + 1/2 U0(x-t) (b(x) - b(x-t))
-                     + 1/2 N0(x+t) (b(x+t) - b(x)) ],
+    v += eps/2 (U1_b + N1_b),    eta += eps/2 (U1_b -+ N1_b),
 
-with eta receiving the same terms but, consistent with
-eta = (U_app - N_app)/2, with the sign of every N1-derived (left
-characteristic) term flipped.  The periodic variant additionally subtracts
-the counter-propagation integrals
-
-    v   -= eps/8 [ U0'(x-t) Int N0(x-t+2s) ds + N0'(x+t) Int U0(x+t-2s) ds ]
-    eta -= eps/8 [ U0'(x-t) Int N0(x-t+2s) ds - N0'(x+t) Int U0(x+t-2s) ds ].
+with - for the ``sign_split`` eta bracket (eta = (U_app - N_app)/2) and +
+for ``identical``.  The periodic variant also adds the counter-propagation
+terms X_cp: v += eps/2 (U1_cp + N1_cp) and eta += eps/2 (U1_cp - N1_cp).
 
 All time integrals use the composite trapezoid rule with step dt = dx, the
 bottom profile sampled on the whole real line (no wrap) and the wave
@@ -105,6 +99,7 @@ TERM_NAMES = (
     "bottom_integral",
     "bottom_derivative_integral",
 )
+_BOTTOM_TERMS = ("bottom_jump", "bottom_integral", "bottom_derivative_integral")
 
 
 @dataclass
@@ -150,11 +145,16 @@ def _check_alignment(traj: Trajectory) -> None:
         )
 
 
-def _counter_values(n_traj: Trajectory | None, grid: Grid1D, m: int) -> np.ndarray:
+def _counter_values(n_traj: Trajectory | None, u_traj: Trajectory, m: int) -> np.ndarray | None:
+    """The left-going snapshot at step m, or None for an identically zero one."""
     if n_traj is None:
-        return np.zeros(grid.num_points)
-    if n_traj.grid != grid:
+        return None
+    if n_traj.grid != u_traj.grid:
         raise ConfigurationError("trajectories live on different grids")
+    if n_traj.dt != u_traj.dt:
+        raise ConfigurationError(
+            f"trajectories have different time steps, dt={u_traj.dt} and dt={n_traj.dt}"
+        )
     return n_traj.at_step(m)
 
 
@@ -184,14 +184,8 @@ def _bottom_integral_nodes(b: BathymetryProfile, grid: Grid1D, m: int,
     dt = grid.dx
     if m == 0:
         return np.zeros(n)
-    if direction == "right":
-        lattice = np.arange(-m, n) * dt
-        first = np.arange(0, n)          # extended index of i-m
-    elif direction == "left":
-        lattice = np.arange(0, n + m) * dt
-        first = np.arange(0, n)          # extended index of i
-    else:
-        raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
+    lattice = np.arange(-m, n) * dt if direction == "right" else np.arange(0, n + m) * dt
+    first = np.arange(0, n)  # extended index of i - m ('right') or i ('left')
     ext = np.asarray(b.value(lattice), dtype=float)
     csum = np.concatenate(([0.0], np.cumsum(ext)))
     last = first + m
@@ -273,8 +267,6 @@ def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -
     if m == 0:
         return np.zeros(n)
     _require_full_history(counter, m, "counter-propagating")
-    if direction not in ("right", "left"):
-        raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
     # Steps 0..m stored means m < number of snapshots: M bounds every valid m.
     big_m = len(counter.step_indices) - 1
     lattice = np.arange(-big_m, n) if direction == "right" else np.arange(0, n + big_m)
@@ -363,7 +355,8 @@ def classical_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     ``n_traj=None`` stands for the identically zero left-going component."""
     m = u_traj.step_of_time(t)
     u = u_traj.at_step(m)
-    n = _counter_values(n_traj, u_traj.grid, m)
+    n = _counter_values(n_traj, u_traj, m)
+    n = 0.0 if n is None else n
     grid = u_traj.grid
     return SurfaceReconstruction(
         v=Field((u + n) / 2.0, grid),
@@ -371,6 +364,58 @@ def classical_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
         time=t,
         variant="classical",
     )
+
+
+def _correctors(u_traj: Trajectory, n_traj: Trajectory | None, b: BathymetryProfile,
+                coeffs: ModelCoefficients, t: float, names=TERM_NAMES,
+                right_only: bool = False) -> tuple[dict, dict | None]:
+    """The terms ``names`` of U1 and of N1 (None when ``right_only``) at time t.
+
+    One formula per term serves both correctors: s = +1 gives U1 from its own
+    field u and the counter field n, s = -1 gives N1 from own n and counter u.
+    A term that multiplies an identically zero field (n for n_traj=None) is
+    returned as zeros without being evaluated.
+    """
+    _check_alignment(u_traj)
+    grid = u_traj.grid
+    m = u_traj.step_of_time(t)
+    u = u_traj.at_step(m)
+    n = _counter_values(n_traj, u_traj, m)
+    b_here = np.asarray(b.value(grid.nodes), dtype=float)
+
+    def corrector(s, own, counter, counter_traj):
+        direction = "right" if s > 0 else "left"
+
+        def across(f):  # f(x) - f(x - 2st) for a function f of the counter field
+            return f - np.roll(f, 2 * s * m)
+
+        terms = {name: np.zeros(grid.num_points) for name in names}
+        if counter is not None:
+            if "quadratic_difference" in terms:
+                terms["quadratic_difference"] = -across(counter**2) / 16.0
+            if "dispersive_difference" in terms:
+                terms["dispersive_difference"] = (s * (coeffs.a2 - coeffs.a4) / 4.0
+                                                  * across(make_d2(grid).apply_values(counter)))
+            if "bottom_derivative_integral" in terms:
+                terms["bottom_derivative_integral"] = (
+                    s * _cross_integral_nodes(b, counter_traj, m, direction) / 4.0)
+        if own is None:
+            return terms
+        d_own = make_d1(grid).apply_values(own)
+        if "bottom_jump" in terms:
+            b_back = np.asarray(b.value(grid.nodes - s * m * grid.dx), dtype=float)
+            terms["bottom_jump"] = s * own * (b_here - b_back) / 4.0
+        if "bottom_integral" in terms:
+            terms["bottom_integral"] = (
+                s * d_own * _bottom_integral_nodes(b, grid, m, direction) / 2.0)
+        if counter is not None and "cross_product" in terms:
+            terms["cross_product"] = -own * across(counter) / 8.0
+        if counter is not None and "counterprop_integral" in terms:
+            terms["counterprop_integral"] = (
+                -d_own * _cross_integral_nodes(None, counter_traj, m, direction) / 4.0)
+        return terms
+
+    return corrector(1, u, n, n_traj), None if right_only else corrector(-1, n, u, u_traj)
 
 
 def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
@@ -384,67 +429,10 @@ def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
     otherwise require stride-1 storage of ``u_traj``)."""
     if components not in ("both", "right_only"):
         raise ConfigurationError("components must be 'both' or 'right_only'")
-    _check_alignment(u_traj)
+    u1, n1 = _correctors(u_traj, n_traj, b, coeffs, t, right_only=components == "right_only")
     grid = u_traj.grid
-    n_pts, dx = grid.num_points, grid.dx
-    m = u_traj.step_of_time(t)
-    u = u_traj.at_step(m)
-    n = _counter_values(n_traj, grid, m)
-
-    d1 = make_d1(grid)
-    d2 = make_d2(grid)
-    du = d1.apply_values(u)
-    dispersive_coeff = (coeffs.a2 - coeffs.a4) / 4.0
-
-    nodes = grid.nodes
-    b_here = np.asarray(b.value(nodes), dtype=float)
-    b_back = np.asarray(b.value(nodes - m * dx), dtype=float)
-
-    ib_right = _bottom_integral_nodes(b, grid, m, "right")
-    if n_traj is not None:
-        cp_right = _cross_integral_nodes(None, n_traj, m, "right")
-        jb_right = _cross_integral_nodes(b, n_traj, m, "right")
-    else:
-        cp_right = jb_right = np.zeros(n_pts)
-
-    # Right-going corrector: shifted reads n(t, x - 2t) etc.
-    n_back = np.roll(n, 2 * m)
-    d2n = d2.apply_values(n)
-    u1 = CorrectorBreakdown(
-        grid=grid,
-        time=t,
-        quadratic_difference=-(n**2 - n_back**2) / 16.0,
-        dispersive_difference=dispersive_coeff * (d2n - np.roll(d2n, 2 * m)),
-        cross_product=-u * (n - n_back) / 8.0,
-        bottom_jump=u * (b_here - b_back) / 4.0,
-        counterprop_integral=-du * cp_right / 4.0,
-        bottom_integral=du * ib_right / 2.0,
-        bottom_derivative_integral=jb_right / 4.0,
-    )
-    if components == "right_only":
-        return u1, None
-
-    dn = d1.apply_values(n)
-    b_fwd = np.asarray(b.value(nodes + m * dx), dtype=float)
-    ib_left = _bottom_integral_nodes(b, grid, m, "left")
-    cp_left = _cross_integral_nodes(None, u_traj, m, "left")
-    jb_left = _cross_integral_nodes(b, u_traj, m, "left")
-
-    # Left-going corrector: shifted reads u(t, x + 2t) etc.
-    u_fwd = np.roll(u, -2 * m)
-    d2u = d2.apply_values(u)
-    n1 = CorrectorBreakdown(
-        grid=grid,
-        time=t,
-        quadratic_difference=-(u**2 - u_fwd**2) / 16.0,
-        dispersive_difference=-dispersive_coeff * (d2u - np.roll(d2u, -2 * m)),
-        cross_product=-n * (u - u_fwd) / 8.0,
-        bottom_jump=-n * (b_here - b_fwd) / 4.0,
-        counterprop_integral=-dn * cp_left / 4.0,
-        bottom_integral=-dn * ib_left / 2.0,
-        bottom_derivative_integral=-jb_left / 4.0,
-    )
-    return u1, n1
+    return (CorrectorBreakdown(grid, t, **u1),
+            None if n1 is None else CorrectorBreakdown(grid, t, **n1))
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
@@ -452,63 +440,37 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
                            t: float, periodic_variant: bool = False,
                            include_correctors: bool = False,
                            eta_bracket: str = "sign_split") -> SurfaceReconstruction:
-    """Classical surfaces plus the promoted bottom terms (and, in the periodic
-    variant, minus the counter-propagation integrals).
+    """Classical surfaces plus eps/2 times the bottom terms of U1 and N1 (and,
+    in the periodic variant, their counter-propagation terms).
 
-    The bottom bracket added to v always reads as in the module docstring.
-    For eta two readings exist: ``sign_split`` (default) flips the sign of
-    the left-characteristic terms, which is what eta = (U_app - N_app)/2
-    yields from the promoted corrector terms and what gives the reflected
-    wave the same polarity as the coupled model; ``identical`` adds the
-    v-bracket to eta unchanged and is kept for sensitivity studies.
+    ``eta_bracket`` is the sign of N1's bottom terms in eta: ``sign_split``
+    (default, -) is what eta = (U_app - N_app)/2 yields and gives the
+    reflected wave the same polarity as the coupled model; ``identical`` (+)
+    adds the v-bracket to eta unchanged and is kept for sensitivity studies.
     """
     if eta_bracket not in ETA_BRACKETS:
         raise ConfigurationError(
             f"eta_bracket must be one of {ETA_BRACKETS}, got {eta_bracket!r}"
         )
-    _check_alignment(u_traj)
-    grid = u_traj.grid
-    dx = grid.dx
-    m = u_traj.step_of_time(t)
-    u = u_traj.at_step(m)
-    n = _counter_values(n_traj, grid, m)
-    eps = coeffs.epsilon
-
-    d1 = make_d1(grid)
-    du = d1.apply_values(u)
-    dn = d1.apply_values(n)
-    nodes = grid.nodes
-    b_here = np.asarray(b.value(nodes), dtype=float)
-    b_back = np.asarray(b.value(nodes - m * dx), dtype=float)
-    b_fwd = np.asarray(b.value(nodes + m * dx), dtype=float)
-
-    # Terms promoted from the right-going corrector keep their sign in both
-    # components; those from the left-going corrector flip sign in eta.
-    common = du * _bottom_integral_nodes(b, grid, m, "right")
-    common += 0.5 * u * (b_here - b_back)
-    flipped = 0.5 * n * (b_fwd - b_here)
-    if n_traj is not None:
-        flipped -= dn * _bottom_integral_nodes(b, grid, m, "left")
-        common += 0.5 * _cross_integral_nodes(b, n_traj, m, "right")
-    flipped -= 0.5 * _cross_integral_nodes(b, u_traj, m, "left")
-
-    v_vals = (u + n) / 2.0 + eps / 4.0 * (common + flipped)
+    names = _BOTTOM_TERMS + (("counterprop_integral",) if periodic_variant else ())
+    u1, n1 = _correctors(u_traj, n_traj, b, coeffs, t, names)
+    classical = classical_surfaces(u_traj, n_traj, t)
+    half_eps = coeffs.epsilon / 2.0
+    u1_b, n1_b = (sum(terms[name] for name in _BOTTOM_TERMS) for terms in (u1, n1))
     eta_sign = 1.0 if eta_bracket == "identical" else -1.0
-    eta_vals = (u - n) / 2.0 + eps / 4.0 * (common + eta_sign * flipped)
+    v_vals = classical.v.values + half_eps * (u1_b + n1_b)
+    eta_vals = classical.eta.values + half_eps * (u1_b + eta_sign * n1_b)
     variant = "topo_modified"
     if periodic_variant:
-        right_part = du * _cross_integral_nodes(None, n_traj, m, "right") if n_traj is not None \
-            else np.zeros(grid.num_points)
-        left_part = dn * _cross_integral_nodes(None, u_traj, m, "left")
-        v_vals -= eps / 8.0 * (right_part + left_part)
-        eta_vals -= eps / 8.0 * (right_part - left_part)
+        v_vals += half_eps * (u1["counterprop_integral"] + n1["counterprop_integral"])
+        eta_vals += half_eps * (u1["counterprop_integral"] - n1["counterprop_integral"])
         variant = "topo_modified_periodic"
 
     correctors = None
     if include_correctors:
         correctors = corrector_fields(u_traj, n_traj, b, coeffs, t)
     return SurfaceReconstruction(
-        v=Field(v_vals, grid), eta=Field(eta_vals, grid),
+        v=Field(v_vals, u_traj.grid), eta=Field(eta_vals, u_traj.grid),
         time=t, variant=variant, corrector_terms=correctors,
     )
 

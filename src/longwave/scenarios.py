@@ -30,7 +30,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time as _time
+import types
+import typing
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -131,6 +134,19 @@ def _all_finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _has_type(value, hint) -> bool:
+    """True when value fits the resolved annotation ``hint``; a bool is no number."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, typing.get_args(hint)[0])
+                                               for v in value)
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 @dataclass
 class ScenarioConfig:
     """Full description of one experiment; mirrors the JSON config schema."""
@@ -160,8 +176,11 @@ class ScenarioConfig:
     topo_eta_bracket: str = "sign_split"
 
     def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
             if not _all_finite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.scenario not in _SCENARIOS:
@@ -467,9 +486,6 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     )
     boussinesq_seconds = _time.perf_counter() - t0
 
-    error_steps = list(range(0, time_grid.num_steps + 1, stride))
-    if error_steps[-1] != time_grid.num_steps:
-        error_steps.append(time_grid.num_steps)
     snapshot_steps = set(config.snapshot_steps(time_grid))
 
     l2_ref = discrete_l2(u0)
@@ -485,10 +501,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     seam = np.r_[np.arange(grid.num_points - 5, grid.num_points), np.arange(0, 5)]
     recon_seconds = 0.0
 
-    for m in error_steps:
+    for m in b_traj.step_indices.tolist():
         t = m * time_grid.dt
-        u_now = Field(u_traj.at_step(m).copy(), grid)
-        v_b, eta_b = b_traj.at_time(t)
+        u_now = Field(u_traj.at_step(m), grid)
+        v_b, eta_b = (Field(values, grid) for values in b_traj.at_step(m))
 
         t0 = _time.perf_counter()
         eta_k_vals = u_now.values / 2.0

@@ -9,6 +9,7 @@ from longwave.grid import (
     FlatBottom,
     Grid1D,
     ModelCoefficients,
+    SinusoidBottom,
     SlowSinusoidBottom,
     SolitonSpec,
     StepBottom,
@@ -84,6 +85,21 @@ class TestClassicalSurfaces:
         n_back = rec.v.values - rec.eta.values
         np.testing.assert_allclose(u_back, u_traj.at_step(30), atol=1e-15)
         np.testing.assert_allclose(n_back, n_traj.at_step(30), atol=1e-15)
+
+    def test_counter_with_other_time_step_rejected(self, two_wave_run):
+        # a left-going run at dt = 2 dx read at step m would be read at time 2t
+        eps, grid, tg, u_traj, _ = two_wave_run
+        coeffs = ModelCoefficients.balanced(eps)
+        n_traj = Trajectory(grid, 2 * tg.dt, np.arange(tg.num_steps + 1),
+                            np.zeros((tg.num_steps + 1, grid.num_points)))
+        t = 10 * tg.dt
+        for reconstruct in (
+            lambda: classical_surfaces(u_traj, n_traj, t),
+            lambda: corrector_fields(u_traj, n_traj, FlatBottom(), coeffs, t),
+            lambda: topo_modified_surfaces(u_traj, n_traj, FlatBottom(), coeffs, t),
+        ):
+            with pytest.raises(ConfigurationError, match="different time steps"):
+                reconstruct()
 
     def test_missing_snapshot(self, step_run):
         _, _, tg, _, traj, _, _ = step_run
@@ -435,6 +451,70 @@ class TestTopoModifiedSurfaces:
                                      include_correctors=True)
         assert rec.corrector_terms is not None
         assert rec.corrector_terms[0].total.shape == (grid.num_points,)
+
+    @pytest.mark.parametrize("run_name", ["two_wave_run", "step_run"])
+    @pytest.mark.parametrize("bottom_kind", ["step", "sinusoid", "flat"])
+    @pytest.mark.parametrize("where", ["zero", "one", "mid", "last"])
+    def test_topo_is_classical_plus_corrector_terms(self, request, run_name, bottom_kind,
+                                                     where):
+        # K_topo = classical + eps/2 (U1_b +- N1_b), plus eps/2 (U1_cp +- N1_cp) in
+        # the periodic variant, where X_b sums the three bottom terms of X; the
+        # terms themselves must match the single-node references of U1 and N1
+        if run_name == "two_wave_run":
+            eps, grid, tg, u_traj, n_traj = request.getfixturevalue(run_name)
+        else:
+            eps, grid, tg, _, u_traj, _, _ = request.getfixturevalue(run_name)
+            n_traj = None
+        bottom = {"step": StepBottom(0.5, grid.length / 2.0, 1.5),
+                  "sinusoid": SinusoidBottom(0.5, grid.length / 4.0),
+                  "flat": FlatBottom()}[bottom_kind]
+        coeffs = ModelCoefficients.balanced(eps)
+        m = {"zero": 0, "one": 1, "mid": tg.num_steps // 2, "last": tg.num_steps}[where]
+        t = m * tg.dt
+        u1, n1 = corrector_fields(u_traj, n_traj, bottom, coeffs, t)
+        classical = classical_surfaces(u_traj, n_traj, t)
+        used = ("bottom_jump", "bottom_integral", "bottom_derivative_integral",
+                "counterprop_integral")
+        scale = max(np.max(np.abs(getattr(c, name))) for c in (u1, n1) for name in used)
+
+        def bottom_sum(c):
+            return c.bottom_jump + c.bottom_integral + c.bottom_derivative_integral
+
+        for eta_bracket, eta_sign in (("sign_split", -1.0), ("identical", 1.0)):
+            for periodic in (False, True):
+                topo = topo_modified_surfaces(u_traj, n_traj, bottom, coeffs, t,
+                                              periodic_variant=periodic,
+                                              eta_bracket=eta_bracket)
+                v = classical.v.values + eps / 2.0 * (bottom_sum(u1) + bottom_sum(n1))
+                eta = classical.eta.values + eps / 2.0 * (
+                    bottom_sum(u1) + eta_sign * bottom_sum(n1))
+                if periodic:
+                    v = v + eps / 2.0 * (u1.counterprop_integral + n1.counterprop_integral)
+                    eta = eta + eps / 2.0 * (u1.counterprop_integral
+                                             - n1.counterprop_integral)
+                np.testing.assert_allclose(topo.v.values, v, rtol=0, atol=1e-14 * scale)
+                np.testing.assert_allclose(topo.eta.values, eta, rtol=0, atol=1e-14 * scale)
+
+        u = u_traj.at_step(m)
+        n = np.zeros(grid.num_points) if n_traj is None else n_traj.at_step(m)
+        d1 = make_d1(grid)
+        for s, c, own, counter_traj, direction in ((1.0, u1, u, n_traj, "right"),
+                                                   (-1.0, n1, n, u_traj, "left")):
+            d_own = d1.apply_values(own)
+            for i in range(0, grid.num_points, grid.num_points // 7):
+                x = grid.nodes[i]
+                jump = s * own[i] * (float(bottom.value(x)) - float(bottom.value(x - s * t)))
+                integral = s * d_own[i] * bottom_shift_integral(bottom, t, x, direction, tg.dt)
+                cross, cp = 0.0, 0.0
+                if counter_traj is not None:
+                    cross = s * characteristic_cross_integral(bottom, counter_traj, t, x,
+                                                              direction)
+                    cp = -d_own[i] * characteristic_cross_integral(None, counter_traj, t, x,
+                                                                   direction)
+                assert c.bottom_jump[i] == pytest.approx(jump / 4.0, abs=1e-13)
+                assert c.bottom_integral[i] == pytest.approx(integral / 2.0, abs=1e-13)
+                assert c.bottom_derivative_integral[i] == pytest.approx(cross / 4.0, abs=1e-13)
+                assert c.counterprop_integral[i] == pytest.approx(cp / 4.0, abs=1e-13)
 
 
 class TestGrowthDiagnostic:

@@ -417,6 +417,41 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 2
         assert f"configuration error: {field} must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,field,value", [
+        ("simulate", "bathymetry", {"kind": "step", "beta0": "a", "center": 40.0}),
+        ("simulate", "bathymetry", {"kind": "sampled", "nodes": [0.0, 1.0], "values": [0, "x"]}),
+        ("convergence", "refinement_levels", 3.5),
+        ("simulate", "refl_width_multiplier", "a"),
+        ("simulate", "shift", "a"),
+        ("simulate", "output_dir", 5),
+        ("simulate", "overtime", "no"),
+    ])
+    def test_malformed_config_value_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                           command, field, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        scenario = "convergence" if command == "convergence" else "step"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2, field: value}))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and field in err
+
+    def test_simulate_refuses_other_scenarios_before_any_run(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "growth", "epsilon": 0.2, "growth_kind": "step"}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "validate/step/sinusoid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cfg,message", [
         ({"scenario": "validate", "epsilon": 0.2, "final_time": 1e9}, "node-steps"),
         ({"scenario": "validate", "epsilon": 0.2, "final_time": 10000.2,
