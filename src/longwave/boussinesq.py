@@ -58,6 +58,7 @@ from .grid import (
     Grid1D,
     ModelCoefficients,
     TimeGrid,
+    _shifted,
 )
 from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start, _system
 
@@ -193,8 +194,8 @@ class BoussinesqProblem:
             # eta-equation: eps/2 D1 diag(eta^p) w_v
             target.add_operator(d1, post_diag=ep, scale=eps / 2.0, block=_EV)
         else:
-            smoothed_vp = vp + 0.5 * (np.roll(vp, -1) + np.roll(vp, 1))
-            smoothed_ep = 0.5 * (np.roll(ep, -1) + np.roll(ep, 1))
+            smoothed_vp = vp + 0.5 * (_shifted(vp, 1) + _shifted(vp, -1))
+            smoothed_ep = 0.5 * (_shifted(ep, 1) + _shifted(ep, -1))
             dvp = d1.apply_values(vp)
             dep = d1.apply_values(ep)
             # v-equation: the two per-node weightings.
@@ -207,7 +208,7 @@ class BoussinesqProblem:
             target.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 6.0, block=_EV)
             target.add_diagonal(eps / 6.0 * dvp, _EV)
             lagged = ep if self.lagged_eta_level == "predictor" else current[1::2]
-            lag_factor = 0.5 * (np.roll(lagged, -1) + np.roll(lagged, 1)) - 0.5 * lagged
+            lag_factor = 0.5 * (_shifted(lagged, 1) + _shifted(lagged, -1)) - 0.5 * lagged
             rhs[1::2] -= eps / 3.0 * dep * lag_factor
         return rhs
 

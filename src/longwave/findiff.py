@@ -46,7 +46,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import GridMismatchError, SolverError
-from .grid import Grid1D
+from .grid import Grid1D, _shifted
 
 __all__ = [
     "CyclicBandedOperator",
@@ -65,12 +65,6 @@ _PIVOT_RTOL = 1e-14
 _REFINE_RTOL = 1e-15
 # Corrections a kept LU takes per solve; one more marks it for refactoring.
 _KEPT_LU_CORRECTIONS = 2
-
-
-def _shifted(values: np.ndarray, off: int) -> np.ndarray:
-    """values[(i + off) mod n] for every i, built from two slices."""
-    s = off % len(values)
-    return np.concatenate((values[s:], values[:s]))
 
 
 class CyclicBandedOperator:
@@ -263,7 +257,8 @@ class StepOperator(_BandAssembly):
             raise GridMismatchError(
                 f"band offset {offset} lies outside the constant band (+-{self._reach})"
             )
-        np.add.at(self._work_flat, self._scatter[offset + self._reach][row::self.blocks], values)
+        # one entry per row, so the indices of one call never repeat
+        self._work_flat[self._scatter[offset + self._reach][row::self.blocks]] += values
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
         """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf for the

@@ -442,9 +442,15 @@ def soliton_field(spec: SolitonSpec, grid: Grid1D, t: float = 0.0) -> Field:
 # Discrete norms
 # ---------------------------------------------------------------------------
 
+def _shifted(values: np.ndarray, off: int) -> np.ndarray:
+    """values[(i + off) mod n] for every i, built from two slices."""
+    s = off % len(values)
+    return np.concatenate((values[s:], values[:s]))
+
+
 def _centered_diff(values: np.ndarray, dx: float) -> np.ndarray:
     """Periodic centered first difference; matches findiff.make_d1 exactly."""
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * dx)
+    return (_shifted(values, 1) - _shifted(values, -1)) / (2.0 * dx)
 
 
 def discrete_l2(f: Field) -> float:
@@ -464,10 +470,10 @@ def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
     dx = grid.dx
     total = float(np.dot(v.values, v.values) + np.dot(eta.values, eta.values))
     if coeffs.a2 != 0.0:
-        dv = (np.roll(v.values, -1) - v.values) / dx
+        dv = (_shifted(v.values, 1) - v.values) / dx
         total += coeffs.epsilon * coeffs.a2 * float(np.dot(dv, dv))
     if coeffs.a4 != 0.0:
-        de = (np.roll(eta.values, -1) - eta.values) / dx
+        de = (_shifted(eta.values, 1) - eta.values) / dx
         total += coeffs.epsilon * coeffs.a4 * float(np.dot(de, de))
     return math.sqrt(dx * total)
 

@@ -45,7 +45,7 @@ two runs of one problem never share it); the stop and refactor rules are in
 contract as a direct solve.  The step then sets z^{n+1} = 2w - z^n and
 relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.  ``system(predictor,
 current)`` assembles the same matrix as one ``CyclicBandedMatrix``.
-``_drive`` is the one run loop of both steppers.
+``_drive`` is the one run loop of both steppers, with one per-step hook.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (
     SolverError,
 )
 from .findiff import CyclicBandedMatrix, StepOperator, make_d1, make_d3
-from .grid import BathymetryProfile, Field, Grid1D, TimeGrid
+from .grid import BathymetryProfile, Field, Grid1D, TimeGrid, _shifted
 
 __all__ = [
     "Trajectory",
@@ -222,7 +222,7 @@ class KdvProblem:
         """Add the nonlinear terms frozen at the predictor; return the rhs (2/dt) u^n."""
         eps, d1 = self.epsilon, self._d1
         if self.nonlinear_mode == "neighbor_average":
-            smoothed = predictor + 0.5 * (np.roll(predictor, -1) + np.roll(predictor, 1))
+            smoothed = predictor + 0.5 * (_shifted(predictor, 1) + _shifted(predictor, -1))
             target.add_operator(d1, pre_diag=smoothed, scale=eps / 4.0)
             target.add_diagonal(eps / 4.0 * d1.apply_values(predictor))
         else:
@@ -322,7 +322,7 @@ def _check_work(what: str, work: float) -> None:
         )
 
 
-def _drive(problem, start, advance, stride: int):
+def _drive(problem, start, advance, stride: int, on_step=None):
     """Run loop shared by both steppers.
 
     Refuses runs above the node-step or the 1 GB storage guard before any
@@ -333,6 +333,10 @@ def _drive(problem, start, advance, stride: int):
     step indices and a read-only array of shape (blocks, snapshots, n):
     results computed from a trajectory, such as the running sums of the
     reconstruction, then stay valid for as long as it lives.
+
+    ``on_step(m, z)``, the one per-step hook, is called with the step index
+    and ``state.current`` (z^m, which no later step writes into) after the
+    start and after every step, so it sees the steps the run does not store.
     """
     n, num_steps = problem.grid.num_points, problem.time_grid.num_steps
     blocks = problem.blocks
@@ -350,6 +354,8 @@ def _drive(problem, start, advance, stride: int):
     plan = np.append(np.arange(0, num_steps, stride), num_steps)
     data = np.empty(shape)
     state = start()
+    on_step = on_step or (lambda m, z: None)
+    on_step(0, state.current)
     for row, target in enumerate(plan):
         while state.step_index < target:
             try:
@@ -358,14 +364,16 @@ def _drive(problem, start, advance, stride: int):
                 raise
             except SolverError as exc:
                 raise SolverError(f"{exc} (at step {state.step_index + 1})") from exc
+            on_step(state.step_index, state.current)
         data[:, row] = state.current.reshape(n, blocks).T
     data.flags.writeable = False
     return plan, data
 
 
-def run(problem: KdvProblem, u0: Field, stride: int = 1) -> Trajectory:
+def run(problem: KdvProblem, u0: Field, stride: int = 1, on_step=None) -> Trajectory:
     """Integrate over the full time grid, storing every stride-th field.
 
-    The returned ``data`` array is read-only."""
-    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step, stride)
+    ``on_step(m, u)`` is called at step 0 and after every step (see
+    ``_drive``).  The returned ``data`` array is read-only."""
+    plan, data = _drive(problem, lambda: init_predictor(problem, u0), step, stride, on_step)
     return Trajectory(problem.grid, problem.time_grid.dt, plan, data[0])

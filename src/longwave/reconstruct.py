@@ -36,7 +36,8 @@ All time integrals use the composite trapezoid rule with step dt = dx, the
 bottom profile sampled on the whole real line (no wrap) and the wave
 snapshots with periodic wrap.  Quadrature abscissae of the form x - t + 2s
 are read from the counter-propagating snapshot at the matching time, which
-requires that trajectory to be stored at every step.
+requires that trajectory to be stored at every step, or the sum to have been
+fed during its run (below).
 
 Each characteristic quadrature is a running sum.  Along the characteristic
 with foot c the integrand at step j sits at lattice point y = c + j ('right')
@@ -44,17 +45,19 @@ or y = c - j ('left'), so the sum over steps 0..m obeys
 
     A_m(c) = A_{m-1}(c) + F_m(c +- m),
 
-kept on the extended lattice of n + M feet (M the last step the trajectory
-can resolve); the trapezoid end weights -F_0/2 and -F_m/2 are applied when
-the sum is read out.  One accumulator is kept per (trajectory, direction,
-weight kind) and a call at step m' >= m adds only the snapshots m+1..m', at
-cost O((m' - m) (n + M)); a call at an earlier step starts again from step 0.
-A stored sum is reused only while the trajectory holds the same data array,
-that array (and any array it views) is read-only, and the weight sampled on
-the extended lattice is unchanged.  Run output is read-only (``kdv.run`` and
-``boussinesq.run_boussinesq``), so a sum over it cannot go stale;
-a hand-built trajectory over a writeable array is summed from step 0 on
-every call.
+kept on the extended lattice of n + M feet (M the last stored step) and fed
+one snapshot at a time; the trapezoid end weights -F_0/2 and -F_m/2 are
+applied when the sum is read out.  One accumulator is kept per (trajectory,
+direction, weight kind) and a call at step m' >= m feeds only the snapshots
+m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step starts again
+from step 0.  It can also be fed by ``kdv.run``'s per-step hook and keep its
+read-outs at the stored steps, so a run stored at a coarser stride serves
+K_topo (``_streamed_topo_sum``).  A stored sum is reused only while the
+trajectory holds the same data array, that array (and any array it views)
+is read-only, and the weight sampled on the extended lattice is unchanged.
+Run output is read-only (``kdv.run`` and ``boussinesq.run_boussinesq``), so
+a sum over it cannot go stale; a hand-built trajectory over a writeable
+array is summed from step 0 on every call.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .grid import (
     Field,
     Grid1D,
     ModelCoefficients,
+    _shifted,
     discrete_sobolev,
 )
 from .kdv import Trajectory
@@ -194,47 +198,76 @@ def _bottom_integral_nodes(b: BathymetryProfile, grid: Grid1D, m: int,
 
 
 class _RunningSum:
-    """Trapezoid sums along the characteristics of one counter trajectory.
+    """Trapezoid sums along the characteristics of one counter field.
 
     ``acc[q]`` holds sum_{j <= step} F_j over the characteristic with foot
     q - M ('right') or q ('left'), where F_j is the weighted counter snapshot
-    j on the extended lattice of n + M points.
+    j on the extended lattice of n + M points.  ``feed`` adds the next
+    snapshot, ``read`` sums up to the last one fed.  ``advance(m)`` feeds a
+    stored trajectory (``data``) up to m; ``record``, a ``kdv.run`` hook,
+    feeds a run as it goes and keeps the read-outs at the steps in ``keep``.
     """
 
-    def __init__(self, data: np.ndarray, direction: str, lattice: np.ndarray,
-                 w_ext: np.ndarray | None):
-        self.data = data
-        self.direction = direction
-        self.w_ext = w_ext
-        self.big_m = len(lattice) - data.shape[1]
-        self.wrap = lattice % data.shape[1]
+    def __init__(self, weight, grid: Grid1D, big_m: int, direction: str, data=None,
+                 keep=()):
+        n, self.dx = grid.num_points, grid.dx
+        lattice = np.arange(-big_m, n) if direction == "right" else np.arange(0, n + big_m)
+        if weight is None:
+            self.kind, self.w_ext = "one", None
+        elif isinstance(weight, BathymetryProfile):
+            self.kind = "profile"
+            self.w_ext = np.asarray(weight.derivative(lattice * grid.dx), dtype=float)
+        else:
+            vals = weight.values if isinstance(weight, Field) else np.asarray(weight, dtype=float)
+            self.kind, self.w_ext = "array", vals[lattice % n]
+        self.direction, self.big_m, self.data = direction, big_m, data
+        self.wrap = lattice % n
         self.acc = np.zeros(len(lattice))
         self.step = -1
+        self.keep = frozenset(keep)
+        self.readouts = {}
 
-    def _integrand(self, j: int, lattice: slice) -> np.ndarray:
-        vals = self.data[j][self.wrap[lattice]]
+    def _integrand(self, values: np.ndarray, lattice: slice) -> np.ndarray:
+        vals = values[self.wrap[lattice]]
         return vals if self.w_ext is None else vals * self.w_ext[lattice]
 
-    def advance(self, m: int) -> None:
-        length = len(self.acc)
-        for j in range(self.step + 1, m + 1):
-            if self.direction == "right":
-                self.acc[:length - j] += self._integrand(j, slice(j, None))
-            else:
-                self.acc[j:] += self._integrand(j, slice(0, length - j))
-        self.step = m
+    def feed(self, values: np.ndarray) -> None:
+        j, length = self.step + 1, len(self.acc)
+        if self.direction == "right":
+            self.acc[:length - j] += self._integrand(values, slice(j, None))
+        else:
+            self.acc[j:] += self._integrand(values, slice(0, length - j))
+        if j == 0:
+            self.first = values.copy()
+        self.step, self.last = j, values
 
-    def read(self, m: int, dt: float) -> np.ndarray:
-        n = self.data.shape[1]
+    def advance(self, m: int) -> None:
+        for j in range(self.step + 1, m + 1):
+            self.feed(self.data[j])
+
+    def read(self) -> np.ndarray:
+        m, n = self.step, len(self.last)
         if self.direction == "right":
             feet = slice(self.big_m - m, self.big_m - m + n)
             here = slice(self.big_m, self.big_m + n)
         else:
             feet = slice(m, m + n)
             here = slice(0, n)
-        first = self._integrand(0, feet)
-        last = self.data[m] if self.w_ext is None else self.data[m] * self.w_ext[here]
-        return dt * (self.acc[feet] - 0.5 * first - 0.5 * last)
+        first = self._integrand(self.first, feet)
+        last = self.last if self.w_ext is None else self.last * self.w_ext[here]
+        return self.dx * (self.acc[feet] - 0.5 * first - 0.5 * last)
+
+    def record(self, m: int, values: np.ndarray) -> None:
+        self.feed(values)
+        if m in self.keep:
+            self.readouts[m] = self.read()
+            self.readouts[m].flags.writeable = False
+
+    def attach(self, traj: Trajectory) -> None:
+        """Serve the read-outs to quadratures over ``traj``, the run's output."""
+        self.data = traj.data
+        with _RUNNING_SUMS_LOCK:
+            _RUNNING_SUMS.setdefault(traj, {})[(self.direction, self.kind)] = self
 
 
 # Running sums per counter trajectory, keyed by (direction, weight kind); a
@@ -252,6 +285,14 @@ def _read_only(a) -> bool:
     return True
 
 
+def _streamed_topo_sum(b: BathymetryProfile, grid: Grid1D, num_steps: int, keep) -> _RunningSum:
+    """N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, the one characteristic sum of
+    K_topo from a right-going run u alone (``n_traj=None``).  Pass ``record``
+    as ``kdv.run``'s ``on_step`` and ``attach`` the run's output; K_topo then
+    reads the sums at the steps in ``keep`` without a stride-1 history."""
+    return _RunningSum(b, grid, num_steps, "left", keep=keep)
+
+
 def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -> np.ndarray:
     """Trapezoid of weight(y) * field(s, y) along the characteristic for all nodes.
 
@@ -260,34 +301,26 @@ def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -
     direction 'left':  y = x_i + t - s.  The weight is evaluated unwrapped when
     it is a bottom profile (derivative) and with periodic wrap when it is a
     per-node array; the counter snapshots always wrap periodically.  The sum
-    is advanced from the trajectory's stored running sum (module docstring).
+    is recorded during the run or advanced from a stored one (module docstring).
     """
     grid = counter.grid
-    n = grid.num_points
     if m == 0:
-        return np.zeros(n)
-    _require_full_history(counter, m, "counter-propagating")
-    # Steps 0..m stored means m < number of snapshots: M bounds every valid m.
-    big_m = len(counter.step_indices) - 1
-    lattice = np.arange(-big_m, n) if direction == "right" else np.arange(0, n + big_m)
-    if weight is None:
-        kind, w_ext = "one", None
-    elif isinstance(weight, BathymetryProfile):
-        kind, w_ext = "profile", np.asarray(weight.derivative(lattice * grid.dx), dtype=float)
-    else:
-        vals = weight.values if isinstance(weight, Field) else np.asarray(weight, dtype=float)
-        kind, w_ext = "array", vals[lattice % n]
-
+        return np.zeros(grid.num_points)
+    # M, the last stored step, bounds every m the trajectory can resolve.
+    fresh = _RunningSum(weight, grid, int(counter.step_indices[-1]), direction, counter.data)
     with _RUNNING_SUMS_LOCK:
         sums = _RUNNING_SUMS.setdefault(counter, {})
-        state = sums.get((direction, kind))
-        if (state is None or state.data is not counter.data or state.step > m
-                or not _read_only(counter.data)
-                or (w_ext is not None and not np.array_equal(w_ext, state.w_ext))):
-            state = _RunningSum(counter.data, direction, lattice, w_ext)
-            sums[(direction, kind)] = state
+        state = sums.get((direction, fresh.kind))
+        valid = (state is not None and state.data is counter.data
+                 and _read_only(counter.data)
+                 and (fresh.w_ext is None or np.array_equal(fresh.w_ext, state.w_ext)))
+        if valid and m in state.readouts:
+            return state.readouts[m]
+        _require_full_history(counter, m, "counter-propagating")
+        if not valid or state.step > m:
+            state = sums[(direction, fresh.kind)] = fresh
         state.advance(m)
-        return state.read(m, grid.dx)
+        return state.read()
 
 
 def bottom_shift_integral(b: BathymetryProfile, t: float, x: float,
@@ -387,7 +420,7 @@ def _correctors(u_traj: Trajectory, n_traj: Trajectory | None, b: BathymetryProf
         direction = "right" if s > 0 else "left"
 
         def across(f):  # f(x) - f(x - 2st) for a function f of the counter field
-            return f - np.roll(f, 2 * s * m)
+            return f - _shifted(f, -2 * s * m)
 
         terms = {name: np.zeros(grid.num_points) for name in names}
         if counter is not None:

@@ -63,6 +63,7 @@ from .kdv import KDV_NONLINEAR_MODES, KdvProblem, _check_work, run
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
+    _streamed_topo_sum,
     growth_diagnostic,
     topo_modified_surfaces,
 )
@@ -466,15 +467,21 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     u0 = soliton_field(spec, grid)
     half = Field(u0.values / 2.0, grid)
     needs_topo = not bottom.is_flat()
+    num_steps = time_grid.num_steps
+    _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
 
     stride = config.error_stride(time_grid)
+    # K_topo's characteristic sum is fed as K runs: K is stored at the error steps
+    keep = {*range(0, num_steps, stride), num_steps}
+    topo_sum = _streamed_topo_sum(bottom, grid, num_steps, keep) if needs_topo else None
     t0 = _time.perf_counter()
     u_traj = run(
         KdvProblem(config.epsilon, grid, time_grid,
                    nonlinear_mode=config.kdv_nonlinear_mode),
-        u0,
-        stride=1 if needs_topo else stride,
+        u0, stride=stride, on_step=None if topo_sum is None else topo_sum.record,
     )
+    if topo_sum is not None:
+        topo_sum.attach(u_traj)
     kdv_seconds = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()

@@ -201,6 +201,16 @@ class TestRun:
         assert full.has_every_step_upto(tg.num_steps)
         assert not sparse.has_every_step_upto(tg.num_steps)
 
+    def test_step_hook_sees_every_step(self, setup):
+        eps, grid, tg, spec = setup
+        problem = KdvProblem(eps, grid, tg)
+        full = run(problem, soliton_field(spec, grid), stride=1)
+        seen = []
+        run(problem, soliton_field(spec, grid), stride=10,
+            on_step=lambda m, u: seen.append((m, u.copy())))
+        assert [m for m, _ in seen] == list(range(tg.num_steps + 1))
+        assert all(np.array_equal(u, full.at_step(m)) for m, u in seen)
+
     def test_invalid_stride(self, setup):
         eps, grid, tg, spec = setup
         with pytest.raises(ConfigurationError):

@@ -20,6 +20,7 @@ from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
     TERM_NAMES,
     _cross_integral_nodes,
+    _streamed_topo_sum,
     bottom_shift_integral,
     characteristic_cross_integral,
     classical_surfaces,
@@ -515,6 +516,47 @@ class TestTopoModifiedSurfaces:
                 assert c.bottom_integral[i] == pytest.approx(integral / 2.0, abs=1e-13)
                 assert c.bottom_derivative_integral[i] == pytest.approx(cross / 4.0, abs=1e-13)
                 assert c.counterprop_integral[i] == pytest.approx(cp / 4.0, abs=1e-13)
+
+
+class TestStreamedTopoSum:
+    """K_topo from the sum fed during a strided run against a stride-1 run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(16, 60), steps=st.integers(1, 40), stride=st.integers(1, 45),
+           bottom_kind=st.sampled_from(["step", "sinusoid"]),
+           eta_bracket=st.sampled_from(["sign_split", "identical"]),
+           periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_streamed_equals_stride_one(self, n, steps, stride, bottom_kind, eta_bracket,
+                                        periodic, seed):
+        rng = np.random.default_rng(seed)
+        eps, dx = 0.2, 0.25
+        grid = Grid1D(n, dx)
+        problem = KdvProblem(eps, grid, TimeGrid(steps, dx))
+        u0 = Field(0.3 * np.sin(2 * np.pi * np.arange(n) / n + rng.uniform(0, 6)), grid)
+        if bottom_kind == "step":
+            bottom = StepBottom(rng.uniform(-1, 1), rng.uniform(0, n) * dx,
+                                rng.uniform(0.5, 5) * dx)
+        else:
+            bottom = SinusoidBottom(rng.uniform(-1, 1), rng.uniform(2, n) * dx,
+                                    rng.uniform(0, 6))
+        coeffs = ModelCoefficients.zero_smoothing(eps)
+        full = run(problem, u0, stride=1)
+        sparse = run(problem, u0, stride=stride)
+        if stride > 1 and sparse.step_indices[1] > 1:
+            with pytest.raises(ConfigurationError):
+                topo_modified_surfaces(sparse, None, bottom, coeffs,
+                                       sparse.times[1], eta_bracket=eta_bracket)
+        topo_sum = _streamed_topo_sum(bottom, grid, steps, keep=set(sparse.step_indices))
+        streamed = run(problem, u0, stride=stride, on_step=topo_sum.record)
+        topo_sum.attach(streamed)
+        assert np.array_equal(streamed.data, sparse.data)
+        for t in streamed.times:
+            got, want = (topo_modified_surfaces(traj, None, bottom, coeffs, float(t),
+                                                periodic_variant=periodic,
+                                                eta_bracket=eta_bracket)
+                         for traj in (streamed, full))
+            assert np.array_equal(got.v.values, want.v.values)
+            assert np.array_equal(got.eta.values, want.eta.values)
 
 
 class TestGrowthDiagnostic:

@@ -227,6 +227,26 @@ class TestRunScenario:
         assert report.wrap_contamination < 1e-8
 
 
+    def test_k_stored_at_error_stride_only(self, monkeypatch):
+        # K_topo's characteristic sum is fed during the K run, so run_scenario
+        # never asks for a stride-1 K trajectory
+        calls = []
+
+        def spy(problem, u0, stride=1, **kwargs):
+            traj = run(problem, u0, stride=stride, **kwargs)
+            calls.append((stride, traj))
+            return traj
+
+        run = scenarios.run
+        monkeypatch.setattr(scenarios, "run", spy)
+        config = ScenarioConfig(scenario="step", epsilon=0.2, final_time=3.0, error_interval=0.5)
+        report = run_scenario(config)
+        (stride, traj), = calls
+        error_stride = config.error_stride(config.build_time_grid())
+        assert stride == error_stride > 1
+        assert np.allclose(traj.times, report.error_times)
+        assert len(traj.step_indices) == len(report.error_times)
+
 class TestWriteOutputs:
     def test_files_and_round_trip(self, tmp_path):
         config = ScenarioConfig(
@@ -466,6 +486,20 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_guard_counts_k_and_twice_b(self, tmp_path, monkeypatch, capsys):
+        # 1600 nodes x 5e6 steps = 8e9 node-steps passes the 1e10 guard of one
+        # K run, but the command's K + 2 x B = 2.4e10 is refused before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "validate", "epsilon": 0.2,
+                                    "final_time": 2.5e5, "snapshot_times": [2.5e5]}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "node-steps" in capsys.readouterr().err
 
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")
