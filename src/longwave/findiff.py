@@ -19,7 +19,7 @@ one, whose stencil offset o then becomes band offset 2o + col - row).
 Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that every
 cyclic neighbour is at most 2p positions away: a cyclic band of half-width p
 becomes an ordinary band of half-width 2p, which one LAPACK banded LU
-factors and solves for every n, with no corner correction.
+factors for every n, with no corner correction.
 
 A run solves one such system per step, and most of its matrix does not
 change: the mass terms, D1, D3, the D2 smoothing and every bottom term.  A
@@ -35,6 +35,16 @@ that needed a third correction refactors at the next solve.
 ``CyclicBandedMatrix.solve`` is the one-off case: a fresh LU and no guess.
 Every factorization passes the pivot guard, and every returned x meets
 ||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
+
+The kept LU is P A = L U with one row order P per run.  The first
+factorization (``dgbtrf``) takes P from its row interchanges; every later one
+factors P A, whose half-widths grow by P's largest row displacement, and
+must meet no interchange, or it adopts the new order and factors again.
+With no interchange, L (unit lower) and U are plain band matrices, so one
+application of the LU is a gather of the rows by P and two triangular band
+solves (``dtbsv``), each a single BLAS call.  Factor entries below the
+smallest normal float are set to 0: the fill that couples the two halves of
+the fold decays into subnormals, which slow every solve.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dgbmv, dtbsv
+from scipy.linalg.lapack import dgbtrf
 
 from .errors import GridMismatchError, SolverError
 from .grid import Grid1D, _shifted
@@ -65,6 +75,12 @@ _PIVOT_RTOL = 1e-14
 _REFINE_RTOL = 1e-15
 # Corrections a kept LU takes per solve; one more marks it for refactoring.
 _KEPT_LU_CORRECTIONS = 2
+# dgbtrf calls per factorization: one may meet interchanges and find a new row
+# order, the next factors in it and meets none; the third is a spare.
+_ORDER_TRIES = 3
+# Factor entries below the smallest normal float are set to 0: subnormals slow every solve.
+_TINY = np.finfo(float).tiny
+_FLUSH_CHUNK = 1 << 13
 
 
 class CyclicBandedOperator:
@@ -225,9 +241,18 @@ class StepOperator(_BandAssembly):
     band equal to C; V is then added through ``add_operator``/``add_diagonal``
     as on a ``CyclicBandedMatrix``, and ``solve(rhs, guess)`` refines from the
     guess with the LU of an earlier step, refactoring the work band when that
-    LU no longer converges in two corrections.  ``factorizations`` and
-    ``corrections`` (LU applications) count the solver's work.  One LU buffer
-    and one work band are kept per operator, so a run holds its own.
+    LU no longer converges in two corrections.
+
+    The LU is P A = L U with one row order P per run: the first
+    factorization takes the order of partial pivoting, every later one
+    factors P A and must meet no interchange (one that does adopts the new
+    order and factors again).  L (unit lower) and U are kept as two band
+    arrays over the one LU buffer, with the entries below the smallest
+    normal float set to 0, so applying the LU is a gather by P and two
+    triangular band solves.  ``factorizations`` (dgbtrf calls) and
+    ``corrections`` (LU applications) count the solver's work.  The work
+    band and the LU buffer are allocated per operator (the buffer again when
+    the order changes), so a run holds its own.
     """
 
     def __init__(self, constant: CyclicBandedMatrix):
@@ -242,11 +267,26 @@ class StepOperator(_BandAssembly):
             flat[self._scatter[off + self._reach]] += vals
         self._work = self._constant.copy(order="F")
         self._work_flat = self._work.reshape(-1, order="F")
-        self._lu = None
-        self._piv = None
+        # the row order P (None: as folded) and, once reordered, its inverse
+        # and where each column of P A starts in the LU buffer
+        self._order = self._inverse = self._cells = None
+        self._allocate(self._k, self._k)
+        self._kept = False
         self._stale = False
         self.factorizations = 0
         self.corrections = 0
+
+    def _allocate(self, kl: int, ku: int) -> None:
+        """The LU buffer of a P A with kl sub- and ku superdiagonals, and L and
+        U as band arrays over it: dgbtrf leaves U(i, j) and L(i, j) at row
+        kl + ku + i - j of column j, so U is the buffer entered kl rows on and
+        L the buffer entered kl + ku rows on, both with its leading dimension."""
+        self._kl, self._ku = kl, ku
+        size = (2 * kl + ku + 1) * self.n
+        buffer = np.zeros(size + kl + ku)
+        self._lu = buffer[:size].reshape((-1, self.n), order="F")
+        self._upper = buffer[kl:kl + size].reshape((-1, self.n), order="F")
+        self._lower = buffer[kl + ku:kl + ku + size].reshape((-1, self.n), order="F")
 
     def reset(self) -> None:
         """Start a step: the work band holds the constant part alone."""
@@ -279,7 +319,7 @@ class StepOperator(_BandAssembly):
         b = np.empty(self.n)
         b[pos] = rhs
         bound = _SOLVE_RTOL * max(np.max(np.abs(rhs)), 1e-300)
-        if self._lu is not None and guess is not None and not self._stale:
+        if self._kept and guess is not None and not self._stale:
             x = np.empty(self.n)
             x[pos] = guess
             residual = self._residual(x, b)
@@ -307,25 +347,69 @@ class StepOperator(_BandAssembly):
         return x[pos]
 
     def _factor(self) -> None:
-        """LU of the work band, in place in the one LU buffer (Fortran order)."""
-        k = self._k
-        if self._lu is None:
-            self._lu = np.zeros((3 * k + 1, self.n), order="F")
+        """P A = L U of the work band, in place in the one LU buffer, kept as
+        the band arrays L and U."""
+        self._kept = False
+        for _ in range(_ORDER_TRIES):
+            kl, ku, lu = self._kl, self._ku, self._lu
+            self._load(lu)
+            lu, piv, info = dgbtrf(lu, kl, ku, overwrite_ab=True)
+            self.factorizations += 1
+            moved = np.flatnonzero(piv != np.arange(self.n, dtype=piv.dtype))
+            if info != 0 or moved.size == 0:
+                break
+            self._reorder(piv, moved)
         else:
-            self._lu[:k] = 0.0
-        self._lu[k:] = self._work
-        lu, piv, info = dgbtrf(self._lu, k, k, overwrite_ab=True)
-        self.factorizations += 1
-        pivots = np.abs(lu[2 * k])
+            raise SolverError("the row order of the LU did not settle")
+        pivots = np.abs(lu[kl + ku])
         if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():
-            self._lu = None
             raise SolverError(f"matrix is singular or ill-conditioned (dgbtrf info={info})")
-        self._lu, self._piv, self._stale = lu, piv, False
+        flat = lu.reshape(-1, order="F")
+        for i in range(0, flat.size, _FLUSH_CHUNK):
+            chunk = flat[i:i + _FLUSH_CHUNK]
+            magnitude = np.abs(chunk)
+            chunk[(magnitude < _TINY) & (magnitude > 0.0)] = 0.0
+        self._kept, self._stale = True, False
+
+    def _load(self, lu: np.ndarray) -> None:
+        """P A into the LU buffer, in dgbtrf's layout: (P A)[i, c] at row
+        kl + ku + i - c of column c, the kl rows above it 0."""
+        kl, k, n = self._kl, self._k, self.n
+        if self._order is None:
+            lu[:kl] = 0.0
+            lu[kl:] = self._work
+            return
+        lu.fill(0.0)  # cells of P A outside the band of A stay 0
+        flat = lu.reshape(-1, order="F")
+        for band in range(2 * k + 1):
+            # work[band, c] holds A[r, c], r = c + band - k, for c in [lo, hi);
+            # A[r, c] is (P A)[inverse[r], c]
+            lo, hi = max(0, k - band), min(n, n + k - band)
+            rows = self._inverse[lo + band - k:hi + band - k]
+            flat[self._cells[lo:hi] + rows] = self._work[band, lo:hi]
+
+    def _reorder(self, piv: np.ndarray, moved: np.ndarray) -> None:
+        """Adopt as P the interchanges ``piv`` applied to the current order,
+        with the half-widths and the LU buffer of P A."""
+        order = list(range(self.n)) if self._order is None else self._order.tolist()
+        for j in moved.tolist():
+            i = int(piv[j])
+            order[i], order[j] = order[j], order[i]
+        self._order = np.array(order)
+        k, n = self._k, self.n
+        shift = self._order - np.arange(n)  # row i of P A is row order[i] of A
+        self._allocate(min(k - int(shift.min()), n - 1), min(k + int(shift.max()), n - 1))
+        self._inverse = np.empty(n, dtype=np.intp)
+        self._inverse[self._order] = np.arange(n)
+        # flat index of (P A)[i, c] in the LU buffer, less i
+        self._cells = np.arange(n) * (2 * self._kl + self._ku) + self._kl + self._ku
 
     def _apply_lu(self, r: np.ndarray) -> np.ndarray:
+        """(L U)^-1 P r: the rows of r in the run's order, then two triangular solves."""
         self.corrections += 1
-        d, _ = dgbtrs(self._lu, self._k, self._k, r, self._piv)
-        return d
+        y = r.copy() if self._order is None else r[self._order]
+        dtbsv(self._kl, self._lower, y, lower=1, diag=1, overwrite_x=1)
+        return dtbsv(self._ku, self._upper, y, overwrite_x=1)
 
     def _residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b - A x in folded order, against the current work band."""

@@ -38,9 +38,10 @@ the nonlinear terms frozen at the predictor, returning the right-hand side.
 ``_start`` folds the constant terms once into the run's ``StepOperator``,
 which the state carries.  Each step copies that band, adds the predictor
 terms and solves for w by refinement with the LU kept from an earlier step,
-starting from the guess z^{n+1/2} + 2 delta_1 - delta_2, where
-delta = w - z^{n+1/2} of the last two steps (also carried by the state, so
-two runs of one problem never share it); the stop and refactor rules are in
+starting from the quadratic extrapolation z^{n+1/2} + 3 delta_1 - 3 delta_2
++ delta_3, where delta = w - z^{n+1/2} of the last three steps (also carried
+by the state, so two runs of one problem never share them; the first steps
+extrapolate from the ones there are); the stop and refactor rules are in
 ``findiff``, and the solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf
 contract as a direct solve.  The step then sets z^{n+1} = 2w - z^n and
 relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.  ``system(predictor,
@@ -251,7 +252,7 @@ class RelaxationState:
     """State after n steps of one run: raw arrays of the unknown z^n and its
     predictor z^{n+1/2} (the coupled stepper's z interleaves
     (v_0, eta_0, v_1, eta_1, ...)), the step index, the run's step operator,
-    and the offsets delta = w - z^{n-1/2} of the last (up to) two solves,
+    and the offsets delta = w - z^{n-1/2} of the last (up to) three solves,
     latest first, from which the next solve's guess is extrapolated.  A state
     is advanced by the problem that started it."""
 
@@ -279,13 +280,16 @@ def _advance(problem, state: RelaxationState) -> RelaxationState:
     """One relaxation step of either model: solve for the half-sum w at the
     frozen predictor, set z^{n+1} = 2w - z^n, then relax the predictor.
 
-    The solve starts from the guess predictor + 2 delta_1 - delta_2, a
-    linear extrapolation of the last two offsets delta = w - predictor."""
+    The solve starts from the guess predictor + 3 delta_1 - 3 delta_2 +
+    delta_3, a quadratic extrapolation of the last three offsets
+    delta = w - predictor (linear or constant while fewer are known)."""
     operator, deltas = state.operator, state.deltas
     operator.reset()
     rhs = problem.add_predictor_terms(operator, state.predictor, state.current)
     guess = state.predictor
-    if len(deltas) == 2:
+    if len(deltas) == 3:
+        guess = guess + (3.0 * (deltas[0] - deltas[1]) + deltas[2])
+    elif len(deltas) == 2:
         guess = guess + (2.0 * deltas[0] - deltas[1])
     elif deltas:
         guess = guess + deltas[0]
@@ -297,7 +301,7 @@ def _advance(problem, state: RelaxationState) -> RelaxationState:
             f"non-finite solution at step {next_index}", step_index=next_index
         )
     return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt,
-                           operator, (w - state.predictor,) + deltas[:1])
+                           operator, (w - state.predictor,) + deltas[:2])
 
 
 def init_predictor(problem: KdvProblem, u0: Field) -> RelaxationState:
@@ -322,6 +326,20 @@ def _check_work(what: str, work: float) -> None:
         )
 
 
+def _check_storage(what: str, nbytes: float) -> None:
+    """Refuse storage above the 1 GB guard."""
+    if nbytes > _MEMORY_GUARD_BYTES:
+        raise ConfigurationError(
+            f"{what} would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
+            "increase the stride or coarsen the run"
+        )
+
+
+def _stored_rows(num_steps: int, stride: int) -> int:
+    """Snapshots a run stores: every stride-th step plus the final one."""
+    return -(-num_steps // stride) + 1
+
+
 def _drive(problem, start, advance, stride: int, on_step=None):
     """Run loop shared by both steppers.
 
@@ -343,13 +361,8 @@ def _drive(problem, start, advance, stride: int, on_step=None):
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
     _check_work("run", n * num_steps)
-    shape = (blocks, -(-num_steps // stride) + 1, n)
-    nbytes = 8 * shape[0] * shape[1] * shape[2]
-    if nbytes > _MEMORY_GUARD_BYTES:
-        raise ConfigurationError(
-            f"trajectory storage would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
-            "increase the stride or coarsen the run"
-        )
+    shape = (blocks, _stored_rows(num_steps, stride), n)
+    _check_storage("trajectory storage", 8 * shape[0] * shape[1] * shape[2])
     # every stride-th step plus the final one
     plan = np.append(np.arange(0, num_steps, stride), num_steps)
     data = np.empty(shape)

@@ -59,7 +59,14 @@ from .grid import (
     discrete_l2,
     soliton_field,
 )
-from .kdv import KDV_NONLINEAR_MODES, KdvProblem, _check_work, run
+from .kdv import (
+    KDV_NONLINEAR_MODES,
+    KdvProblem,
+    _check_storage,
+    _check_work,
+    _stored_rows,
+    run,
+)
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
@@ -471,6 +478,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
 
     stride = config.error_stride(time_grid)
+    # K (one field), B (two) and K_topo's read-outs (n floats), all at the error steps
+    _check_storage("simulate storage at the error steps",
+                   8 * (4 if needs_topo else 3) * grid.num_points
+                   * _stored_rows(num_steps, stride))
     # K_topo's characteristic sum is fed as K runs: K is stored at the error steps
     keep = {*range(0, num_steps, stride), num_steps}
     topo_sum = _streamed_topo_sum(bottom, grid, num_steps, keep) if needs_topo else None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf
 
 from longwave.boussinesq import (
     BoussinesqProblem,
@@ -20,6 +21,7 @@ from longwave.grid import (
     discrete_h1_eps,
     soliton_field,
 )
+from longwave.scenarios import ScenarioConfig
 
 
 def _mirror(values):
@@ -283,3 +285,30 @@ class TestRun:
         _, eta_b = b_traj.at_step(tg.num_steps)
         eta_k = u_traj.at_step(tg.num_steps) / 2.0
         assert np.max(np.abs(eta_k - eta_b)) < 0.1 * alpha
+
+
+def test_kept_factors_hold_no_subnormals():
+    # On the step eps=0.1 geometry (n=2000, 4000 unknowns) the fill that
+    # couples the two halves of the fold decays through the subnormal range
+    # in a plain LU of the step matrix; the kept L and U hold none of it.
+    config = ScenarioConfig(scenario="step", epsilon=0.1, overtime=True)
+    grid, time_grid = config.build_grid(), config.build_time_grid()
+    problem = BoussinesqProblem(config.build_coefficients(), config.build_bathymetry(),
+                                grid, time_grid)
+    half = Field(soliton_field(config.build_soliton(), grid).values / 2.0, grid)
+    state = init_boussinesq(problem, half, half)
+    for _ in range(20):
+        state = step_boussinesq(problem, state)
+    operator = state.operator
+
+    def subnormals(a):
+        return int(np.sum((a != 0.0) & (np.abs(a) < np.finfo(float).tiny)))
+
+    k = operator._k
+    plain = np.zeros((3 * k + 1, operator.n), order="F")
+    plain[k:] = operator._work
+    plain, _, info = dgbtrf(plain, k, k, overwrite_ab=True)
+    assert info == 0 and subnormals(plain) > 0
+    assert operator.factorizations > 0
+    assert subnormals(operator._lower[:operator._kl + 1]) == 0
+    assert subnormals(operator._upper[:operator._ku + 1]) == 0

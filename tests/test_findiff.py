@@ -201,7 +201,8 @@ class TestSolve:
     def test_solve_after_assemble_roundtrip(self, rng, monkeypatch):
         # solve(A, A @ x) == x for a stepper-like system matrix through a step
         # operator, with the LU buffer factored in place on both the first and
-        # a repeat call
+        # a repeat call; this matrix pivots, so the first solve factors twice
+        # (once to find the row order, once in it)
         in_place = []
 
         def spy(ab, *args, **kwargs):
@@ -221,7 +222,7 @@ class TestSolve:
         for _ in range(2):
             x_hat = operator.solve(m.matvec(x))
             assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
-        assert in_place == [True, True]
+        assert in_place == [True, True, True]
 
     def test_rhs_dimension_check(self):
         m = CyclicBandedMatrix(16)
@@ -307,6 +308,39 @@ def _step(operator, constant, terms):
     return reference.to_dense()
 
 
+def _random_block_terms(n, blocks, reach, rng):
+    """Random stencil terms in [-1, 1] over every block and offset within reach,
+    as (offset, block, pre_diag) triples."""
+    return [(off, (row, col), rng.uniform(-1.0, 1.0, n))
+            for row in range(blocks) for col in range(blocks)
+            for off in range(-reach, reach + 1)]
+
+
+def _dominant_terms(n, blocks, shift, size):
+    """A[u, u + shift] = size for every unknown u, as block terms."""
+    terms = []
+    for row in range(blocks):
+        col = (row + shift) % blocks
+        terms.append(((row + shift - col) // blocks, (row, col), np.full(n, size)))
+    return terms
+
+
+def _write(target, terms):
+    n = target.n // target.blocks
+    for off, block, pre in terms:
+        target.add_operator(CyclicBandedOperator((off,), (1.0,), n), pre_diag=pre, block=block)
+
+
+def _block_step(operator, constant, terms):
+    """Write one step's block terms into the operator; return the dense matrix."""
+    reference = CyclicBandedMatrix(constant.n, constant.blocks)
+    reference.data = {off: vals.copy() for off, vals in constant.data.items()}
+    _write(reference, terms)
+    operator.reset()
+    _write(operator, terms)
+    return reference.to_dense()
+
+
 class TestStepOperator:
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 300), p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
@@ -356,11 +390,13 @@ class TestStepOperator:
         _step(operator, constant, _variable_terms(n, 2, 1e-7, rng))
         operator.solve(rng.standard_normal(n), np.zeros(n))
         assert operator.factorizations == 1
-        # ... a far one cannot, and its answer is as tight as a direct solve
+        # ... a far one cannot, and its answer is as tight as a direct solve;
+        # that matrix is no longer dominant and pivots, so its factorization
+        # takes two dgbtrf calls (one finds the new row order, one uses it)
         dense = _step(operator, constant, _variable_terms(n, 2, 5.0, rng))
         rhs = rng.standard_normal(n)
         x = operator.solve(rhs, np.zeros(n))
-        assert operator.factorizations == 2
+        assert operator.factorizations == 3
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -390,3 +426,56 @@ class TestStepOperator:
         operator = StepOperator(constant)
         with pytest.raises(GridMismatchError):
             operator.add_operator(make_d1(Grid1D(16, 0.1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), blocks=st.sampled_from([1, 2]), reach=st.integers(1, 2),
+           shifts=st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
+           switch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    # n <= 2 reach makes stencil offsets alias onto the same entry
+    @example(n=1, blocks=2, reach=2, shifts=(1, -1), switch=1, seed=1)
+    @example(n=3, blocks=1, reach=2, shifts=(1, 0), switch=2, seed=2)
+    @example(n=40, blocks=2, reach=2, shifts=(-1, 1), switch=2, seed=3)
+    def test_row_order_path_matches_dense(self, n, blocks, reach, shifts, switch, seed):
+        # Every row has one dominant entry at unknown offset shifts[0]: 0
+        # needs no interchange, +-1 makes partial pivoting reorder the folded
+        # rows.  From step ``switch`` on, a three times larger entry at
+        # shifts[1] moves the pivot order in the middle of the run.
+        rng = np.random.default_rng(seed)
+        size = 4.0 * blocks * (2 * reach + 1)  # twice the random part of a row
+        constant = CyclicBandedMatrix(blocks * n, blocks)
+        _write(constant, _random_block_terms(n, blocks, reach, rng)
+               + _dominant_terms(n, blocks, shifts[0], size))
+        operator = StepOperator(constant)
+        x = None
+        for step in range(6):
+            terms = _random_block_terms(n, blocks, reach, rng)
+            if step >= switch:
+                terms += _dominant_terms(n, blocks, shifts[1], 3.0 * size)
+            dense = _block_step(operator, constant, terms)
+            rhs = rng.standard_normal(blocks * n)
+            x = operator.solve(rhs, x)
+            expected = np.linalg.solve(dense, rhs)
+            assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+            np.testing.assert_allclose(x, expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_moved_pivot_order_is_adopted_once(self, rng):
+        # The dominant entry sits above the diagonal, so the first
+        # factorization finds the row order and the second uses it; moving it
+        # below the diagonal makes the kept order meet interchanges once, after
+        # which the new order factors with none.
+        n = 64
+        constant = CyclicBandedMatrix(n)
+        _write(constant, _random_block_terms(n, 1, 2, rng) + _dominant_terms(n, 1, 1, 20.0))
+        operator = StepOperator(constant)
+        operator.solve(rng.standard_normal(n))
+        assert operator.factorizations == 2
+        operator.solve(rng.standard_normal(n))
+        assert operator.factorizations == 3
+        for calls in (5, 6):
+            dense = _block_step(operator, constant, _dominant_terms(n, 1, -1, 60.0))
+            rhs = rng.standard_normal(n)
+            x = operator.solve(rhs)
+            assert operator.factorizations == calls
+            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs),
+                                       rtol=0, atol=1e-12 * np.max(np.abs(x)))

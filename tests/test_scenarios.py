@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from longwave import scenarios
+from longwave import kdv, scenarios
 from longwave.cli import main
 from longwave.errors import ConfigurationError
+from longwave.findiff import StepOperator
 from longwave.grid import Field, Grid1D, SolitonSpec, soliton_field
 from longwave.scenarios import (
     ScenarioConfig,
@@ -246,6 +247,27 @@ class TestRunScenario:
         assert stride == error_stride > 1
         assert np.allclose(traj.times, report.error_times)
         assert len(traj.step_indices) == len(report.error_times)
+
+    def test_solver_work_on_step(self, monkeypatch):
+        # simulate --scenario step --epsilon 0.2: 240 steps of each model, one
+        # solve per step, with the factorizations (dgbtrf calls) the quadratic
+        # guess leaves and about two LU applications per solve
+        operators = []
+
+        class Recording(StepOperator):
+            def __init__(self, constant):
+                super().__init__(constant)
+                operators.append(self)
+
+        monkeypatch.setattr(kdv, "StepOperator", Recording)
+        run_scenario(ScenarioConfig(scenario="step", epsilon=0.2))
+        k_operator, b_operator = operators
+        assert (k_operator.blocks, b_operator.blocks) == (1, 2)
+        assert k_operator.factorizations <= 70
+        assert b_operator.factorizations <= 80
+        for operator in operators:
+            assert operator.corrections <= 2.0 * 240
+
 
 class TestWriteOutputs:
     def test_files_and_round_trip(self, tmp_path):
@@ -500,6 +522,21 @@ class TestCli:
                                     "final_time": 2.5e5, "snapshot_times": [2.5e5]}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "node-steps" in capsys.readouterr().err
+
+    def test_simulate_storage_guard_sums_the_command(self, tmp_path, monkeypatch, capsys):
+        # 1600 nodes x 30001 stored steps: K holds 0.36 GB and B 0.72 GB, each
+        # under the 1 GB guard of one run, but K + 2 x B + K_topo's read-outs
+        # hold 1.43 GB and are refused before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "final_time": 1500.0,
+                                    "error_interval": 0.05}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "1 GB guard" in capsys.readouterr().err
 
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")
