@@ -30,8 +30,10 @@ with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the residual
 taken against the work band.  Refinement stops once the estimated remaining
 error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most 1e-15 ||x||.
 A correction that does not halve the previous one, or a third that still
-misses the stop, refactors the work band at once and solves directly; a step
-that needed a third correction refactors at the next solve.
+misses the stop, refactors the work band at once and takes one correction
+with the fresh LU from the last iterate, or from 0 when that iterate's
+residual is not below ||b||; a step that needed a third correction refactors
+at the next solve.
 ``CyclicBandedMatrix.solve`` is the one-off case: a fresh LU and no guess.
 Every factorization passes the pivot guard, and every returned x meets
 ||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
@@ -309,7 +311,10 @@ class StepOperator(_BandAssembly):
         meets the bound.  Two corrections are the rule; a third is taken
         while each correction at least halves the previous one, and then the
         next solve refactors.  Otherwise the work band is factored again and
-        x = LU^-1 rhs.  A zero pivot, a pivot below 1e-14 of the largest, or
+        one correction with the fresh LU is taken from the last iterate (the
+        guess when the kept LU was not tried) if its residual is below
+        ||rhs||_inf, else x = LU^-1 rhs: a correction small against x carries
+        the LU's rounding only on its own size.  A zero pivot, a pivot below 1e-14 of the largest, or
         a direct solve above the residual bound raises SolverError.
         """
         rhs = np.asarray(rhs, dtype=float)
@@ -318,11 +323,13 @@ class StepOperator(_BandAssembly):
         pos = self._pos
         b = np.empty(self.n)
         b[pos] = rhs
-        bound = _SOLVE_RTOL * max(np.max(np.abs(rhs)), 1e-300)
-        if self._kept and guess is not None and not self._stale:
+        scale = max(np.max(np.abs(rhs)), 1e-300)
+        bound = _SOLVE_RTOL * scale
+        if guess is not None:
             x = np.empty(self.n)
             x[pos] = guess
             residual = self._residual(x, b)
+        if self._kept and guess is not None and not self._stale:
             last = None
             for count in range(1, _KEPT_LU_CORRECTIONS + 2):
                 d = self._apply_lu(residual)
@@ -338,7 +345,10 @@ class StepOperator(_BandAssembly):
                     break  # the kept LU no longer halves the error
                 last = size
         self._factor()
-        x = self._apply_lu(b)
+        if guess is not None and np.max(np.abs(residual)) < scale:
+            x += self._apply_lu(residual)
+        else:
+            x = self._apply_lu(b)
         residual = np.max(np.abs(self._residual(x, b)))
         if not np.isfinite(residual) or residual > bound:
             raise SolverError(
