@@ -31,9 +31,9 @@ taken against the work band.  Refinement stops once the estimated remaining
 error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most 1e-15 ||x||.
 A correction that does not halve the previous one, or a third that still
 misses the stop, refactors the work band at once and takes one correction
-with the fresh LU from the last iterate, or from 0 when that iterate's
-residual is not below ||b||; a step that needed a third correction refactors
-at the next solve.
+with the fresh LU from the last iterate; it solves x = LU^-1 b instead when
+that iterate's residual is not below ||b|| or the corrected x misses the
+bound.  A step that needed a third correction refactors at the next solve.
 ``CyclicBandedMatrix.solve`` is the one-off case: a fresh LU and no guess.
 Every factorization passes the pivot guard, and every returned x meets
 ||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
@@ -269,22 +269,28 @@ class StepOperator(_BandAssembly):
             flat[self._scatter[off + self._reach]] += vals
         self._work = self._constant.copy(order="F")
         self._work_flat = self._work.reshape(-1, order="F")
-        # the row order P (None: as folded) and, once reordered, its inverse
-        # and where each column of P A starts in the LU buffer
-        self._order = self._inverse = self._cells = None
-        self._allocate(self._k, self._k)
+        self._set_order(np.arange(self.n))
         self._kept = False
         self._stale = False
         self.factorizations = 0
         self.corrections = 0
 
-    def _allocate(self, kl: int, ku: int) -> None:
-        """The LU buffer of a P A with kl sub- and ku superdiagonals, and L and
-        U as band arrays over it: dgbtrf leaves U(i, j) and L(i, j) at row
-        kl + ku + i - j of column j, so U is the buffer entered kl rows on and
-        L the buffer entered kl + ku rows on, both with its leading dimension."""
-        self._kl, self._ku = kl, ku
-        size = (2 * kl + ku + 1) * self.n
+    def _set_order(self, order: np.ndarray) -> None:
+        """Adopt the row order P (row i of P A is row order[i] of A), with the
+        half-widths of P A, its LU buffer, and L and U as band arrays over it:
+        dgbtrf leaves U(i, j) and L(i, j) at row kl + ku + i - j of column j,
+        so U is the buffer entered kl rows on and L the buffer entered
+        kl + ku rows on, both with its leading dimension."""
+        k, n = self._k, self.n
+        self._order = order
+        self._inverse = np.empty(n, dtype=np.intp)
+        self._inverse[order] = np.arange(n)
+        shift = order - np.arange(n)
+        self._kl = kl = min(k - int(shift.min()), n - 1)
+        self._ku = ku = min(k + int(shift.max()), n - 1)
+        # flat index of (P A)[i, c] in the LU buffer, less i
+        self._cells = np.arange(n) * (2 * kl + ku) + kl + ku
+        size = (2 * kl + ku + 1) * n
         buffer = np.zeros(size + kl + ku)
         self._lu = buffer[:size].reshape((-1, self.n), order="F")
         self._upper = buffer[kl:kl + size].reshape((-1, self.n), order="F")
@@ -313,9 +319,11 @@ class StepOperator(_BandAssembly):
         next solve refactors.  Otherwise the work band is factored again and
         one correction with the fresh LU is taken from the last iterate (the
         guess when the kept LU was not tried) if its residual is below
-        ||rhs||_inf, else x = LU^-1 rhs: a correction small against x carries
-        the LU's rounding only on its own size.  A zero pivot, a pivot below 1e-14 of the largest, or
-        a direct solve above the residual bound raises SolverError.
+        ||rhs||_inf: a correction small against x carries the LU's rounding
+        only on its own size.  With no such iterate, or when the corrected
+        one misses the bound, x = LU^-1 rhs.  A zero pivot, a pivot below
+        1e-14 of the largest, or a direct solve above the residual bound
+        raises SolverError.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
@@ -347,8 +355,9 @@ class StepOperator(_BandAssembly):
         self._factor()
         if guess is not None and np.max(np.abs(residual)) < scale:
             x += self._apply_lu(residual)
-        else:
-            x = self._apply_lu(b)
+            if np.max(np.abs(self._residual(x, b))) <= bound:
+                return x[pos]
+        x = self._apply_lu(b)
         residual = np.max(np.abs(self._residual(x, b)))
         if not np.isfinite(residual) or residual > bound:
             raise SolverError(
@@ -384,11 +393,7 @@ class StepOperator(_BandAssembly):
     def _load(self, lu: np.ndarray) -> None:
         """P A into the LU buffer, in dgbtrf's layout: (P A)[i, c] at row
         kl + ku + i - c of column c, the kl rows above it 0."""
-        kl, k, n = self._kl, self._k, self.n
-        if self._order is None:
-            lu[:kl] = 0.0
-            lu[kl:] = self._work
-            return
+        k, n = self._k, self.n
         lu.fill(0.0)  # cells of P A outside the band of A stay 0
         flat = lu.reshape(-1, order="F")
         for band in range(2 * k + 1):
@@ -399,25 +404,17 @@ class StepOperator(_BandAssembly):
             flat[self._cells[lo:hi] + rows] = self._work[band, lo:hi]
 
     def _reorder(self, piv: np.ndarray, moved: np.ndarray) -> None:
-        """Adopt as P the interchanges ``piv`` applied to the current order,
-        with the half-widths and the LU buffer of P A."""
-        order = list(range(self.n)) if self._order is None else self._order.tolist()
+        """Adopt as P the interchanges ``piv`` applied to the current order."""
+        order = self._order.tolist()
         for j in moved.tolist():
             i = int(piv[j])
             order[i], order[j] = order[j], order[i]
-        self._order = np.array(order)
-        k, n = self._k, self.n
-        shift = self._order - np.arange(n)  # row i of P A is row order[i] of A
-        self._allocate(min(k - int(shift.min()), n - 1), min(k + int(shift.max()), n - 1))
-        self._inverse = np.empty(n, dtype=np.intp)
-        self._inverse[self._order] = np.arange(n)
-        # flat index of (P A)[i, c] in the LU buffer, less i
-        self._cells = np.arange(n) * (2 * self._kl + self._ku) + self._kl + self._ku
+        self._set_order(np.array(order))
 
     def _apply_lu(self, r: np.ndarray) -> np.ndarray:
         """(L U)^-1 P r: the rows of r in the run's order, then two triangular solves."""
         self.corrections += 1
-        y = r.copy() if self._order is None else r[self._order]
+        y = r[self._order]
         dtbsv(self._kl, self._lower, y, lower=1, diag=1, overwrite_x=1)
         return dtbsv(self._ku, self._upper, y, overwrite_x=1)
 

@@ -291,21 +291,9 @@ class TestSolveProperties:
 
 def _variable_terms(n, p, scale, rng):
     """Random per-step terms within the stencil reach min(p, 2), as
-    (operator, pre_diag) pairs to pass to ``add_operator``."""
+    (offset, block, pre_diag) triples."""
     reach = min(p, 2)
-    return [(CyclicBandedOperator((off,), (1.0,), n), scale * rng.uniform(-1.0, 1.0, n))
-            for off in range(-reach, reach + 1)]
-
-
-def _step(operator, constant, terms):
-    """Write one step's terms into the operator; return the dense matrix."""
-    reference = CyclicBandedMatrix(constant.n)
-    reference.data = {off: vals.copy() for off, vals in constant.data.items()}
-    operator.reset()
-    for op, pre in terms:
-        operator.add_operator(op, pre_diag=pre)
-        reference.add_operator(op, pre_diag=pre)
-    return reference.to_dense()
+    return [(off, (0, 0), scale * rng.uniform(-1.0, 1.0, n)) for off in range(-reach, reach + 1)]
 
 
 def _random_block_terms(n, blocks, reach, rng):
@@ -326,13 +314,14 @@ def _dominant_terms(n, blocks, shift, size):
 
 
 def _write(target, terms):
+    """A[row, col] += diag(pre_diag) @ S^offset per (offset, block, pre_diag) term."""
     n = target.n // target.blocks
     for off, block, pre in terms:
         target.add_operator(CyclicBandedOperator((off,), (1.0,), n), pre_diag=pre, block=block)
 
 
-def _block_step(operator, constant, terms):
-    """Write one step's block terms into the operator; return the dense matrix."""
+def _step(operator, constant, terms):
+    """Write one step's terms into the operator; return the dense matrix."""
     reference = CyclicBandedMatrix(constant.n, constant.blocks)
     reference.data = {off: vals.copy() for off, vals in constant.data.items()}
     _write(reference, terms)
@@ -364,7 +353,8 @@ class TestStepOperator:
         operator.solve(rng.standard_normal(n))
         terms = _variable_terms(n, p, 1.0, rng)
         for _ in range(4):
-            terms = [(op, pre + drift * rng.uniform(-1.0, 1.0, n)) for op, pre in terms]
+            terms = [(off, block, pre + drift * rng.uniform(-1.0, 1.0, n))
+                     for off, block, pre in terms]
             dense = _step(operator, constant, terms)
             rhs = rng.standard_normal(n)
             expected = np.linalg.solve(dense, rhs)
@@ -398,6 +388,23 @@ class TestStepOperator:
         x = operator.solve(rhs, np.zeros(n))
         assert operator.factorizations == 3
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+
+    def test_corrected_iterate_missing_the_bound_falls_back_to_a_direct_solve(self):
+        # -D2 + 1e-8 I is nearly singular on constants.  A guess 1e7 off
+        # along them has a residual below ||rhs||, but the correction that
+        # cancels the offset leaves rounding of about 1e7 * 1e-16 in x, above
+        # the bound; x = LU^-1 rhs meets it.
+        n = 64
+        constant = CyclicBandedMatrix(n)
+        constant.add_operator(CyclicBandedOperator((-1, 0, 1), (-1.0, 2.0, -1.0), n))
+        constant.add_diagonal(np.full(n, 1e-8))
+        dense = constant.to_dense()
+        rhs = np.sin(2 * np.pi * np.arange(n) / n)
+        expected = np.linalg.solve(dense, rhs)
+        operator = StepOperator(constant)
+        x = operator.solve(rhs, expected + 1e7)
+        assert operator.corrections == 2  # the correction, then the direct solve
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300), scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
@@ -451,7 +458,7 @@ class TestStepOperator:
             terms = _random_block_terms(n, blocks, reach, rng)
             if step >= switch:
                 terms += _dominant_terms(n, blocks, shifts[1], 3.0 * size)
-            dense = _block_step(operator, constant, terms)
+            dense = _step(operator, constant, terms)
             rhs = rng.standard_normal(blocks * n)
             x = operator.solve(rhs, x)
             expected = np.linalg.solve(dense, rhs)
@@ -473,7 +480,7 @@ class TestStepOperator:
         operator.solve(rng.standard_normal(n))
         assert operator.factorizations == 3
         for calls in (5, 6):
-            dense = _block_step(operator, constant, _dominant_terms(n, 1, -1, 60.0))
+            dense = _step(operator, constant, _dominant_terms(n, 1, -1, 60.0))
             rhs = rng.standard_normal(n)
             x = operator.solve(rhs)
             assert operator.factorizations == calls
