@@ -283,18 +283,28 @@ class StepOperator(_BandAssembly):
         kl + ku rows on, both with its leading dimension."""
         k, n = self._k, self.n
         self._order = order
-        self._inverse = np.empty(n, dtype=np.intp)
-        self._inverse[order] = np.arange(n)
         shift = order - np.arange(n)
         self._kl = kl = min(k - int(shift.min()), n - 1)
         self._ku = ku = min(k + int(shift.max()), n - 1)
-        # flat index of (P A)[i, c] in the LU buffer, less i
-        self._cells = np.arange(n) * (2 * kl + ku) + kl + ku
         size = (2 * kl + ku + 1) * n
         buffer = np.zeros(size + kl + ku)
-        self._lu = buffer[:size].reshape((-1, self.n), order="F")
-        self._upper = buffer[kl:kl + size].reshape((-1, self.n), order="F")
-        self._lower = buffer[kl + ku:kl + ku + size].reshape((-1, self.n), order="F")
+        self._lu = buffer[:size].reshape((-1, n), order="F")
+        self._upper = buffer[kl:kl + size].reshape((-1, n), order="F")
+        self._lower = buffer[kl + ku:kl + ku + size].reshape((-1, n), order="F")
+        # The rows of P A that P moves, as flat indices of (P A)[i, c] in the
+        # LU buffer (c (2 kl + ku) + kl + ku + i) and of A[order[i], c] in the
+        # work band (c 2k + k + order[i]): every c with |order[i] - c| <= k
+        # is fetched, every other c with |i - c| <= k is cleared.
+        moved = np.flatnonzero(shift)
+        reach = k + int(np.abs(shift).max())
+        cols = moved[:, None] + np.arange(-reach, reach + 1)
+        rows = np.broadcast_to(moved[:, None], cols.shape)
+        source = rows + shift[moved][:, None]
+        fetch = (np.abs(source - cols) <= k) & (cols >= 0) & (cols < n)
+        clear = (np.abs(rows - cols) <= k) & (cols >= 0) & (cols < n) & ~fetch
+        self._fetch_lu = cols[fetch] * (2 * kl + ku) + kl + ku + rows[fetch]
+        self._fetch_work = cols[fetch] * 2 * k + k + source[fetch]
+        self._clear = cols[clear] * (2 * kl + ku) + kl + ku + rows[clear]
 
     def reset(self) -> None:
         """Start a step: the work band holds the constant part alone."""
@@ -392,16 +402,16 @@ class StepOperator(_BandAssembly):
 
     def _load(self, lu: np.ndarray) -> None:
         """P A into the LU buffer, in dgbtrf's layout: (P A)[i, c] at row
-        kl + ku + i - c of column c, the kl rows above it 0."""
-        k, n = self._k, self.n
-        lu.fill(0.0)  # cells of P A outside the band of A stay 0
+        kl + ku + i - c of column c, the kl rows above it 0.  The band of A
+        is copied as if P kept every row; the rows P moves are then fetched
+        from their rows of A."""
+        kl, ku, k = self._kl, self._ku, self._k
+        lu[:kl + ku - k] = 0.0
+        lu[kl + ku - k:kl + ku + k + 1] = self._work
+        lu[kl + ku + k + 1:] = 0.0
         flat = lu.reshape(-1, order="F")
-        for band in range(2 * k + 1):
-            # work[band, c] holds A[r, c], r = c + band - k, for c in [lo, hi);
-            # A[r, c] is (P A)[inverse[r], c]
-            lo, hi = max(0, k - band), min(n, n + k - band)
-            rows = self._inverse[lo + band - k:hi + band - k]
-            flat[self._cells[lo:hi] + rows] = self._work[band, lo:hi]
+        flat[self._clear] = 0.0
+        flat[self._fetch_lu] = self._work_flat[self._fetch_work]
 
     def _reorder(self, piv: np.ndarray, moved: np.ndarray) -> None:
         """Adopt as P the interchanges ``piv`` applied to the current order."""
