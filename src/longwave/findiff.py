@@ -38,10 +38,11 @@ bound.  A step that needed a third correction refactors at the next solve.
 Every factorization passes the pivot guard, and every returned x meets
 ||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
 
-The kept LU is P A = L U with one row order P per run.  The first
-factorization (``dgbtrf``) takes P from its row interchanges; every later one
-factors P A, whose half-widths grow by P's largest row displacement, and
-must meet no interchange, or it adopts the new order and factors again.
+The kept LU is P A = L U with one row order P per run, the identity until
+a factorization (``dgbtrf``) meets row interchanges and P adopts them.  Every
+factorization loads P A, whose half-widths grow by P's largest row
+displacement, as one block copy of A's band plus the rows P moves, and must
+meet no interchange, or it adopts the new order and factors again.
 With no interchange, L (unit lower) and U are plain band matrices, so one
 application of the LU is a gather of the rows by P and two triangular band
 solves (``dtbsv``), each a single BLAS call.  Factor entries below the
@@ -296,8 +297,8 @@ class StepOperator(_BandAssembly):
         # work band (c 2k + k + order[i]): every c with |order[i] - c| <= k
         # is fetched, every other c with |i - c| <= k is cleared.
         moved = np.flatnonzero(shift)
-        reach = k + int(np.abs(shift).max())
-        cols = moved[:, None] + np.arange(-reach, reach + 1)
+        window = k + int(np.abs(shift).max())
+        cols = moved[:, None] + np.arange(-window, window + 1)
         rows = np.broadcast_to(moved[:, None], cols.shape)
         source = rows + shift[moved][:, None]
         fetch = (np.abs(source - cols) <= k) & (cols >= 0) & (cols < n)
