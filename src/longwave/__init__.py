@@ -34,12 +34,9 @@ from .grid import (
     discrete_h1_eps,
     discrete_l2,
     discrete_sobolev,
-    eval_bathymetry,
-    eval_bathymetry_derivative,
     soliton_field,
 )
 from .findiff import (
-    CyclicBandedMatrix,
     CyclicBandedOperator,
     StepOperator,
     make_d1,

@@ -18,8 +18,9 @@ state, the predictor start and the relaxation step are the scalar stepper's
 supplies ``rhs(z)``, ``add_constant_terms`` (the mass terms, the linear D1
 and D3 terms and every bottom term, folded once per run) and
 ``add_predictor_terms`` (the nonlinear terms frozen at the predictor, and the
-rhs), whose terms go into the 2x2 blocks (equation, unknown) of a matrix
-with blocks=2.
+rhs), whose terms go into the 2x2 blocks (equation, unknown) of the run's
+``StepOperator`` with blocks=2; ``rhs`` inverts the mass terms with a
+one-off blocks=1 ``StepOperator`` solve each.
 
 Two assemblies of the nonlinear/bottom terms are provided:
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .findiff import CyclicBandedMatrix, make_d1, make_d2, make_d3
+from .findiff import StepOperator, make_d1, make_d2, make_d3
 from .grid import (
     BathymetryProfile,
     Field,
@@ -60,7 +61,7 @@ from .grid import (
     TimeGrid,
     _shifted,
 )
-from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start, _system
+from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start
 
 __all__ = [
     "BoussinesqProblem",
@@ -114,10 +115,10 @@ class BoussinesqProblem:
     def _mass_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
         if a == 0.0:
             return rhs.copy()
-        matrix = CyclicBandedMatrix(self.grid.num_points)
-        matrix.add_diagonal(1.0)
-        matrix.add_operator(self._d2, scale=-self.coeffs.epsilon * a)
-        return matrix.solve(rhs)
+        operator = StepOperator(self.grid.num_points)
+        operator.add_diagonal(1.0)
+        operator.add_operator(self._d2, scale=-self.coeffs.epsilon * a)
+        return operator.solve(rhs)
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """Explicit right-hand side F(z) of z_t = F(z), mass matrices inverted,
@@ -211,10 +212,6 @@ class BoussinesqProblem:
             lag_factor = 0.5 * (_shifted(lagged, 1) + _shifted(lagged, -1)) - 0.5 * lagged
             rhs[1::2] -= eps / 3.0 * dep * lag_factor
         return rhs
-
-    def system(self, predictor: np.ndarray, current: np.ndarray):
-        """Matrix and rhs of one step for the interleaved half-sum w = (w_v, w_eta)."""
-        return _system(self, predictor, current)
 
 
 def init_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field) -> RelaxationState:

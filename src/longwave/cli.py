@@ -5,8 +5,8 @@
     longwave convergence --config cfg.json | --epsilon 0.1 [--levels 3] [--out DIR]
     longwave growth     --scenario step|sinusoid --epsilon 0.2 --out DIR
 
-Exit codes: 0 success, 2 configuration error, 3 numerical instability,
-4 I/O error.
+Exit codes: 0 success, 2 invalid input (any other package error), 3 numerical
+instability, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, LongwaveError, SolverError
 from .scenarios import (
     ScenarioConfig,
     convergence_study,
@@ -155,12 +155,12 @@ def main(argv=None) -> int:
         if args.command == "growth":
             return _cmd_growth(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except LongwaveError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,10 +12,11 @@ the discrete inner product, which is what makes the conservation structure of
 the steppers hold at the discrete level.
 
 Per-step linear systems are cyclic banded matrices (band plus wrap-around
-corners), assembled by one path: each term is a stencil between two diagonal
-matrices, placed into block (row, col) of a matrix whose unknowns interleave
-``blocks`` fields per node (one for the scalar stepper, two for the coupled
-one, whose stencil offset o then becomes band offset 2o + col - row).
+corners), held and assembled by ``StepOperator`` alone: each term is a
+stencil between two diagonal matrices, placed into block (row, col) of a
+matrix whose unknowns interleave ``blocks`` fields per node (one for the
+scalar stepper, two for the coupled one, whose stencil offset o then becomes
+band offset 2o + col - row, so a +-2-node stencil reaches 3 blocks - 1).
 Ordering the unknowns as 0, n-1, 1, n-2, ... folds the ring so that every
 cyclic neighbour is at most 2p positions away: a cyclic band of half-width p
 becomes an ordinary band of half-width 2p, which one LAPACK banded LU
@@ -23,18 +24,18 @@ factors for every n, with no corner correction.
 
 A run solves one such system per step, and most of its matrix does not
 change: the mass terms, D1, D3, the D2 smoothing and every bottom term.  A
-``StepOperator`` folds that constant part into band storage once.  Each step
-copies it into a work band, adds the predictor-dependent entries through
-scatter indices precomputed by ``_fold_layout``, and refines from a guess
-with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the residual
-taken against the work band.  Refinement stops once the estimated remaining
-error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most 1e-15 ||x||.
-A correction that does not halve the previous one, or a third that still
-misses the stop, refactors the work band at once and takes one correction
-with the fresh LU from the last iterate; it solves x = LU^-1 b instead when
-that iterate's residual is not below ||b|| or the corrected x misses the
-bound.  A step that needed a third correction refactors at the next solve.
-``CyclicBandedMatrix.solve`` is the one-off case: a fresh LU and no guess.
+``StepOperator`` adds that constant part into band storage once, when built.
+Each step copies it into a work band, adds the predictor-dependent entries
+through scatter indices precomputed by ``_fold_layout``, and refines from a
+guess with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the
+residual taken against the work band.  Refinement stops once the estimated
+remaining error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most
+1e-15 ||x||.  A correction that does not halve the previous one, or a third
+that still misses the stop, refactors the work band at once and takes one
+correction with the fresh LU from the last iterate; it solves x = LU^-1 b
+instead when that iterate's residual is not below ||b|| or the corrected x
+misses the bound.  A step that needed a third correction refactors at the
+next solve; a solve with no guess factors afresh and solves directly.
 Every factorization passes the pivot guard, and every returned x meets
 ||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
 
@@ -63,7 +64,6 @@ from .grid import Grid1D, _shifted
 
 __all__ = [
     "CyclicBandedOperator",
-    "CyclicBandedMatrix",
     "StepOperator",
     "make_d1",
     "make_d2",
@@ -163,14 +163,48 @@ def _fold_layout(n: int, reach: int):
     return pos, k, tuple(scatter)
 
 
-class _BandAssembly:
-    """The one assembly path: every term the steppers build is
-    A[row, col] += scale * diag(pre) @ Op @ diag(post), placed at band offset
-    blocks * off + col - row over the rows row::blocks of the interleaved
-    unknowns.  Subclasses store a band through ``_add(offset, row, values)``."""
+class StepOperator:
+    """Folded banded system A = C + V of one run, solved with a kept LU.
 
-    n: int
-    blocks: int
+    The ``n`` unknowns interleave ``blocks`` fields per node.  Every term is
+    A[row, col] += scale * diag(pre) @ Op @ diag(post), placed at band offset
+    blocks * off + col - row over the rows row::blocks; a stencil reaches at
+    most +-2 nodes, so the band reaches 3 blocks - 1.  ``constant_terms(self)``,
+    called once, adds the constant part C through ``add_operator`` and
+    ``add_diagonal``.  ``reset()`` starts a step with the work band equal to
+    C; the per-step part V is then added the same way, and ``solve(rhs,
+    guess)`` refines from the guess with the LU of an earlier step,
+    refactoring the work band when that LU no longer converges in two
+    corrections.
+
+    The LU is P A = L U with one row order P per run: the first
+    factorization takes the order of partial pivoting, every later one
+    factors P A and must meet no interchange (one that does adopts the new
+    order and factors again).  L (unit lower) and U are kept as two band
+    arrays over the one LU buffer, with the entries below the smallest
+    normal float set to 0, so applying the LU is a gather by P and two
+    triangular band solves.  ``factorizations`` (dgbtrf calls) and
+    ``corrections`` (LU applications) count the solver's work.  The work
+    band and the LU buffer are allocated per operator (the buffer again when
+    the order changes), so a run holds its own.
+    """
+
+    def __init__(self, n: int, blocks: int = 1, constant_terms=None):
+        self.n, self.blocks = int(n), int(blocks)
+        self._reach = 3 * self.blocks - 1
+        self._pos, self._k, self._scatter = _fold_layout(self.n, self._reach)
+        # dgbmv needs at least 2k + 1 rows; rows past n meet only zero storage
+        self._rows = max(self.n, 2 * self._k + 1)
+        self._work = np.zeros((2 * self._k + 1, self.n), order="F")
+        self._work_flat = self._work.reshape(-1, order="F")
+        if constant_terms is not None:
+            constant_terms(self)
+        self._constant = self._work.copy(order="F")
+        self._set_order(np.arange(self.n))
+        self._kept = False
+        self._stale = False
+        self.factorizations = 0
+        self.corrections = 0
 
     def add_diagonal(self, values, block: tuple[int, int] = (0, 0)) -> None:
         """A[row, col] += diag(values): values per node, or one scalar."""
@@ -190,91 +224,6 @@ class _BandAssembly:
             if post_diag is not None:
                 contrib = contrib * _shifted(post_diag, off)
             self._add(self.blocks * off + col - row, row, contrib)
-
-
-class CyclicBandedMatrix(_BandAssembly):
-    """Cyclic banded matrix with position-dependent band entries.
-
-    Storage is dense-in-band: ``data[offset][i]`` holds A[i, (i+offset) mod n].
-    With ``blocks`` interleaved fields per node, block (row, col) couples field
-    ``row`` of a node to field ``col`` of its neighbours.
-    """
-
-    def __init__(self, n: int, blocks: int = 1):
-        self.n = int(n)
-        self.blocks = int(blocks)
-        self.data = {}
-
-    def _add(self, offset: int, row: int, values) -> None:
-        if offset not in self.data:
-            self.data[offset] = np.zeros(self.n)
-        self.data[offset][row::self.blocks] += values
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.n,):
-            raise GridMismatchError("vector length does not match matrix dimension")
-        out = np.zeros_like(x, dtype=float)
-        for off, vals in self.data.items():
-            out += vals * _shifted(x, off)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        rows = np.arange(self.n)
-        for off, vals in self.data.items():
-            dense[rows, (rows + off) % self.n] += vals
-        return dense
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf.
-
-        The one-off case of ``StepOperator.solve``: this matrix is the
-        constant part, factored afresh, with no guess.  A zero pivot, a pivot
-        below 1e-14 of the largest, or a residual above the bound raises
-        SolverError.
-        """
-        return StepOperator(self).solve(rhs)
-
-
-class StepOperator(_BandAssembly):
-    """Folded banded system A = C + V of one run, solved with a kept LU.
-
-    ``constant`` (C) fixes the band: its widest offset bounds every entry
-    the per-step part V may add.  ``reset()`` starts a step with the work
-    band equal to C; V is then added through ``add_operator``/``add_diagonal``
-    as on a ``CyclicBandedMatrix``, and ``solve(rhs, guess)`` refines from the
-    guess with the LU of an earlier step, refactoring the work band when that
-    LU no longer converges in two corrections.
-
-    The LU is P A = L U with one row order P per run: the first
-    factorization takes the order of partial pivoting, every later one
-    factors P A and must meet no interchange (one that does adopts the new
-    order and factors again).  L (unit lower) and U are kept as two band
-    arrays over the one LU buffer, with the entries below the smallest
-    normal float set to 0, so applying the LU is a gather by P and two
-    triangular band solves.  ``factorizations`` (dgbtrf calls) and
-    ``corrections`` (LU applications) count the solver's work.  The work
-    band and the LU buffer are allocated per operator (the buffer again when
-    the order changes), so a run holds its own.
-    """
-
-    def __init__(self, constant: CyclicBandedMatrix):
-        self.n, self.blocks = constant.n, constant.blocks
-        self._reach = max((abs(off) for off in constant.data), default=0)
-        self._pos, self._k, self._scatter = _fold_layout(self.n, self._reach)
-        # dgbmv needs at least 2k + 1 rows; rows past n meet only zero storage
-        self._rows = max(self.n, 2 * self._k + 1)
-        self._constant = np.zeros((2 * self._k + 1, self.n), order="F")
-        flat = self._constant.reshape(-1, order="F")
-        for off, vals in constant.data.items():
-            flat[self._scatter[off + self._reach]] += vals
-        self._work = self._constant.copy(order="F")
-        self._work_flat = self._work.reshape(-1, order="F")
-        self._set_order(np.arange(self.n))
-        self._kept = False
-        self._stale = False
-        self.factorizations = 0
-        self.corrections = 0
 
     def _set_order(self, order: np.ndarray) -> None:
         """Adopt the row order P (row i of P A is row order[i] of A), with the

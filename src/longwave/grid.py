@@ -41,8 +41,6 @@ __all__ = [
     "bathymetry_from_config",
     "ModelCoefficients",
     "SolitonSpec",
-    "eval_bathymetry",
-    "eval_bathymetry_derivative",
     "soliton_field",
     "discrete_l2",
     "discrete_h1_eps",
@@ -138,14 +136,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(n={self.grid.num_points}, dx={self.grid.dx})"
-
-
-def require_same_grid(*fields: Field) -> Grid1D:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("fields live on different grids")
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +285,6 @@ class SampledBottom(BathymetryProfile):
         out = np.interp(x, self.nodes, self.derivative_values)
         outside = (x < self.nodes[0]) | (x > self.nodes[-1])
         return np.where(outside, 0.0, out)
-
-
-def eval_bathymetry(profile: BathymetryProfile, x):
-    """b(x) for scalar or array x (constant continuation outside active parts)."""
-    out = profile.value(x)
-    return float(out) if np.isscalar(x) else out
-
-
-def eval_bathymetry_derivative(profile: BathymetryProfile, x):
-    """db/dx at scalar or array x (exact for the analytic variants)."""
-    out = profile.derivative(x)
-    return float(out) if np.isscalar(x) else out
 
 
 def bathymetry_from_config(cfg: dict) -> BathymetryProfile:
@@ -466,8 +444,9 @@ def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
     difference factors as D2 = -D+^T D+, so <w, (I - eps a D2) w> is exactly
     |w|^2 + eps a |D+ w|^2.
     """
-    grid = require_same_grid(v, eta)
-    dx = grid.dx
+    if v.grid != eta.grid:
+        raise GridMismatchError("fields live on different grids")
+    dx = v.grid.dx
     total = float(np.dot(v.values, v.values) + np.dot(eta.values, eta.values))
     if coeffs.a2 != 0.0:
         dv = (_shifted(v.values, 1) - v.values) / dx

@@ -44,8 +44,7 @@ by the state, so two runs of one problem never share them; the first steps
 extrapolate from the ones there are); the stop and refactor rules are in
 ``findiff``, and the solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf
 contract as a direct solve.  The step then sets z^{n+1} = 2w - z^n and
-relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.  ``system(predictor,
-current)`` assembles the same matrix as one ``CyclicBandedMatrix``.
+relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.
 ``_drive`` is the one run loop of both steppers, with one per-step hook.
 """
 
@@ -60,7 +59,7 @@ from .errors import (
     MissingSnapshotError,
     SolverError,
 )
-from .findiff import CyclicBandedMatrix, StepOperator, make_d1, make_d3
+from .findiff import StepOperator, make_d1, make_d3
 from .grid import BathymetryProfile, Field, Grid1D, TimeGrid, _shifted
 
 __all__ = [
@@ -125,10 +124,6 @@ class Trajectory(_TrajectoryBase):
     def __init__(self, grid, dt, step_indices, data: np.ndarray):
         super().__init__(grid, dt, step_indices)
         self.data = data
-
-    @classmethod
-    def zeros_like(cls, other: "Trajectory") -> "Trajectory":
-        return cls(other.grid, other.dt, other.step_indices, np.zeros_like(other.data))
 
     def at_step(self, m: int) -> np.ndarray:
         return self.data[self.row_for_step(m)]
@@ -231,22 +226,6 @@ class KdvProblem:
             target.add_operator(d1, post_diag=predictor, scale=eps / 4.0)
         return 2.0 / self.time_grid.dt * current
 
-    def system(self, predictor: np.ndarray, current: np.ndarray):
-        """Matrix and rhs of (2/dt) w + L w = (2/dt) u^n for the half-sum w."""
-        return _system(self, predictor, current)
-
-
-def _constant_matrix(problem) -> CyclicBandedMatrix:
-    matrix = CyclicBandedMatrix(problem.blocks * problem.grid.num_points, problem.blocks)
-    problem.add_constant_terms(matrix)
-    return matrix
-
-
-def _system(problem, predictor: np.ndarray, current: np.ndarray):
-    """The whole step matrix of either model as one CyclicBandedMatrix, and its rhs."""
-    matrix = _constant_matrix(problem)
-    return matrix, problem.add_predictor_terms(matrix, predictor, current)
-
 
 class RelaxationState:
     """State after n steps of one run: raw arrays of the unknown z^n and its
@@ -273,7 +252,9 @@ def _start(problem, current: np.ndarray) -> RelaxationState:
     predictor = current + 0.5 * dt * problem.rhs(current)
     if not np.all(np.isfinite(predictor)):
         raise InstabilityError("non-finite predictor during initialization", step_index=0)
-    return RelaxationState(current, predictor, 0, dt, StepOperator(_constant_matrix(problem)))
+    blocks = problem.blocks
+    operator = StepOperator(blocks * problem.grid.num_points, blocks, problem.add_constant_terms)
+    return RelaxationState(current, predictor, 0, dt, operator)
 
 
 def _advance(problem, state: RelaxationState) -> RelaxationState:

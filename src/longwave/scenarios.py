@@ -110,9 +110,6 @@ _SINUSOID_TABLE = {
     0.1: (10.0, 20.0, 0.04, 2.0),
 }
 
-_BALANCED_TRIPLE = (math.sqrt(2.0 / 3.0), 0.5, 0.5)
-_ZERO_SMOOTHING_TRIPLE = (math.sqrt(2.0 / 3.0), 1.0, 1.0)
-
 
 def _scenario_geometry(scenario: str, growth_kind: str | None,
                        epsilon: float, alpha: float):
@@ -225,10 +222,11 @@ class ScenarioConfig:
             self.dx = dx_def
         if self.shift is None:
             self.shift = -x0_def
-        triple = _ZERO_SMOOTHING_TRIPLE if self.scenario == "growth" else _BALANCED_TRIPLE
-        for name, default in zip(("theta", "lambda1", "lambda2"), triple):
+        defaults = (ModelCoefficients.zero_smoothing if self.scenario == "growth"
+                    else ModelCoefficients.balanced)(self.epsilon)
+        for name in ("theta", "lambda1", "lambda2"):
             if getattr(self, name) is None:
-                setattr(self, name, default)
+                setattr(self, name, getattr(defaults, name))
         if self.bathymetry is None:
             self.bathymetry = self._default_bathymetry()
         if self.error_interval is None:
@@ -315,6 +313,16 @@ class ScenarioConfig:
 
     def build_soliton(self) -> SolitonSpec:
         return SolitonSpec(self.alpha, self.shift, self.epsilon)
+
+    def build_kdv_problem(self, grid: Grid1D, time_grid: TimeGrid) -> KdvProblem:
+        """K's right-going problem on the given grids (no bottom terms)."""
+        return KdvProblem(self.epsilon, grid, time_grid, nonlinear_mode=self.kdv_nonlinear_mode)
+
+    def build_boussinesq_problem(self, grid: Grid1D, time_grid: TimeGrid) -> BoussinesqProblem:
+        """B's problem over the configured bottom, with every assembly setting."""
+        return BoussinesqProblem(self.build_coefficients(), self.build_bathymetry(), grid,
+                                 time_grid, nonlinear_mode=self.boussinesq_nonlinear_mode,
+                                 lagged_eta_level=self.lagged_eta_level)
 
     def error_stride(self, time_grid: TimeGrid) -> int:
         return max(1, min(int(round(self.error_interval / self.dt)), time_grid.num_steps))
@@ -486,22 +494,15 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     keep = {*range(0, num_steps, stride), num_steps}
     topo_sum = _streamed_topo_sum(bottom, grid, num_steps, keep) if needs_topo else None
     t0 = _time.perf_counter()
-    u_traj = run(
-        KdvProblem(config.epsilon, grid, time_grid,
-                   nonlinear_mode=config.kdv_nonlinear_mode),
-        u0, stride=stride, on_step=None if topo_sum is None else topo_sum.record,
-    )
+    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride,
+                 on_step=None if topo_sum is None else topo_sum.record)
     if topo_sum is not None:
         topo_sum.attach(u_traj)
     kdv_seconds = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    b_traj = run_boussinesq(
-        BoussinesqProblem(coeffs, bottom, grid, time_grid,
-                          nonlinear_mode=config.boussinesq_nonlinear_mode,
-                          lagged_eta_level=config.lagged_eta_level),
-        half, half, stride=stride,
-    )
+    b_traj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
+                            stride=stride)
     boussinesq_seconds = _time.perf_counter() - t0
 
     snapshot_steps = set(config.snapshot_steps(time_grid))
@@ -603,11 +604,7 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
 
     stride = config.error_stride(time_grid)
     t0 = _time.perf_counter()
-    u_traj = run(
-        KdvProblem(config.epsilon, grid, time_grid,
-                   nonlinear_mode=config.kdv_nonlinear_mode),
-        u0, stride=stride,
-    )
+    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride)
     kdv_seconds = _time.perf_counter() - t0
 
     crossing = None
@@ -655,21 +652,16 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
 
     kdv_errors = []
     eta_fields = []
+    spec = config.build_soliton()
     for grid, time_grid in levels:
-        spec = SolitonSpec(config.alpha, config.shift, config.epsilon)
         u0 = soliton_field(spec, grid)
-        traj = run(KdvProblem(config.epsilon, grid, time_grid,
-                              nonlinear_mode=config.kdv_nonlinear_mode),
-                   u0, stride=time_grid.num_steps)
+        traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps)
         exact = soliton_field(spec, grid, time_grid.final_time)
         kdv_errors.append(relative_linf_error(traj.at_step(time_grid.num_steps), exact.values))
 
         half = Field(u0.values / 2.0, grid)
-        coeffs = config.build_coefficients()
-        btraj = run_boussinesq(
-            BoussinesqProblem(coeffs, config.build_bathymetry(), grid, time_grid,
-                              nonlinear_mode=config.boussinesq_nonlinear_mode),
-            half, half, stride=time_grid.num_steps)
+        btraj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
+                               stride=time_grid.num_steps)
         _, eta = btraj.at_step(time_grid.num_steps)
         eta_fields.append(eta)
 

@@ -22,6 +22,7 @@ from longwave.grid import (
     soliton_field,
 )
 from longwave.scenarios import ScenarioConfig
+from conftest import DenseRecorder
 
 
 def _mirror(values):
@@ -256,13 +257,19 @@ class TestRun:
         assert v.grid == grid and eta.grid == grid
 
     def test_block_system_solve_roundtrip(self, setup, rng):
-        # solve(A, A x) == x for the coupled per-step system matrix
+        # solve(A, A x) == x for the coupled per-step system matrix: the run's
+        # step operator against the dense matrix the same terms record
         _, grid, tg, coeffs, half = setup
         problem = BoussinesqProblem(coeffs, StepBottom(0.5, 20.0, 1.5), grid, tg)
         state = init_boussinesq(problem, half, half)
-        matrix, _ = problem.system(state.predictor, state.current)
+        operator = state.operator
+        operator.reset()
+        problem.add_predictor_terms(operator, state.predictor, state.current)
+        reference = DenseRecorder(operator.n, operator.blocks)
+        problem.add_constant_terms(reference)
+        problem.add_predictor_terms(reference, state.predictor, state.current)
         x = rng.standard_normal(2 * grid.num_points)
-        x_hat = matrix.solve(matrix.matvec(x))
+        x_hat = operator.solve(reference.matrix @ x)
         assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
 
     def test_surfaces_track_scalar_model_at_large_time(self):

@@ -8,7 +8,6 @@ from scipy.linalg.lapack import dgbtrf
 from longwave import findiff
 from longwave.errors import GridMismatchError, SolverError
 from longwave.findiff import (
-    CyclicBandedMatrix,
     CyclicBandedOperator,
     StepOperator,
     make_d1,
@@ -16,7 +15,7 @@ from longwave.findiff import (
     make_d3,
 )
 from longwave.grid import Grid1D
-from conftest import random_field
+from conftest import DenseRecorder, random_field
 
 
 def _inner(grid, a, b):
@@ -128,75 +127,121 @@ class TestOperatorAlgebra:
         assert _inner(grid, d2.apply_values(f), f) <= 1e-12
 
 
-def _random_cyclic_banded(n, rng, p=2, diag_boost=4.0):
-    m = CyclicBandedMatrix(n)
-    for off in range(-p, p + 1):
-        vals = rng.standard_normal(n)
-        if off == 0:
-            vals += diag_boost
-        m.data[off] = vals
-    return m
+def _write(target, terms):
+    """A[row, col] += diag(pre_diag) @ S^offset per (offset, block, pre_diag) term."""
+    n = target.n // target.blocks
+    for off, block, pre in terms:
+        target.add_operator(CyclicBandedOperator((off,), (1.0,), n), pre_diag=pre, block=block)
+
+
+def _operator(n, blocks, add_terms):
+    """A step operator over n unknowns whose constant part ``add_terms(target)``
+    writes, and the dense matrix the same calls write into a DenseRecorder."""
+    reference = DenseRecorder(n, blocks)
+    add_terms(reference)
+    return StepOperator(n, blocks, add_terms), reference.matrix
+
+
+def _uniform(rng, scale=1.0):
+    return lambda n: scale * rng.uniform(-1.0, 1.0, n)
+
+
+def _random_band(n, blocks, p, draw):
+    """Entries draw(n) at every band offset within +-p that a +-2-node stencil
+    reaches, over every block, as (offset, block, pre_diag) triples."""
+    return [(off, (row, col), draw(n))
+            for row in range(blocks) for col in range(blocks) for off in range(-2, 3)
+            if abs(blocks * off + col - row) <= p]
+
+
+def _dominant_terms(n, blocks, shift, size):
+    """A[u, u + shift] = size for every unknown u, as block terms."""
+    terms = []
+    for row in range(blocks):
+        col = (row + shift) % blocks
+        terms.append(((row + shift - col) // blocks, (row, col), np.full(n, size)))
+    return terms
+
+
+def _shapes(low=0):
+    """(blocks, half-width p) draws: a +-2-node stencil reaches band offsets
+    within 3 blocks - 1, so wide folds come from blocks = 2 (the coupled layout)."""
+    return st.sampled_from([1, 2]).flatmap(
+        lambda blocks: st.tuples(st.just(blocks), st.integers(low, 3 * blocks - 1)))
+
+
+def _random_operator(n, rng):
+    """Standard normal bands of half-width 2 plus 4 on the diagonal."""
+    terms = _random_band(n, 1, 2, rng.standard_normal) + _dominant_terms(n, 1, 0, 4.0)
+    return _operator(n, 1, lambda target: _write(target, terms))
 
 
 class TestSolve:
     def test_identity_returns_rhs(self, rng):
         n = 32
-        m = CyclicBandedMatrix(n)
-        m.add_diagonal(np.ones(n))
+        operator, _ = _operator(n, 1, lambda target: target.add_diagonal(np.ones(n)))
         rhs = rng.standard_normal(n)
-        np.testing.assert_allclose(m.solve(rhs), rhs, atol=1e-14)
+        np.testing.assert_allclose(operator.solve(rhs), rhs, atol=1e-14)
 
     def test_diffusion_like_matches_dense(self, rng):
         grid = Grid1D(32, 0.5)
-        m = CyclicBandedMatrix(32)
-        m.add_diagonal(np.ones(32))
-        m.add_operator(make_d2(grid), scale=0.1)
+
+        def terms(target):
+            target.add_diagonal(np.ones(32))
+            target.add_operator(make_d2(grid), scale=0.1)
+
+        operator, dense = _operator(32, 1, terms)
         rhs = rng.standard_normal(32)
-        x = m.solve(rhs)
-        x_dense = np.linalg.solve(m.to_dense(), rhs)
+        x = operator.solve(rhs)
+        x_dense = np.linalg.solve(dense, rhs)
         np.testing.assert_allclose(x, x_dense, atol=1e-12)
 
     def test_singular_matrix_raises(self):
         # all-ones five-band circulant; its symbol 1 + 2cos(t) + 2cos(2t)
         # vanishes at t = 2*pi/5, so n = 20 makes the matrix rank-deficient
         n = 20
-        m = CyclicBandedMatrix(n)
-        for off in (-2, -1, 0, 1, 2):
-            m.data[off] = np.ones(n)
-        assert np.linalg.matrix_rank(m.to_dense()) < n
+        ones5 = CyclicBandedOperator((-2, -1, 0, 1, 2), (1.0,) * 5, n)
+        operator, dense = _operator(n, 1, lambda target: target.add_operator(ones5))
+        assert np.linalg.matrix_rank(dense) < n
         with pytest.raises(SolverError):
-            m.solve(np.ones(n))
+            operator.solve(np.ones(n))
 
     def test_random_band_matches_dense(self, rng):
         n = 200
-        m = _random_cyclic_banded(n, rng)
+        operator, dense = _random_operator(n, rng)
         rhs = rng.standard_normal(n)
-        x = m.solve(rhs)
-        np.testing.assert_allclose(x, np.linalg.solve(m.to_dense(), rhs), atol=1e-10)
+        x = operator.solve(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), atol=1e-10)
 
     def test_residual_contract(self, rng):
         n = 300
-        m = _random_cyclic_banded(n, rng)
+        operator, dense = _random_operator(n, rng)
         rhs = rng.standard_normal(n)
-        x = m.solve(rhs)
-        residual = np.max(np.abs(m.matvec(x) - rhs))
+        x = operator.solve(rhs)
+        residual = np.max(np.abs(dense @ x - rhs))
         assert residual <= 1e-10 * np.max(np.abs(rhs))
 
     def test_matrix_assembly_matches_dense_construction(self, rng):
-        # identity plus scaled stencils, checked entry by entry on a small n
+        # identity plus scaled stencils: the recorder checked entry by entry on
+        # a small n, the operator by the residual of its solve against it
         grid = Grid1D(12, 0.4)
-        m = CyclicBandedMatrix(12)
-        m.add_diagonal(2.0 * np.ones(12))
         pre = rng.standard_normal(12)
-        m.add_operator(make_d1(grid), pre_diag=pre, scale=0.3)
         post = rng.standard_normal(12)
-        m.add_operator(make_d3(grid), post_diag=post, scale=-0.1)
+
+        def terms(target):
+            target.add_diagonal(2.0 * np.ones(12))
+            target.add_operator(make_d1(grid), pre_diag=pre, scale=0.3)
+            target.add_operator(make_d3(grid), post_diag=post, scale=-0.1)
+
+        operator, recorded = _operator(12, 1, terms)
         dense = (
             2.0 * np.eye(12)
             + 0.3 * np.diag(pre) @ make_d1(grid).as_dense()
             - 0.1 * make_d3(grid).as_dense() @ np.diag(post)
         )
-        np.testing.assert_allclose(m.to_dense(), dense, atol=1e-13)
+        np.testing.assert_allclose(recorded, dense, atol=1e-13)
+        rhs = rng.standard_normal(12)
+        assert np.max(np.abs(dense @ operator.solve(rhs) - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     def test_solve_after_assemble_roundtrip(self, rng, monkeypatch):
         # solve(A, A @ x) == x for a stepper-like system matrix through a step
@@ -212,62 +257,66 @@ class TestSolve:
 
         monkeypatch.setattr(findiff, "dgbtrf", spy)
         grid = Grid1D(128, 0.05)
-        m = CyclicBandedMatrix(128)
-        m.add_diagonal(np.full(128, 2.0 / 0.05))
-        m.add_operator(make_d1(grid))
-        m.add_operator(make_d3(grid), scale=0.2 / 6.0)
-        m.add_operator(make_d1(grid), pre_diag=rng.standard_normal(128) * 0.1)
-        operator = StepOperator(m)
+        pre = rng.standard_normal(128) * 0.1
+
+        def terms(target):
+            target.add_diagonal(np.full(128, 2.0 / 0.05))
+            target.add_operator(make_d1(grid))
+            target.add_operator(make_d3(grid), scale=0.2 / 6.0)
+            target.add_operator(make_d1(grid), pre_diag=pre)
+
+        operator, dense = _operator(128, 1, terms)
         x = rng.standard_normal(128)
         for _ in range(2):
-            x_hat = operator.solve(m.matvec(x))
+            x_hat = operator.solve(dense @ x)
             assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
         assert in_place == [True, True, True]
 
     def test_rhs_dimension_check(self):
-        m = CyclicBandedMatrix(16)
-        m.add_diagonal(np.ones(16))
+        operator = StepOperator(16, constant_terms=lambda target: target.add_diagonal(1.0))
         with pytest.raises(GridMismatchError):
-            m.solve(np.ones(8))
+            operator.solve(np.ones(8))
 
-    def test_interleaved_strided_bands(self):
+    def test_interleaved_strided_bands(self, rng):
         # two interleaved unknowns with distinct diagonals
-        m = CyclicBandedMatrix(8, blocks=2)
-        m.add_diagonal(np.full(4, 2.0), block=(0, 0))
-        m.add_diagonal(np.full(4, 3.0), block=(1, 1))
-        m.add_diagonal(np.full(4, 0.5), block=(0, 1))
-        dense = m.to_dense()
+        def terms(target):
+            target.add_diagonal(np.full(4, 2.0), block=(0, 0))
+            target.add_diagonal(np.full(4, 3.0), block=(1, 1))
+            target.add_diagonal(np.full(4, 0.5), block=(0, 1))
+
+        operator, dense = _operator(8, 2, terms)
         assert dense[0, 0] == 2.0 and dense[1, 1] == 3.0
         assert dense[2, 3] == 0.5 and dense[3, 2] == 0.0
+        rhs = rng.standard_normal(8)
+        np.testing.assert_allclose(operator.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-14)
 
 
-def _dominant_cyclic_banded(n, p, rng):
-    """Random bands in [-1, 1] plus a diagonal that outweighs them even after aliasing."""
-    m = CyclicBandedMatrix(n)
-    for off in range(-p, p + 1):
-        vals = rng.uniform(-1.0, 1.0, n)
-        if off == 0:
-            vals += 4 * p + 2
-        m.data[off] = vals
-    return m
+def _dominant_operator(n, blocks, p, rng, extra=0.0):
+    """Random bands in [-1, 1] plus a diagonal (4 p + 2, then ``extra``) that
+    outweighs them even after aliasing."""
+    terms = _random_band(n, blocks, p, _uniform(rng)) + _dominant_terms(n, blocks, 0, 4 * p + 2)
+    if extra:
+        terms += _dominant_terms(n, blocks, 0, extra)
+    return _operator(blocks * n, blocks, lambda target: _write(target, terms))
 
 
 class TestSolveProperties:
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 300), p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    # n <= 2p makes stencil offsets alias onto the same entry
-    @example(n=1, p=5, seed=1)
-    @example(n=2, p=1, seed=2)
-    @example(n=4, p=2, seed=3)
-    @example(n=10, p=5, seed=4)
-    @example(n=11, p=5, seed=5)
-    def test_matches_dense_and_meets_residual_contract(self, n, p, seed):
+    @given(n=st.integers(1, 300), shape=_shapes(), seed=st.integers(0, 2**32 - 1))
+    # blocks * n <= 2p makes stencil offsets alias onto the same entry
+    @example(n=1, shape=(2, 5), seed=1)
+    @example(n=2, shape=(1, 1), seed=2)
+    @example(n=4, shape=(1, 2), seed=3)
+    @example(n=5, shape=(2, 5), seed=4)
+    @example(n=6, shape=(2, 5), seed=5)
+    def test_matches_dense_and_meets_residual_contract(self, n, shape, seed):
+        blocks, p = shape
         rng = np.random.default_rng(seed)
-        m = _dominant_cyclic_banded(n, p, rng)
-        rhs = rng.standard_normal(n)
-        x = m.solve(rhs)
-        np.testing.assert_allclose(x, np.linalg.solve(m.to_dense(), rhs), rtol=0, atol=1e-12)
-        assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+        operator, dense = _dominant_operator(n, blocks, p, rng)
+        rhs = rng.standard_normal(blocks * n)
+        x = operator.solve(rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 300), scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
@@ -282,87 +331,58 @@ class TestSolveProperties:
         }[stencil]
         if stencil == "ones5":
             n = 5 * max(1, n // 5)
-        m = CyclicBandedMatrix(n)
-        for off, c in zip(offsets, coeffs):
-            m.data[off] = np.full(n, scale * c)
+        op = CyclicBandedOperator(offsets, coeffs, n)
+        operator = StepOperator(n, 1, lambda target: target.add_operator(op, scale=scale))
         with pytest.raises(SolverError):
-            m.solve(np.random.default_rng(seed).standard_normal(n))
-
-
-def _variable_terms(n, p, scale, rng):
-    """Random per-step terms within the stencil reach min(p, 2), as
-    (offset, block, pre_diag) triples."""
-    reach = min(p, 2)
-    return [(off, (0, 0), scale * rng.uniform(-1.0, 1.0, n)) for off in range(-reach, reach + 1)]
-
-
-def _random_block_terms(n, blocks, reach, rng):
-    """Random stencil terms in [-1, 1] over every block and offset within reach,
-    as (offset, block, pre_diag) triples."""
-    return [(off, (row, col), rng.uniform(-1.0, 1.0, n))
-            for row in range(blocks) for col in range(blocks)
-            for off in range(-reach, reach + 1)]
-
-
-def _dominant_terms(n, blocks, shift, size):
-    """A[u, u + shift] = size for every unknown u, as block terms."""
-    terms = []
-    for row in range(blocks):
-        col = (row + shift) % blocks
-        terms.append(((row + shift - col) // blocks, (row, col), np.full(n, size)))
-    return terms
-
-
-def _write(target, terms):
-    """A[row, col] += diag(pre_diag) @ S^offset per (offset, block, pre_diag) term."""
-    n = target.n // target.blocks
-    for off, block, pre in terms:
-        target.add_operator(CyclicBandedOperator((off,), (1.0,), n), pre_diag=pre, block=block)
+            operator.solve(np.random.default_rng(seed).standard_normal(n))
 
 
 def _step(operator, constant, terms):
-    """Write one step's terms into the operator; return the dense matrix."""
-    reference = CyclicBandedMatrix(constant.n, constant.blocks)
-    reference.data = {off: vals.copy() for off, vals in constant.data.items()}
+    """Write one step's terms into the operator; return the dense matrix, the
+    constant part plus the terms as a DenseRecorder builds them."""
+    reference = DenseRecorder(operator.n, operator.blocks)
+    reference.matrix += constant
     _write(reference, terms)
     operator.reset()
     _write(operator, terms)
-    return reference.to_dense()
+    return reference.matrix
 
 
 class TestStepOperator:
     @settings(max_examples=120, deadline=None)
-    @given(n=st.integers(1, 300), p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(1, 300), shape=_shapes(), seed=st.integers(0, 2**32 - 1),
            guess=st.sampled_from(["zero", "random", "adversarial", "near"]),
            drift=st.sampled_from([1e-9, 1e-5, 1e-2, 1.0]))
-    # n <= 2p makes stencil offsets alias onto the same entry, and the folded
-    # half-width k = n - 1 leaves fewer rows than the banded matvec needs
-    @example(n=1, p=5, seed=1, guess="near", drift=1e-9)
-    @example(n=2, p=1, seed=2, guess="random", drift=1e-5)
-    @example(n=4, p=2, seed=3, guess="near", drift=1e-9)
-    @example(n=10, p=5, seed=4, guess="adversarial", drift=1e-2)
-    @example(n=11, p=5, seed=5, guess="near", drift=1e-9)
-    def test_steps_match_dense_and_meet_residual_contract(self, n, p, seed, guess, drift):
+    # blocks * n <= 2p makes stencil offsets alias onto the same entry, and the
+    # folded half-width k = blocks * n - 1 leaves fewer rows than the banded
+    # matvec needs
+    @example(n=1, shape=(2, 5), seed=1, guess="near", drift=1e-9)
+    @example(n=2, shape=(1, 1), seed=2, guess="random", drift=1e-5)
+    @example(n=4, shape=(1, 2), seed=3, guess="near", drift=1e-9)
+    @example(n=5, shape=(2, 5), seed=4, guess="adversarial", drift=1e-2)
+    @example(n=6, shape=(2, 5), seed=5, guess="near", drift=1e-9)
+    def test_steps_match_dense_and_meet_residual_contract(self, n, shape, seed, guess, drift):
         # The constant part is fixed, the per-step part drifts by ``drift``
         # between steps; the first LU comes from an unrelated per-step part.
+        blocks, p = shape
+        size = blocks * n
         rng = np.random.default_rng(seed)
-        constant = _dominant_cyclic_banded(n, p, rng)
-        constant.data[0] += 2 * min(p, 2) + 1  # keeps C + V dominant
-        operator = StepOperator(constant)
-        _step(operator, constant, _variable_terms(n, p, 1.0, rng))
-        operator.solve(rng.standard_normal(n))
-        terms = _variable_terms(n, p, 1.0, rng)
+        # 2 p + 1 more on the diagonal keeps C + V dominant
+        operator, constant = _dominant_operator(n, blocks, p, rng, extra=2 * p + 1)
+        _step(operator, constant, _random_band(n, blocks, p, _uniform(rng)))
+        operator.solve(rng.standard_normal(size))
+        terms = _random_band(n, blocks, p, _uniform(rng))
         for _ in range(4):
             terms = [(off, block, pre + drift * rng.uniform(-1.0, 1.0, n))
                      for off, block, pre in terms]
             dense = _step(operator, constant, terms)
-            rhs = rng.standard_normal(n)
+            rhs = rng.standard_normal(size)
             expected = np.linalg.solve(dense, rhs)
             start = {
-                "zero": np.zeros(n),
-                "random": rng.standard_normal(n),
-                "adversarial": np.full(n, np.nan) if rng.random() < 0.5 else 1e12 * rhs,
-                "near": expected + 1e-9 * rng.standard_normal(n),
+                "zero": np.zeros(size),
+                "random": rng.standard_normal(size),
+                "adversarial": np.full(size, np.nan) if rng.random() < 0.5 else 1e12 * rhs,
+                "near": expected + 1e-9 * rng.standard_normal(size),
             }[guess]
             x = operator.solve(rhs, start)
             np.testing.assert_allclose(x, expected, rtol=0,
@@ -371,19 +391,18 @@ class TestStepOperator:
 
     def test_far_kept_lu_refactors_and_keeps_the_bound(self, rng):
         n = 64
-        constant = _dominant_cyclic_banded(n, 2, rng)
-        operator = StepOperator(constant)
-        _step(operator, constant, _variable_terms(n, 2, 1e-7, rng))
+        operator, constant = _dominant_operator(n, 1, 2, rng)
+        _step(operator, constant, _random_band(n, 1, 2, _uniform(rng, 1e-7)))
         operator.solve(rng.standard_normal(n))
         assert operator.factorizations == 1
         # a nearby step reuses the LU ...
-        _step(operator, constant, _variable_terms(n, 2, 1e-7, rng))
+        _step(operator, constant, _random_band(n, 1, 2, _uniform(rng, 1e-7)))
         operator.solve(rng.standard_normal(n), np.zeros(n))
         assert operator.factorizations == 1
         # ... a far one cannot, and its answer is as tight as a direct solve;
         # that matrix is no longer dominant and pivots, so its factorization
         # takes two dgbtrf calls (one finds the new row order, one uses it)
-        dense = _step(operator, constant, _variable_terms(n, 2, 5.0, rng))
+        dense = _step(operator, constant, _random_band(n, 1, 2, _uniform(rng, 5.0)))
         rhs = rng.standard_normal(n)
         x = operator.solve(rhs, np.zeros(n))
         assert operator.factorizations == 3
@@ -395,13 +414,14 @@ class TestStepOperator:
         # cancels the offset leaves rounding of about 1e7 * 1e-16 in x, above
         # the bound; x = LU^-1 rhs meets it.
         n = 64
-        constant = CyclicBandedMatrix(n)
-        constant.add_operator(CyclicBandedOperator((-1, 0, 1), (-1.0, 2.0, -1.0), n))
-        constant.add_diagonal(np.full(n, 1e-8))
-        dense = constant.to_dense()
+
+        def terms(target):
+            target.add_operator(CyclicBandedOperator((-1, 0, 1), (-1.0, 2.0, -1.0), n))
+            target.add_diagonal(np.full(n, 1e-8))
+
+        operator, dense = _operator(n, 1, terms)
         rhs = np.sin(2 * np.pi * np.arange(n) / n)
         expected = np.linalg.solve(dense, rhs)
-        operator = StepOperator(constant)
         x = operator.solve(rhs, expected + 1e7)
         assert operator.corrections == 2  # the correction, then the direct solve
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
@@ -413,10 +433,7 @@ class TestStepOperator:
         # C = scale I is regular; the per-step part turns it into a singular
         # circulant (D1 or D2, both annihilate constants), with a kept LU of C.
         rng = np.random.default_rng(seed)
-        constant = CyclicBandedMatrix(n)
-        for off in (-1, 0, 1):
-            constant.data[off] = np.full(n, scale if off == 0 else 0.0)
-        operator = StepOperator(constant)
+        operator = StepOperator(n, constant_terms=lambda target: target.add_diagonal(scale))
         operator.solve(rng.standard_normal(n))
         operator.reset()
         ones = np.ones(n)
@@ -428,34 +445,35 @@ class TestStepOperator:
             operator.solve(rng.standard_normal(n), rng.standard_normal(n))
 
     def test_term_outside_constant_band_rejected(self):
-        constant = CyclicBandedMatrix(16)
-        constant.add_diagonal(np.ones(16))
-        operator = StepOperator(constant)
+        # the band reaches 3 blocks - 1, as far as a +-2-node stencil within
+        # the blocks goes; a block index past the fields reaches further
         with pytest.raises(GridMismatchError):
-            operator.add_operator(make_d1(Grid1D(16, 0.1)))
+            StepOperator(16).add_diagonal(np.ones(16), block=(0, 3))
+        with pytest.raises(GridMismatchError):
+            StepOperator(32, 2).add_operator(make_d3(Grid1D(16, 0.1)), block=(0, 2))
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 40), blocks=st.sampled_from([1, 2]), reach=st.integers(1, 2),
+    @given(n=st.integers(1, 40), shape=_shapes(low=1),
            shifts=st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
            switch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    # n <= 2 reach makes stencil offsets alias onto the same entry
-    @example(n=1, blocks=2, reach=2, shifts=(1, -1), switch=1, seed=1)
-    @example(n=3, blocks=1, reach=2, shifts=(1, 0), switch=2, seed=2)
-    @example(n=40, blocks=2, reach=2, shifts=(-1, 1), switch=2, seed=3)
-    def test_row_order_path_matches_dense(self, n, blocks, reach, shifts, switch, seed):
+    # blocks * n <= 2p makes stencil offsets alias onto the same entry
+    @example(n=1, shape=(2, 5), shifts=(1, -1), switch=1, seed=1)
+    @example(n=3, shape=(1, 2), shifts=(1, 0), switch=2, seed=2)
+    @example(n=40, shape=(2, 5), shifts=(-1, 1), switch=2, seed=3)
+    def test_row_order_path_matches_dense(self, n, shape, shifts, switch, seed):
         # Every row has one dominant entry at unknown offset shifts[0]: 0
         # needs no interchange, +-1 makes partial pivoting reorder the folded
         # rows.  From step ``switch`` on, a three times larger entry at
         # shifts[1] moves the pivot order in the middle of the run.
+        blocks, p = shape
         rng = np.random.default_rng(seed)
-        size = 4.0 * blocks * (2 * reach + 1)  # twice the random part of a row
-        constant = CyclicBandedMatrix(blocks * n, blocks)
-        _write(constant, _random_block_terms(n, blocks, reach, rng)
-               + _dominant_terms(n, blocks, shifts[0], size))
-        operator = StepOperator(constant)
+        size = 4.0 * (2 * p + 1)  # twice the random part of a row
+        terms = (_random_band(n, blocks, p, _uniform(rng))
+                 + _dominant_terms(n, blocks, shifts[0], size))
+        operator, constant = _operator(blocks * n, blocks, lambda target: _write(target, terms))
         x = None
         for step in range(6):
-            terms = _random_block_terms(n, blocks, reach, rng)
+            terms = _random_band(n, blocks, p, _uniform(rng))
             if step >= switch:
                 terms += _dominant_terms(n, blocks, shifts[1], 3.0 * size)
             dense = _step(operator, constant, terms)
@@ -472,9 +490,8 @@ class TestStepOperator:
         # below the diagonal makes the kept order meet interchanges once, after
         # which the new order factors with none.
         n = 64
-        constant = CyclicBandedMatrix(n)
-        _write(constant, _random_block_terms(n, 1, 2, rng) + _dominant_terms(n, 1, 1, 20.0))
-        operator = StepOperator(constant)
+        terms = _random_band(n, 1, 2, _uniform(rng)) + _dominant_terms(n, 1, 1, 20.0)
+        operator, constant = _operator(n, 1, lambda target: _write(target, terms))
         operator.solve(rng.standard_normal(n))
         assert operator.factorizations == 2
         operator.solve(rng.standard_normal(n))

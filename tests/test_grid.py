@@ -19,8 +19,6 @@ from longwave.grid import (
     discrete_h1_eps,
     discrete_l2,
     discrete_sobolev,
-    eval_bathymetry,
-    eval_bathymetry_derivative,
     soliton_field,
 )
 from conftest import random_field
@@ -78,63 +76,63 @@ class TestField:
 class TestBathymetry:
     def test_flat_is_zero_everywhere(self):
         b = FlatBottom()
-        assert eval_bathymetry(b, -3.7) == 0.0
-        assert eval_bathymetry_derivative(b, 12.0) == 0.0
+        assert b.value(-3.7) == 0.0
+        assert b.derivative(12.0) == 0.0
 
     def test_step_midpoint_is_half_height(self):
         b = StepBottom(beta0=0.5, center=40.0, ramp_half_width=1.5)
-        assert eval_bathymetry(b, 40.0) == pytest.approx(0.25, abs=1e-15)
+        assert b.value(40.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_step_plateaus(self):
         b = StepBottom(beta0=0.5, center=40.0, ramp_half_width=1.5)
-        assert eval_bathymetry(b, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert eval_bathymetry(b, -100.0) == pytest.approx(0.0, abs=1e-15)
-        assert eval_bathymetry(b, 41.5) == pytest.approx(0.5, abs=1e-15)
-        assert eval_bathymetry(b, 500.0) == pytest.approx(0.5, abs=1e-15)
+        assert b.value(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert b.value(-100.0) == pytest.approx(0.0, abs=1e-15)
+        assert b.value(41.5) == pytest.approx(0.5, abs=1e-15)
+        assert b.value(500.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_step_continuity_at_ramp_ends(self):
         b = StepBottom(beta0=0.5, center=40.0, ramp_half_width=1.5)
         for edge in (38.5, 41.5):
-            left = eval_bathymetry(b, edge - 1e-9)
-            right = eval_bathymetry(b, edge + 1e-9)
+            left = b.value(edge - 1e-9)
+            right = b.value(edge + 1e-9)
             assert abs(left - right) < 1e-12
-            dleft = eval_bathymetry_derivative(b, edge - 1e-9)
-            dright = eval_bathymetry_derivative(b, edge + 1e-9)
+            dleft = b.derivative(edge - 1e-9)
+            dright = b.derivative(edge + 1e-9)
             assert abs(dleft - dright) < 1e-8
 
     def test_step_derivative_zero_outside_ramp(self):
         b = StepBottom(beta0=0.5, center=40.0, ramp_half_width=1.5)
-        assert eval_bathymetry_derivative(b, 38.0) == 0.0
-        assert eval_bathymetry_derivative(b, 42.0) == 0.0
+        assert b.derivative(38.0) == 0.0
+        assert b.derivative(42.0) == 0.0
 
     def test_step_derivative_matches_finite_difference(self):
         b = StepBottom(beta0=0.7, center=10.0, ramp_half_width=2.0)
         h = 1e-6
         for x in (9.0, 10.0, 11.3):
-            fd = (eval_bathymetry(b, x + h) - eval_bathymetry(b, x - h)) / (2 * h)
-            assert eval_bathymetry_derivative(b, x) == pytest.approx(fd, rel=1e-8)
+            fd = (b.value(x + h) - b.value(x - h)) / (2 * h)
+            assert b.derivative(x) == pytest.approx(fd, rel=1e-8)
 
     def test_slow_sinusoid_values_and_derivative(self):
         b = SlowSinusoidBottom(amplitude=0.5, frequency=0.1)
-        assert eval_bathymetry(b, 0.0) == 0.0
+        assert b.value(0.0) == 0.0
         x = np.array([-5.0, 0.0, 3.0, 17.0])
-        np.testing.assert_allclose(eval_bathymetry(b, x), 0.5 * np.sin(0.1 * x))
+        np.testing.assert_allclose(b.value(x), 0.5 * np.sin(0.1 * x))
         np.testing.assert_allclose(
-            eval_bathymetry_derivative(b, x), 0.5 * 0.1 * np.cos(0.1 * x)
+            b.derivative(x), 0.5 * 0.1 * np.cos(0.1 * x)
         )
 
     def test_sinusoid_with_phase(self):
         b = SinusoidBottom(b0=0.5, wavelength=10.125)
-        assert eval_bathymetry(b, 0.0) == pytest.approx(0.5)
+        assert b.value(0.0) == pytest.approx(0.5)
         fd = (b.value(2.0 + 1e-6) - b.value(2.0 - 1e-6)) / 2e-6
-        assert eval_bathymetry_derivative(b, 2.0) == pytest.approx(fd, rel=1e-8)
+        assert b.derivative(2.0) == pytest.approx(fd, rel=1e-8)
 
     def test_sampled_interpolation_and_extrapolation(self):
         b = SampledBottom(nodes=[0.0, 1.0, 2.0], values=[0.0, 1.0, 0.0])
-        assert eval_bathymetry(b, 0.5) == pytest.approx(0.5)
-        assert eval_bathymetry(b, -3.0) == 0.0
-        assert eval_bathymetry(b, 9.0) == 0.0
-        assert eval_bathymetry_derivative(b, -3.0) == 0.0
+        assert b.value(0.5) == pytest.approx(0.5)
+        assert b.value(-3.0) == 0.0
+        assert b.value(9.0) == 0.0
+        assert b.derivative(-3.0) == 0.0
 
     def test_sampled_empty_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -255,8 +255,8 @@ class TestRunScenario:
         operators = []
 
         class Recording(StepOperator):
-            def __init__(self, constant):
-                super().__init__(constant)
+            def __init__(self, n, blocks=1, constant_terms=None):
+                super().__init__(n, blocks, constant_terms)
                 operators.append(self)
 
         monkeypatch.setattr(kdv, "StepOperator", Recording)
@@ -358,6 +358,18 @@ class TestConvergenceStudy:
         for order in report.boussinesq_orders:
             assert 1.8 <= order <= 2.2
         assert report.monotone
+
+    def test_weighted_study_reads_the_lagged_eta_level(self):
+        # the weighted assembly's lagged eta factor at level n and at the
+        # predictor are different schemes, so their B differences differ
+        diffs = [
+            convergence_study(ScenarioConfig(
+                scenario="convergence", epsilon=0.2, final_time=1.0, domain_length=20.0,
+                dx=0.1, boussinesq_nonlinear_mode="weighted", lagged_eta_level=level,
+            )).boussinesq_diffs
+            for level in ("n", "predictor")
+        ]
+        assert diffs[0] != diffs[1]
 
 
 class TestCsvRoundTrip:
@@ -548,6 +560,13 @@ class TestCli:
                          "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "growth.csv").exists()
+
+    def test_growth_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
+        # eps = 12 leaves 3 snapshots, too few for the growth fit: a
+        # DiagnosticError, reported as invalid input and not as a traceback
+        argv = ["growth", "--scenario", "sinusoid", "--epsilon", "12", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "growth diagnostic needs >= 4 snapshots, got 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,cfg,message", [
         (["--epsilon", "0.1", "--levels", "9"], None, "convergence study would take"),
