@@ -34,7 +34,7 @@ import numbers
 import time as _time
 import types
 import typing
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
