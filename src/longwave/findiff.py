@@ -49,18 +49,61 @@ application of the LU is a gather of the rows by P and two triangular band
 solves (``dtbsv``), each a single BLAS call.  Factor entries below the
 smallest normal float are set to 0: the fill that couples the two halves of
 the fold decays into subnormals, which slow every solve.
+
+``dgbmv`` and ``dtbsv`` come from scipy's compiled BLAS module ``_fblas``
+and ``dgbtrf`` from its compiled LAPACK module ``_flapack``, both in scipy's
+``linalg`` directory, each loaded from its file: going through the public
+``blas`` and ``lapack`` wrappers would run ``scipy/linalg/__init__.py``,
+which imports all of scipy's linalg package (85 modules, about 0.4 s and
+24 MB resident) for three routines.  They are the same function objects
+that those wrappers export.  A scipy without these two modules fails at
+import; the names were checked on scipy 1.17.1 only, older versions are
+unverified.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dtbsv
-from scipy.linalg.lapack import dgbtrf
 
 from .errors import GridMismatchError, SolverError
 from .grid import Grid1D, _shifted
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running ``scipy/linalg/__init__.py`` (nor ``scipy/__init__.py``).
+
+    It is registered in ``sys.modules`` under its own name, so importing
+    scipy's linalg package later reuses the same module object, and an entry
+    already there is returned as it is.
+    """
+    qualified = "scipy.linalg." + name
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed", name=qualified)
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(qualified, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[qualified] = module
+            return module
+    raise ImportError(f"no compiled module {name!r} in {directory}", name=qualified)
+
+
+_fblas = _scipy_linalg_extension("_fblas")
+dgbmv, dtbsv = _fblas.dgbmv, _fblas.dtbsv
+dgbtrf = _scipy_linalg_extension("_flapack").dgbtrf
 
 __all__ = [
     "CyclicBandedOperator",

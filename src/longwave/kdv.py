@@ -50,6 +50,8 @@ relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -118,12 +120,35 @@ class _TrajectoryBase:
         )
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only array, copied once when it or any array it views
+    is writeable (``np.load`` returns a view of a writeable array)."""
+    a = base = np.asarray(a)
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            a = a.copy()
+            break
+        base = base.base
+    a.flags.writeable = False
+    return a
+
+
 class Trajectory(_TrajectoryBase):
-    """Scalar-field trajectory from one solver run."""
+    """Scalar-field trajectory from one solver run.  ``data`` is frozen when
+    set (``_frozen``), so results computed from it, such as the running sums
+    of the reconstruction, stay valid while it is held."""
 
     def __init__(self, grid, dt, step_indices, data: np.ndarray):
         super().__init__(grid, dt, step_indices)
         self.data = data
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, values) -> None:
+        self._data = _frozen(values)
 
     def at_step(self, m: int) -> np.ndarray:
         return self.data[self.row_for_step(m)]
@@ -133,12 +158,13 @@ class Trajectory(_TrajectoryBase):
 
 
 class PairTrajectory(_TrajectoryBase):
-    """(v, eta) trajectory from a coupled solver run."""
+    """(v, eta) trajectory from a coupled solver run; both arrays are frozen
+    at construction (``_frozen``)."""
 
     def __init__(self, grid, dt, step_indices, v_data, eta_data):
         super().__init__(grid, dt, step_indices)
-        self.v_data = v_data
-        self.eta_data = eta_data
+        self.v_data = _frozen(v_data)
+        self.eta_data = _frozen(eta_data)
 
     def at_step(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         row = self.row_for_step(m)
@@ -278,9 +304,7 @@ def _advance(problem, state: RelaxationState) -> RelaxationState:
     current = 2.0 * w - state.current
     next_index = state.step_index + 1
     if not np.all(np.isfinite(current)):
-        raise InstabilityError(
-            f"non-finite solution at step {next_index}", step_index=next_index
-        )
+        raise InstabilityError("non-finite solution", step_index=next_index)
     return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt,
                            operator, (w - state.predictor,) + deltas[:2])
 
@@ -321,6 +345,20 @@ def _stored_rows(num_steps: int, stride: int) -> int:
     return -(-num_steps // stride) + 1
 
 
+def _failed_step(exc: SolverError, state: RelaxationState, dx: float) -> SolverError:
+    """``exc`` as raised by the step after ``state``, the last finite state:
+    the same error type, naming the failed step, its time and that state's
+    norms in its message and attributes."""
+    step_index, z = state.step_index + 1, state.current
+    time = step_index * state.dt
+    l2, peak = math.sqrt(dx * float(z @ z)), float(np.max(np.abs(z)))
+    return type(exc)(
+        f"{exc} (at step {step_index}) at t = {time:.6g}; last finite state: "
+        f"L2 norm {l2:.6e}, max norm {peak:.6e}",
+        step_index=step_index, time=time, l2_norm=l2, max_norm=peak,
+    )
+
+
 def _drive(problem, start, advance, stride: int, on_step=None):
     """Run loop shared by both steppers.
 
@@ -328,8 +366,9 @@ def _drive(problem, start, advance, stride: int, on_step=None):
     work, builds the initial state with ``start()``, then applies
     ``advance(problem, state)`` over the time grid.  The ``problem.blocks`` fields
     interleaved in the unknown are stored at every stride-th step plus the
-    final one; a SolverError is re-raised naming its step.  Returns the stored
-    step indices and a read-only array of shape (blocks, snapshots, n):
+    final one; a SolverError is re-raised naming its step, the step's time
+    and the norms of the last finite state (``_failed_step``).  Returns the
+    stored step indices and a read-only array of shape (blocks, snapshots, n):
     results computed from a trajectory, such as the running sums of the
     reconstruction, then stay valid for as long as it lives.
 
@@ -354,10 +393,8 @@ def _drive(problem, start, advance, stride: int, on_step=None):
         while state.step_index < target:
             try:
                 state = advance(problem, state)
-            except InstabilityError:
-                raise
             except SolverError as exc:
-                raise SolverError(f"{exc} (at step {state.step_index + 1})") from exc
+                raise _failed_step(exc, state, problem.grid.dx) from exc
             on_step(state.step_index, state.current)
         data[:, row] = state.current.reshape(n, blocks).T
     data.flags.writeable = False

@@ -53,11 +53,9 @@ m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step starts again
 from step 0.  It can also be fed by ``kdv.run``'s per-step hook and keep its
 read-outs at the stored steps, so a run stored at a coarser stride serves
 K_topo (``_streamed_topo_sum``).  A stored sum is reused only while the
-trajectory holds the same data array, that array (and any array it views)
-is read-only, and the weight sampled on the extended lattice is unchanged.
-Run output is read-only (``kdv.run`` and ``boussinesq.run_boussinesq``), so
-a sum over it cannot go stale; a hand-built trajectory over a writeable
-array is summed from step 0 on every call.
+trajectory holds the same data array and the weight sampled on the extended
+lattice is unchanged.  A ``Trajectory`` freezes its data (copying it once
+when some array it views is writeable), so a sum over it cannot go stale.
 """
 
 from __future__ import annotations
@@ -276,15 +274,6 @@ _RUNNING_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _RUNNING_SUMS_LOCK = threading.Lock()
 
 
-def _read_only(a) -> bool:
-    """True when neither ``a`` nor any array it is a view of is writeable."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
 def _streamed_topo_sum(b: BathymetryProfile, grid: Grid1D, num_steps: int, keep) -> _RunningSum:
     """N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, the one characteristic sum of
     K_topo from a right-going run u alone (``n_traj=None``).  Pass ``record``
@@ -312,7 +301,6 @@ def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -
         sums = _RUNNING_SUMS.setdefault(counter, {})
         state = sums.get((direction, fresh.kind))
         valid = (state is not None and state.data is counter.data
-                 and _read_only(counter.data)
                  and (fresh.w_ext is None or np.array_equal(fresh.w_ext, state.w_ext)))
         if valid and m in state.readouts:
             return state.readouts[m]

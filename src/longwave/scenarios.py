@@ -266,6 +266,11 @@ class ScenarioConfig:
     def _validate_filled(self) -> None:
         if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
             raise ConfigurationError("dx, final_time and domain_length must be positive")
+        if not 0.0 <= -self.shift < self.domain_length:
+            raise ConfigurationError(
+                f"shift {self.shift:g} puts the soliton crest at x = {-self.shift:g}, "
+                f"outside the window [0, domain_length) = [0, {self.domain_length:g})"
+            )
         if self.error_interval < self.dx - 1e-12:
             raise ConfigurationError("error_interval must be at least one step dx")
         for name, allowed in (("boussinesq_nonlinear_mode", BOUSSINESQ_NONLINEAR_MODES),

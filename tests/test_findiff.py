@@ -1,4 +1,9 @@
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,3 +508,45 @@ class TestStepOperator:
             assert operator.factorizations == calls
             np.testing.assert_allclose(x, np.linalg.solve(dense, rhs),
                                        rtol=0, atol=1e-12 * np.max(np.abs(x)))
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports longwave from this tree."""
+    src = str(Path(findiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_SAME_ROUTINES = """
+import scipy.linalg.blas, scipy.linalg.lapack
+assert findiff.dgbmv is scipy.linalg.blas.dgbmv
+assert findiff.dtbsv is scipy.linalg.blas.dtbsv
+assert findiff.dgbtrf is scipy.linalg.lapack.dgbtrf
+"""
+
+
+class TestScipyLoading:
+    """findiff loads scipy's two compiled modules, not all of scipy.linalg."""
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        out = _fresh_interpreter(
+            "import sys, longwave.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert out.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+
+    def test_same_routines_when_longwave_is_imported_first(self):
+        _fresh_interpreter("from longwave import findiff\n" + _SAME_ROUTINES)
+
+    def test_same_routines_when_scipy_linalg_is_imported_first(self):
+        _fresh_interpreter("import scipy.linalg\nfrom longwave import findiff\n"
+                           + _SAME_ROUTINES)
+
+    def test_missing_module_names_the_directory(self):
+        with pytest.raises(ImportError) as excinfo:
+            findiff._scipy_linalg_extension("_no_such_module")
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        assert os.path.join(scipy_dir, "linalg") in str(excinfo.value)

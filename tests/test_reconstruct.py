@@ -19,6 +19,7 @@ from longwave.grid import (
 from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
     TERM_NAMES,
+    _RunningSum,
     _cross_integral_nodes,
     _streamed_topo_sum,
     bottom_shift_integral,
@@ -267,23 +268,50 @@ class TestRunningSum:
             want = _oracle_nodes(weight, traj, m, direction)
             assert np.max(np.abs(got - want)) <= bound
 
-    def test_writes_and_replaced_data_are_seen(self):
+    def test_frozen_and_replaced_data_are_seen(self):
         grid = Grid1D(16, 0.5)
         rng = np.random.default_rng(3)
-        traj = Trajectory(grid, grid.dx, np.arange(9), rng.standard_normal((9, 16)))
+        data = rng.standard_normal((9, 16))
+        before = data.copy()
+        traj = Trajectory(grid, grid.dx, np.arange(9), data)
         bottom = StepBottom(0.5, 4.0, 1.0)
         _cross_integral_nodes(bottom, traj, 8, "left")
-        traj.data[3] += 1.0
+        with pytest.raises(ValueError):
+            traj.data[3] += 1.0
+        data[3] += 1.0  # the caller's array, not the trajectory's frozen copy
+        np.testing.assert_array_equal(traj.data, before)
         np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
                                    _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
-        frozen = rng.standard_normal((9, 16))
-        frozen.flags.writeable = False
-        traj.data = frozen
+        traj.data = rng.standard_normal((9, 16))
+        assert not traj.data.flags.writeable
         np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
                                    _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
         other = StepBottom(-0.3, 2.0, 1.0)
         np.testing.assert_allclose(_cross_integral_nodes(other, traj, 8, "left"),
                                    _oracle_nodes(other, traj, 8, "left"), atol=1e-13)
+
+    def test_loaded_data_is_fed_once(self, step_run, tmp_path, monkeypatch):
+        # np.load returns a view of a writeable array; the trajectory freezes
+        # a copy, so m reconstructions at increasing steps feed each snapshot
+        # of the left-going quadrature once, and agree with the run's own
+        eps, grid, tg, _, traj, bottom, coeffs = step_run
+        path = tmp_path / "u.npy"
+        np.save(path, traj.data)
+        loaded = Trajectory(grid, tg.dt, traj.step_indices, np.load(path))
+        fed = []
+        feed = _RunningSum.feed
+
+        def counting_feed(self, values):
+            fed.append(None)
+            feed(self, values)
+
+        times = [m * tg.dt for m in range(20, tg.num_steps + 1, 20)]
+        want = [topo_modified_surfaces(traj, None, bottom, coeffs, t) for t in times]
+        monkeypatch.setattr(_RunningSum, "feed", counting_feed)
+        for t, expected in zip(times, want):
+            got = topo_modified_surfaces(loaded, None, bottom, coeffs, t)
+            np.testing.assert_array_equal(got.eta.values, expected.eta.values)
+        assert len(fed) == tg.num_steps + 1
 
 
 class TestCorrectorFields:

@@ -12,7 +12,7 @@ from longwave import kdv, scenarios
 from longwave.cli import main
 from longwave.errors import ConfigurationError
 from longwave.findiff import StepOperator
-from longwave.grid import Field, Grid1D, SolitonSpec, soliton_field
+from longwave.grid import Field, Grid1D, SolitonSpec, TimeGrid, soliton_field
 from longwave.scenarios import (
     ScenarioConfig,
     convergence_study,
@@ -551,6 +551,51 @@ class TestCli:
                                     "error_interval": 0.05}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "1 GB guard" in capsys.readouterr().err
+
+    def test_crest_outside_the_window_exits_2_before_any_run(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the default shift -30 puts the crest at x = 30, past a window of 20
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "validate", "epsilon": 0.2,
+                                    "domain_length": 20}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: shift -30 ")
+        assert "crest at x = 30" in err and "[0, 20)" in err
+
+    def test_singular_step_names_step_time_and_norms(self, tmp_path, monkeypatch, capsys):
+        # K's fifth step drops its predictor terms and its 2/dt diagonal: the
+        # step matrix D1 + eps/6 D3 annihilates constants, so it is singular
+        original = kdv.KdvProblem.add_predictor_terms
+        calls = []
+
+        def singular_at_step_5(self, target, predictor, current):
+            calls.append(None)
+            if len(calls) < 5:
+                return original(self, target, predictor, current)
+            target.add_diagonal(-2.0 / self.time_grid.dt)
+            return 2.0 / self.time_grid.dt * current
+
+        cfg = {"scenario": "validate", "epsilon": 0.2, "final_time": 1.0,
+               "snapshot_times": [1.0]}
+        config = ScenarioConfig(**cfg)
+        grid = config.build_grid()
+        last = kdv.run(config.build_kdv_problem(grid, TimeGrid(4, config.dt)),
+                       soliton_field(config.build_soliton(), grid), stride=4).at_step(4)
+        monkeypatch.setattr(kdv.KdvProblem, "add_predictor_terms", singular_at_step_5)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: matrix is singular")
+        assert f"(at step 5) at t = {5 * config.dt:.6g};" in err
+        assert (f"L2 norm {math.sqrt(grid.dx * float(last @ last)):.6e}, "
+                f"max norm {np.max(np.abs(last)):.6e}") in err
 
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")
