@@ -61,29 +61,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, scenario_key: str | None = None) -> ScenarioConfig:
-    if getattr(args, "config", None):
+def _refuse_beside_config(args, *flags: str) -> None:
+    """Exit 2 on any of ``flags`` given with --config, which would ignore it."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value is not False:
+            raise ConfigurationError(f"--{flag} cannot override a config file; set it there")
+
+
+def _config_from_args(args) -> ScenarioConfig:
+    if args.config:
+        _refuse_beside_config(args, "scenario", "epsilon", "overtime")
         config = ScenarioConfig.from_json(args.config)
-        if getattr(args, "out", None):
+        if args.out:
             config.output_dir = args.out
-        if getattr(args, "overtime", False):
-            raise ConfigurationError("--overtime cannot override a config file; set it there")
         return config
-    if scenario_key is None:
+    if args.scenario is None:
         raise ConfigurationError("either --config or --scenario/--epsilon is required")
     if args.epsilon is None:
         raise ConfigurationError("--epsilon is required without --config")
     return ScenarioConfig(
-        scenario=scenario_key,
+        scenario=args.scenario,
         epsilon=args.epsilon,
-        overtime=getattr(args, "overtime", False),
-        output_dir=getattr(args, "out", None),
-        growth_kind=getattr(args, "growth_kind", None),
+        overtime=args.overtime,
+        output_dir=args.out,
     )
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args, args.scenario)
+    config = _config_from_args(args)
     report = run_scenario(config)
     if config.output_dir:
         paths = write_outputs(report, config)
@@ -101,6 +107,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_convergence(args) -> int:
     if args.config:
+        _refuse_beside_config(args, "epsilon")
         config = ScenarioConfig.from_json(args.config)
     else:
         config = ScenarioConfig(

@@ -134,27 +134,21 @@ def _frozen(a) -> np.ndarray:
 
 
 class Trajectory(_TrajectoryBase):
-    """Scalar-field trajectory from one solver run.  ``data`` is frozen when
-    set (``_frozen``), so results computed from it, such as the running sums
-    of the reconstruction, stay valid while it is held."""
+    """Scalar-field trajectory from one solver run.  ``data`` is frozen at
+    construction (``_frozen``) and has no setter, so the characteristic sums
+    in ``sums``, written only by ``reconstruct._RunningSum.attach``, stay valid."""
 
     def __init__(self, grid, dt, step_indices, data: np.ndarray):
         super().__init__(grid, dt, step_indices)
-        self.data = data
+        self._data = _frozen(data)
+        self.sums = {}
 
     @property
     def data(self) -> np.ndarray:
         return self._data
 
-    @data.setter
-    def data(self, values) -> None:
-        self._data = _frozen(values)
-
     def at_step(self, m: int) -> np.ndarray:
         return self.data[self.row_for_step(m)]
-
-    def at_time(self, t: float) -> Field:
-        return Field(self.at_step(self.step_of_time(t)).copy(), self.grid)
 
 
 class PairTrajectory(_TrajectoryBase):
@@ -169,10 +163,6 @@ class PairTrajectory(_TrajectoryBase):
     def at_step(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         row = self.row_for_step(m)
         return self.v_data[row], self.eta_data[row]
-
-    def at_time(self, t: float) -> tuple[Field, Field]:
-        v, eta = self.at_step(self.step_of_time(t))
-        return Field(v.copy(), self.grid), Field(eta.copy(), self.grid)
 
 
 class KdvProblem:
@@ -368,9 +358,8 @@ def _drive(problem, start, advance, stride: int, on_step=None):
     interleaved in the unknown are stored at every stride-th step plus the
     final one; a SolverError is re-raised naming its step, the step's time
     and the norms of the last finite state (``_failed_step``).  Returns the
-    stored step indices and a read-only array of shape (blocks, snapshots, n):
-    results computed from a trajectory, such as the running sums of the
-    reconstruction, then stay valid for as long as it lives.
+    stored step indices and a read-only array of shape (blocks, snapshots, n),
+    which a trajectory then holds without a copy.
 
     ``on_step(m, z)``, the one per-step hook, is called with the step index
     and ``state.current`` (z^m, which no later step writes into) after the

@@ -47,21 +47,20 @@ or y = c - j ('left'), so the sum over steps 0..m obeys
 
 kept on the extended lattice of n + M feet (M the last stored step) and fed
 one snapshot at a time; the trapezoid end weights -F_0/2 and -F_m/2 are
-applied when the sum is read out.  One accumulator is kept per (trajectory,
-direction, weight kind) and a call at step m' >= m feeds only the snapshots
-m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step starts again
-from step 0.  It can also be fed by ``kdv.run``'s per-step hook and keep its
-read-outs at the stored steps, so a run stored at a coarser stride serves
-K_topo (``_streamed_topo_sum``).  A stored sum is reused only while the
-trajectory holds the same data array and the weight sampled on the extended
-lattice is unchanged.  A ``Trajectory`` freezes its data (copying it once
-when some array it views is writeable), so a sum over it cannot go stale.
+applied when the sum is read out.  The counter trajectory owns its sums:
+``Trajectory.sums`` holds one accumulator per (direction, weighted), so they
+go when the trajectory goes.  A call at step m' >= m feeds only the snapshots
+m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step, or with a
+bottom whose b' differs on the extended lattice, starts again from step 0.
+An accumulator can also be fed by ``kdv.run``'s per-step hook (``record``)
+and keep its read-outs at the stored steps, so a run stored at a coarser
+stride serves K_topo once the sum is attached to it.  A trajectory's data is
+frozen at construction and cannot be replaced, so a sum cannot go stale.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +107,6 @@ _BOTTOM_TERMS = ("bottom_jump", "bottom_integral", "bottom_derivative_integral")
 class CorrectorBreakdown:
     """Per-node values of each named corrector term at one time, plus their sum."""
 
-    grid: Grid1D
-    time: float
     quadratic_difference: np.ndarray
     dispersive_difference: np.ndarray
     cross_product: np.ndarray
@@ -125,9 +122,6 @@ class CorrectorBreakdown:
     def terms(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TERM_NAMES}
 
-    def total_field(self) -> Field:
-        return Field(self.total, self.grid)
-
 
 @dataclass
 class SurfaceReconstruction:
@@ -135,9 +129,6 @@ class SurfaceReconstruction:
 
     v: Field
     eta: Field
-    time: float
-    variant: str  # "classical" | "topo_modified" | "topo_modified_periodic"
-    corrector_terms: tuple[CorrectorBreakdown, CorrectorBreakdown] | None = None
 
 
 def _check_alignment(traj: Trajectory) -> None:
@@ -199,26 +190,22 @@ class _RunningSum:
     """Trapezoid sums along the characteristics of one counter field.
 
     ``acc[q]`` holds sum_{j <= step} F_j over the characteristic with foot
-    q - M ('right') or q ('left'), where F_j is the weighted counter snapshot
-    j on the extended lattice of n + M points.  ``feed`` adds the next
-    snapshot, ``read`` sums up to the last one fed.  ``advance(m)`` feeds a
-    stored trajectory (``data``) up to m; ``record``, a ``kdv.run`` hook,
-    feeds a run as it goes and keeps the read-outs at the steps in ``keep``.
+    q - M ('right') or q ('left'), where F_j is the counter snapshot j on the
+    extended lattice of n + M points, times b' there when the weight is a
+    bottom profile.  ``feed`` adds the next snapshot, ``read`` sums up to the
+    last one fed.  ``attach`` gives the sum to a trajectory, whose snapshots
+    ``advance(m)`` then feeds up to m; ``record``, a ``kdv.run`` hook, feeds a
+    run as it goes and keeps the read-outs at the steps in ``keep``.
     """
 
-    def __init__(self, weight, grid: Grid1D, big_m: int, direction: str, data=None,
-                 keep=()):
+    def __init__(self, weight: BathymetryProfile | None, grid: Grid1D, big_m: int,
+                 direction: str, keep=()):
         n, self.dx = grid.num_points, grid.dx
         lattice = np.arange(-big_m, n) if direction == "right" else np.arange(0, n + big_m)
-        if weight is None:
-            self.kind, self.w_ext = "one", None
-        elif isinstance(weight, BathymetryProfile):
-            self.kind = "profile"
-            self.w_ext = np.asarray(weight.derivative(lattice * grid.dx), dtype=float)
-        else:
-            vals = weight.values if isinstance(weight, Field) else np.asarray(weight, dtype=float)
-            self.kind, self.w_ext = "array", vals[lattice % n]
-        self.direction, self.big_m, self.data = direction, big_m, data
+        self.key = (direction, weight is not None)
+        self.w_ext = (None if weight is None
+                      else np.asarray(weight.derivative(lattice * grid.dx), dtype=float))
+        self.direction, self.big_m, self.data = direction, big_m, None
         self.wrap = lattice % n
         self.acc = np.zeros(len(lattice))
         self.step = -1
@@ -262,24 +249,15 @@ class _RunningSum:
             self.readouts[m].flags.writeable = False
 
     def attach(self, traj: Trajectory) -> None:
-        """Serve the read-outs to quadratures over ``traj``, the run's output."""
+        """Keep this sum in ``traj.sums``, where quadratures over ``traj`` find it."""
         self.data = traj.data
-        with _RUNNING_SUMS_LOCK:
-            _RUNNING_SUMS.setdefault(traj, {})[(self.direction, self.kind)] = self
+        with _SUMS_LOCK:
+            traj.sums[self.key] = self
 
 
-# Running sums per counter trajectory, keyed by (direction, weight kind); a
-# trajectory that is garbage collected drops its sums.
-_RUNNING_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_RUNNING_SUMS_LOCK = threading.Lock()
-
-
-def _streamed_topo_sum(b: BathymetryProfile, grid: Grid1D, num_steps: int, keep) -> _RunningSum:
-    """N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, the one characteristic sum of
-    K_topo from a right-going run u alone (``n_traj=None``).  Pass ``record``
-    as ``kdv.run``'s ``on_step`` and ``attach`` the run's output; K_topo then
-    reads the sums at the steps in ``keep`` without a stride-1 history."""
-    return _RunningSum(b, grid, num_steps, "left", keep=keep)
+# Guards every trajectory's ``sums``; reentrant, as a quadrature attaches a
+# fresh sum while it holds the lock.
+_SUMS_LOCK = threading.RLock()
 
 
 def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -> np.ndarray:
@@ -287,26 +265,27 @@ def _cross_integral_nodes(weight, counter: Trajectory, m: int, direction: str) -
 
     direction 'right': y = x_i - t + s, field read from the counter snapshot at s
     (abscissa x_i - t + 2s collapses to y once the snapshot time matches s);
-    direction 'left':  y = x_i + t - s.  The weight is evaluated unwrapped when
-    it is a bottom profile (derivative) and with periodic wrap when it is a
-    per-node array; the counter snapshots always wrap periodically.  The sum
-    is recorded during the run or advanced from a stored one (module docstring).
+    direction 'left':  y = x_i + t - s.  The weight is a bottom profile, whose
+    derivative is evaluated unwrapped, or None for weight one; the counter
+    snapshots always wrap periodically.  The sum is the counter trajectory's
+    own, recorded during its run or advanced over its snapshots (module
+    docstring).
     """
     grid = counter.grid
     if m == 0:
         return np.zeros(grid.num_points)
     # M, the last stored step, bounds every m the trajectory can resolve.
-    fresh = _RunningSum(weight, grid, int(counter.step_indices[-1]), direction, counter.data)
-    with _RUNNING_SUMS_LOCK:
-        sums = _RUNNING_SUMS.setdefault(counter, {})
-        state = sums.get((direction, fresh.kind))
-        valid = (state is not None and state.data is counter.data
-                 and (fresh.w_ext is None or np.array_equal(fresh.w_ext, state.w_ext)))
+    fresh = _RunningSum(weight, grid, int(counter.step_indices[-1]), direction)
+    with _SUMS_LOCK:
+        state = counter.sums.get(fresh.key)
+        valid = state is not None and (fresh.w_ext is None
+                                       or np.array_equal(fresh.w_ext, state.w_ext))
         if valid and m in state.readouts:
             return state.readouts[m]
         _require_full_history(counter, m, "counter-propagating")
         if not valid or state.step > m:
-            state = sums[(direction, fresh.kind)] = fresh
+            state = fresh
+            state.attach(counter)
         state.advance(m)
         return state.read()
 
@@ -382,8 +361,6 @@ def classical_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     return SurfaceReconstruction(
         v=Field((u + n) / 2.0, grid),
         eta=Field((u - n) / 2.0, grid),
-        time=t,
-        variant="classical",
     )
 
 
@@ -451,15 +428,12 @@ def corrector_fields(u_traj: Trajectory, n_traj: Trajectory | None,
     if components not in ("both", "right_only"):
         raise ConfigurationError("components must be 'both' or 'right_only'")
     u1, n1 = _correctors(u_traj, n_traj, b, coeffs, t, right_only=components == "right_only")
-    grid = u_traj.grid
-    return (CorrectorBreakdown(grid, t, **u1),
-            None if n1 is None else CorrectorBreakdown(grid, t, **n1))
+    return CorrectorBreakdown(**u1), None if n1 is None else CorrectorBreakdown(**n1)
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
                            b: BathymetryProfile, coeffs: ModelCoefficients,
                            t: float, periodic_variant: bool = False,
-                           include_correctors: bool = False,
                            eta_bracket: str = "sign_split") -> SurfaceReconstruction:
     """Classical surfaces plus eps/2 times the bottom terms of U1 and N1 (and,
     in the periodic variant, their counter-propagation terms).
@@ -481,18 +455,11 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: Trajectory | None,
     eta_sign = 1.0 if eta_bracket == "identical" else -1.0
     v_vals = classical.v.values + half_eps * (u1_b + n1_b)
     eta_vals = classical.eta.values + half_eps * (u1_b + eta_sign * n1_b)
-    variant = "topo_modified"
     if periodic_variant:
         v_vals += half_eps * (u1["counterprop_integral"] + n1["counterprop_integral"])
         eta_vals += half_eps * (u1["counterprop_integral"] - n1["counterprop_integral"])
-        variant = "topo_modified_periodic"
-
-    correctors = None
-    if include_correctors:
-        correctors = corrector_fields(u_traj, n_traj, b, coeffs, t)
     return SurfaceReconstruction(
         v=Field(v_vals, u_traj.grid), eta=Field(eta_vals, u_traj.grid),
-        time=t, variant=variant, corrector_terms=correctors,
     )
 
 
@@ -538,7 +505,7 @@ def growth_diagnostic(u_traj: Trajectory, n_traj: Trajectory | None,
     term_norms = {name: np.empty(len(times)) for name in TERM_NAMES}
     for k, t in enumerate(times):
         u1, _ = corrector_fields(u_traj, n_traj, b, coeffs, float(t), components="right_only")
-        norms[k] = discrete_sobolev(u1.total_field(), s)
+        norms[k] = discrete_sobolev(Field(u1.total, grid), s)
         for name, vals in u1.terms().items():
             term_norms[name][k] = discrete_sobolev(Field(vals, grid), s)
     if fit_window is None:

@@ -70,7 +70,7 @@ from .kdv import (
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
-    _streamed_topo_sum,
+    _RunningSum,
     growth_diagnostic,
     topo_modified_surfaces,
 )
@@ -111,8 +111,7 @@ _SINUSOID_TABLE = {
 }
 
 
-def _scenario_geometry(scenario: str, growth_kind: str | None,
-                       epsilon: float, alpha: float):
+def _scenario_geometry(scenario: str, growth_kind: str | None, epsilon: float):
     if scenario == "validate" or scenario == "convergence":
         table = _VALIDATE_TABLE
         fallback = (1.0 / epsilon, 80.0, 0.04, 30.0)
@@ -205,17 +204,18 @@ class ScenarioConfig:
             raise ConfigurationError("growth_kind is only valid for growth scenarios")
         if self.refinement_levels < 1:
             raise ConfigurationError("refinement_levels must be >= 1")
+        if self.overtime and self.final_time not in (None, self.epsilon ** -1.5):
+            raise ConfigurationError(f"overtime sets final_time to epsilon^-1.5, not to the "
+                                     f"given {self.final_time}; give overtime or final_time")
         self._fill_defaults()
         self._validate_filled()
 
     def _fill_defaults(self) -> None:
         t_def, l_def, dx_def, x0_def = _scenario_geometry(
-            self.scenario, self.growth_kind, self.epsilon, self.alpha
+            self.scenario, self.growth_kind, self.epsilon
         )
         if self.final_time is None:
-            self.final_time = t_def
-        if self.overtime:
-            self.final_time = self.epsilon ** -1.5
+            self.final_time = self.epsilon ** -1.5 if self.overtime else t_def
         if self.domain_length is None:
             self.domain_length = l_def
         if self.dx is None:
@@ -495,9 +495,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     _check_storage("simulate storage at the error steps",
                    8 * (4 if needs_topo else 3) * grid.num_points
                    * _stored_rows(num_steps, stride))
-    # K_topo's characteristic sum is fed as K runs: K is stored at the error steps
+    # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
+    # as K runs and read out at the error steps, the only steps K stores
     keep = {*range(0, num_steps, stride), num_steps}
-    topo_sum = _streamed_topo_sum(bottom, grid, num_steps, keep) if needs_topo else None
+    topo_sum = _RunningSum(bottom, grid, num_steps, "left", keep) if needs_topo else None
     t0 = _time.perf_counter()
     u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride,
                  on_step=None if topo_sum is None else topo_sum.record)

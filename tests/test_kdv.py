@@ -190,9 +190,9 @@ class TestRun:
         with pytest.raises(MissingSnapshotError):
             traj.at_step(5)
         with pytest.raises(MissingSnapshotError):
-            traj.at_time(0.05 * 5)
+            traj.at_step(traj.step_of_time(0.05 * 5))
         with pytest.raises(MissingSnapshotError):
-            traj.at_time(0.0333)  # not a step multiple
+            traj.at_step(traj.step_of_time(0.0333))  # not a step multiple
 
     def test_full_history_detection(self, setup):
         eps, grid, tg, spec = setup

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +26,6 @@ from longwave.reconstruct import (
     TERM_NAMES,
     _RunningSum,
     _cross_integral_nodes,
-    _streamed_topo_sum,
     bottom_shift_integral,
     characteristic_cross_integral,
     classical_surfaces,
@@ -238,7 +242,7 @@ class TestRunningSum:
            dx=st.sampled_from([0.05, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1),
            source=st.sampled_from(["run", "hand_writeable", "hand_read_only"]),
            direction=st.sampled_from(["right", "left"]),
-           weight_kind=st.sampled_from(["none", "bottom", "array"]),
+           weight_kind=st.sampled_from(["none", "bottom"]),
            order=st.lists(st.integers(0, 30), min_size=1, max_size=6))
     def test_matches_direct_sum(self, n, steps, dx, seed, source, direction, weight_kind,
                                 order):
@@ -254,13 +258,10 @@ class TestRunningSum:
             traj = Trajectory(grid, dx, np.arange(steps + 1), data)
         if weight_kind == "none":
             weight, w_max = None, 1.0
-        elif weight_kind == "bottom":
+        else:
             weight = StepBottom(rng.uniform(-1, 1), rng.uniform(-steps, n) * dx,
                                 rng.uniform(0.5, 5) * dx)
             w_max = np.pi / 4 * abs(weight.beta0) / weight.ramp_half_width
-        else:
-            weight = rng.standard_normal(n)
-            w_max = np.max(np.abs(weight))
         bound = 1e-12 * max(w_max * np.max(np.abs(traj.data)), 1e-300)
         for m in order:
             m = min(m, steps)
@@ -268,7 +269,7 @@ class TestRunningSum:
             want = _oracle_nodes(weight, traj, m, direction)
             assert np.max(np.abs(got - want)) <= bound
 
-    def test_frozen_and_replaced_data_are_seen(self):
+    def test_frozen_data_and_other_bottom_are_seen(self):
         grid = Grid1D(16, 0.5)
         rng = np.random.default_rng(3)
         data = rng.standard_normal((9, 16))
@@ -282,13 +283,57 @@ class TestRunningSum:
         np.testing.assert_array_equal(traj.data, before)
         np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
                                    _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
-        traj.data = rng.standard_normal((9, 16))
-        assert not traj.data.flags.writeable
-        np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
-                                   _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
         other = StepBottom(-0.3, 2.0, 1.0)
         np.testing.assert_allclose(_cross_integral_nodes(other, traj, 8, "left"),
                                    _oracle_nodes(other, traj, 8, "left"), atol=1e-13)
+
+    def test_data_cannot_be_replaced(self):
+        grid = Grid1D(16, 0.5)
+        traj = Trajectory(grid, grid.dx, np.arange(9), np.zeros((9, 16)))
+        with pytest.raises(AttributeError):
+            traj.data = np.ones((9, 16))
+        assert not traj.data.any()
+
+    def test_sums_go_with_their_trajectory(self, step_run):
+        # the sums live on the trajectory, so no module state keeps it alive
+        eps, grid, tg, spec, _, bottom, coeffs = step_run
+        traj = run(KdvProblem(eps, grid, TimeGrid(40, tg.dt)), soliton_field(spec, grid),
+                   stride=1)
+        topo_modified_surfaces(traj, None, bottom, coeffs, 40 * tg.dt)
+        assert set(traj.sums) == {("left", True)}
+        ref = weakref.ref(traj)
+        del traj
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_sharing_a_trajectory_read_the_direct_sums(self):
+        # the lock makes finding, advancing and reading a trajectory's sum one
+        # step, so threads asking for interleaved steps lose no update
+        grid, steps = Grid1D(32, 0.5), 40
+        data = np.random.default_rng(5).standard_normal((steps + 1, 32))
+        traj = Trajectory(grid, grid.dx, np.arange(steps + 1), data)
+        bottom = StepBottom(0.5, 8.0, 1.0)
+        want = {m: _oracle_nodes(bottom, traj, m, "left") for m in range(steps + 1)}
+        wrong = []
+
+        def ask(seed):
+            for m in np.random.default_rng(seed).integers(0, steps + 1, 80).tolist():
+                if np.max(np.abs(_cross_integral_nodes(bottom, traj, m, "left")
+                                 - want[m])) > 1e-12:
+                    wrong.append(m)
+
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_loaded_data_is_fed_once(self, step_run, tmp_path, monkeypatch):
         # np.load returns a view of a writeable array; the trajectory freezes
@@ -474,13 +519,6 @@ class TestTopoModifiedSurfaces:
             -eps / 8.0 * (du * cp_r - dn * cp_l), atol=1e-13,
         )
 
-    def test_correctors_attached_on_request(self, step_run):
-        eps, grid, tg, spec, traj, bottom, coeffs = step_run
-        rec = topo_modified_surfaces(traj, None, bottom, coeffs, 20 * tg.dt,
-                                     include_correctors=True)
-        assert rec.corrector_terms is not None
-        assert rec.corrector_terms[0].total.shape == (grid.num_points,)
-
     @pytest.mark.parametrize("run_name", ["two_wave_run", "step_run"])
     @pytest.mark.parametrize("bottom_kind", ["step", "sinusoid", "flat"])
     @pytest.mark.parametrize("where", ["zero", "one", "mid", "last"])
@@ -574,7 +612,7 @@ class TestStreamedTopoSum:
             with pytest.raises(ConfigurationError):
                 topo_modified_surfaces(sparse, None, bottom, coeffs,
                                        sparse.times[1], eta_bracket=eta_bracket)
-        topo_sum = _streamed_topo_sum(bottom, grid, steps, keep=set(sparse.step_indices))
+        topo_sum = _RunningSum(bottom, grid, steps, "left", keep=set(sparse.step_indices))
         streamed = run(problem, u0, stride=stride, on_step=topo_sum.record)
         topo_sum.attach(streamed)
         assert np.array_equal(streamed.data, sparse.data)

@@ -75,6 +75,15 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(scenario="step", epsilon=0.2, overtime=True)
         assert cfg.final_time == pytest.approx(0.2 ** -1.5)
 
+    def test_overtime_with_final_time_rejected(self):
+        # overtime would replace the given final_time by epsilon^-1.5
+        with pytest.raises(ConfigurationError, match="overtime .* given 1.0; .* final_time"):
+            ScenarioConfig(scenario="validate", epsilon=0.2, overtime=True, final_time=1.0)
+        # the config echo of an overtime run, which holds epsilon^-1.5, runs again
+        echo = json.loads(json.dumps(ScenarioConfig(scenario="step", epsilon=0.2,
+                                                    overtime=True).to_dict()))
+        assert ScenarioConfig.from_dict(echo).final_time == 0.2 ** -1.5
+
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(scenario="validate", epsilon=0.1, alpha=0.0)
@@ -551,6 +560,32 @@ class TestCli:
                                     "error_interval": 0.05}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "1 GB guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,flags", [
+        ("simulate", {"overtime": True, "final_time": 1.0}, []),
+        ("simulate", {}, ["--scenario", "step", "--epsilon", "0.1"]),
+        ("simulate", {}, ["--epsilon", "0"]),
+        ("simulate", {}, ["--overtime"]),
+        ("convergence", {}, ["--epsilon", "0.1"]),
+    ])
+    def test_ignored_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                    command, cfg, flags):
+        # a config file would override each of these flags, and overtime
+        # would replace the config's own final_time
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        scenario = "convergence" if command == "convergence" else "validate"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2, **cfg}))
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        if flags:
+            assert err.startswith(f"configuration error: {flags[0]} cannot override")
+        else:
+            assert err.startswith("configuration error: overtime") and "final_time" in err
 
     def test_crest_outside_the_window_exits_2_before_any_run(self, tmp_path, monkeypatch,
                                                              capsys):
