@@ -16,6 +16,7 @@ import sys
 
 from .errors import ConfigurationError, LongwaveError, SolverError
 from .scenarios import (
+    SCENARIOS,
     ScenarioConfig,
     convergence_study,
     run_growth,
@@ -40,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a comparison scenario and write CSV outputs")
     sim.add_argument("--config", help="JSON scenario configuration")
-    sim.add_argument("--scenario", choices=["validate", "step", "sinusoid"],
+    sim.add_argument("--scenario", choices=[key[0] for key, record in SCENARIOS.items()
+                                            if record.runner == "run_scenario"],
                      help="scenario name (alternative to --config)")
     sim.add_argument("--epsilon", type=float, help="long-wave parameter")
     sim.add_argument("--overtime", action="store_true",
@@ -54,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--out", help="output directory for convergence.json")
 
     gro = sub.add_parser("growth", help="corrector-norm growth diagnostic")
-    gro.add_argument("--scenario", choices=["step", "sinusoid"], required=True,
+    gro.add_argument("--scenario", choices=[key[1] for key, record in SCENARIOS.items()
+                                            if record.runner == "run_growth"], required=True,
                      help="bottom family for the growth run")
     gro.add_argument("--epsilon", type=float, required=True)
     gro.add_argument("--out", required=True, help="output directory")
@@ -69,27 +72,24 @@ def _refuse_beside_config(args, *flags: str) -> None:
             raise ConfigurationError(f"--{flag} cannot override a config file; set it there")
 
 
-def _config_from_args(args) -> ScenarioConfig:
-    if args.config:
-        _refuse_beside_config(args, "scenario", "epsilon", "overtime")
-        config = ScenarioConfig.from_json(args.config)
-        if args.out:
-            config.output_dir = args.out
-        return config
-    if args.scenario is None:
-        raise ConfigurationError("either --config or --scenario/--epsilon is required")
-    if args.epsilon is None:
-        raise ConfigurationError("--epsilon is required without --config")
-    return ScenarioConfig(
-        scenario=args.scenario,
-        epsilon=args.epsilon,
-        overtime=args.overtime,
-        output_dir=args.out,
-    )
+def _build_config(path: str | None, defaults: dict, **flags) -> ScenarioConfig:
+    """The command's one config: the fields of the config file at ``path``, else
+    ``defaults``, with every flag that was given laid over them before validation."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    if path:
+        return ScenarioConfig.from_json(path, **given)
+    return ScenarioConfig.from_dict({**defaults, **given})
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
+    if args.config:
+        _refuse_beside_config(args, "scenario", "epsilon", "overtime")
+    elif args.scenario is None:
+        raise ConfigurationError("either --config or --scenario/--epsilon is required")
+    elif args.epsilon is None:
+        raise ConfigurationError("--epsilon is required without --config")
+    config = _build_config(args.config, {"scenario": args.scenario, "epsilon": args.epsilon,
+                                         "overtime": args.overtime}, output_dir=args.out)
     report = run_scenario(config)
     if config.output_dir:
         paths = write_outputs(report, config)
@@ -108,18 +108,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_convergence(args) -> int:
     if args.config:
         _refuse_beside_config(args, "epsilon")
-        config = ScenarioConfig.from_json(args.config)
-    else:
-        config = ScenarioConfig(
-            scenario="convergence",
-            epsilon=args.epsilon if args.epsilon is not None else 0.1,
-            refinement_levels=args.levels if args.levels is not None else 3,
-            output_dir=args.out,
-        )
-    if args.out:
-        config.output_dir = args.out
-    if args.levels is not None:
-        config.refinement_levels = args.levels
+    epsilon = 0.1 if args.epsilon is None else args.epsilon
+    config = _build_config(args.config, {"scenario": "convergence", "epsilon": epsilon},
+                           output_dir=args.out, refinement_levels=args.levels)
     report = convergence_study(config)
     print(f"deltas: {['%g' % d for d in report.deltas]}")
     print(f"scalar-stepper errors: {['%.3e' % e for e in report.kdv_errors]}")
@@ -135,12 +126,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    config = ScenarioConfig(
-        scenario="growth",
-        epsilon=args.epsilon,
-        growth_kind=args.scenario,
-        output_dir=args.out,
-    )
+    config = _build_config(None, {"scenario": "growth", "epsilon": args.epsilon,
+                                  "growth_kind": args.scenario}, output_dir=args.out)
     report = run_growth(config)
     write_growth_outputs(report, config)
     diag = report.diagnostic

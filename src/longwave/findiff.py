@@ -155,13 +155,6 @@ class CyclicBandedOperator:
             out += c * _shifted(values, off)
         return out
 
-    def as_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        rows = np.arange(self.n)
-        for off, c in zip(self.offsets, self.coeffs):
-            dense[rows, (rows + off) % self.n] += c
-        return dense
-
 
 def make_d1(grid: Grid1D) -> CyclicBandedOperator:
     """Centered first derivative."""

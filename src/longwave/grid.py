@@ -123,14 +123,6 @@ class Field:
         self.values = values
         self.grid = grid
 
-    @classmethod
-    def zeros(cls, grid: Grid1D) -> "Field":
-        return cls(np.zeros(grid.num_points), grid)
-
-    @classmethod
-    def full(cls, grid: Grid1D, value: float) -> "Field":
-        return cls(np.full(grid.num_points, float(value)), grid)
-
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.grid)
 

@@ -203,10 +203,6 @@ class KdvProblem:
             self.bottom_slope = None
 
     @property
-    def variant(self) -> str:
-        return "classical" if self.bathymetry is None else "variable"
-
-    @property
     def _sign(self) -> float:
         return 1.0 if self.direction == "right" else -1.0
 

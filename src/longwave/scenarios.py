@@ -11,18 +11,23 @@ time, reflected-wave metrics, conservation drifts, and field snapshots.
 Outputs are plain CSV (17 significant digits, so re-reading reproduces the
 float64 values bit-exactly) plus a meta.json echoing the full configuration.
 
-Scenario defaults reproduce the published parameter table:
+Scenario defaults (``SCENARIOS``) reproduce the published table; x0 = -shift:
 
-    validate  eps=0.05: T=20, L=80,  dx=0.03    step  eps=0.05: T=89, L=140, dx=0.03
-              eps=0.1:  T=10, L=80,  dx=0.04          eps=0.1:  T=12, L=80,  dx=0.04
-              eps=0.2:  T=5,  L=80,  dx=0.05          eps=0.2:  T=12, L=80,  dx=0.05
-    sinusoid  eps=0.1:  T=10, L=20,  dx=0.04  (wavelength (1 + eps*alpha/4)/eps)
+    validate, convergence  eps=0.05: T=20, L=80,  dx=0.03, x0=30
+                           eps=0.1:  T=10, L=80,  dx=0.04, x0=30
+                           eps=0.2:  T=5,  L=80,  dx=0.05, x0=30
+                           other:    T=1/eps, L=80, dx=0.04, x0=30
+    step, growth/step      eps=0.05: T=89, L=140, dx=0.03, x0=44
+                           eps=0.1:  T=12, L=80,  dx=0.04, x0=38
+                           eps=0.2:  T=12, L=80,  dx=0.05, x0=38
+                           other:    T=max(12, 1/eps + 2), L=80, dx=0.04, x0=38
+    sinusoid               any eps:  T=1/eps, L=20, dx=0.04, x0=2
+    growth/sinusoid        any eps:  T=1/eps, L=4/eps, dx=0.04, x0=1/eps
 
-with alpha = beta0 = b0 = 0.5 everywhere and dt = dx always.  Growth
-scenarios integrate the right-going equation only and track the corrector
-norm series; the slow sinusoidal bottom case scales its geometry with 1/eps
-(start position 1/eps, domain 4/eps) so runs at different eps see the same
-modulation phase.
+with alpha = beta0 = b0 = 0.5 everywhere, dt = dx always and the sinusoid's
+wavelength (1 + eps*alpha/4)/eps.  Growth scenarios integrate the right-going
+equation only and track the corrector norm series; growth/sinusoid scales
+with 1/eps so runs at different eps see the same modulation phase.
 """
 
 from __future__ import annotations
@@ -93,40 +98,55 @@ __all__ = [
 
 SCHEME_VERSION = f"longwave/{__version__} crank-nicolson-relaxation"
 
-_SCENARIOS = ("validate", "step", "sinusoid", "convergence", "growth")
-
-# (final_time, domain_length, dx, initial_crest) per scenario and epsilon.
-_VALIDATE_TABLE = {
+# (final_time, domain_length, dx, initial crest) of the published runs, by epsilon
+_VALIDATE_ROWS = {
     0.05: (20.0, 80.0, 0.03, 30.0),
     0.1: (10.0, 80.0, 0.04, 30.0),
     0.2: (5.0, 80.0, 0.05, 30.0),
 }
-_STEP_TABLE = {
+_STEP_ROWS = {
     0.05: (89.0, 140.0, 0.03, 44.0),
     0.1: (12.0, 80.0, 0.04, 38.0),
     0.2: (12.0, 80.0, 0.05, 38.0),
 }
-_SINUSOID_TABLE = {
-    0.1: (10.0, 20.0, 0.04, 2.0),
+
+
+class _Scenario(typing.NamedTuple):
+    """What one (scenario, growth_kind) pair selects."""
+
+    runner: str  # name of the function that runs it
+    published: dict  # epsilon -> (T, L, dx, crest) of the published runs
+    rule: typing.Callable  # epsilon -> (T, L, dx, crest) for any other epsilon
+    bottom: typing.Callable  # filled config -> its default bathymetry
+    coefficients: typing.Callable  # epsilon -> its default ModelCoefficients
+    final_snapshot_only: bool  # else T/4, T/2, 3T/4, T and 1/eps when earlier
+
+
+_VALIDATE = _Scenario("run_scenario", _VALIDATE_ROWS, lambda eps: (1.0 / eps, 80.0, 0.04, 30.0),
+                      lambda cfg: {"kind": "flat"}, ModelCoefficients.balanced, True)
+_STEP = _Scenario("run_scenario", _STEP_ROWS,
+                  lambda eps: (max(12.0, 1.0 / eps + 2.0), 80.0, 0.04, 38.0),
+                  lambda cfg: {"kind": "step", "beta0": 0.5, "center": cfg.domain_length / 2.0,
+                               "ramp_half_width": 1.5},
+                  ModelCoefficients.balanced, False)
+
+# What each (scenario, growth_kind) selects; the CLI lists the names in this order
+SCENARIOS = {
+    ("validate", None): _VALIDATE,
+    ("step", None): _STEP,
+    ("sinusoid", None): _Scenario(
+        "run_scenario", {}, lambda eps: (1.0 / eps, 20.0, 0.04, 2.0),
+        lambda cfg: {"kind": "sinusoid", "b0": 0.5, "phase": math.pi / 2.0,
+                     "wavelength": (1.0 + cfg.epsilon * cfg.alpha / 4.0) / cfg.epsilon},
+        ModelCoefficients.balanced, False),
+    ("convergence", None): _VALIDATE._replace(runner="convergence_study"),
+    ("growth", "step"): _STEP._replace(runner="run_growth",
+                                       coefficients=ModelCoefficients.zero_smoothing),
+    ("growth", "sinusoid"): _Scenario(
+        "run_growth", {}, lambda eps: (1.0 / eps, 4.0 / eps, 0.04, 1.0 / eps),
+        lambda cfg: {"kind": "slow_sinusoid", "amplitude": 0.5, "frequency": cfg.epsilon},
+        ModelCoefficients.zero_smoothing, False),
 }
-
-
-def _scenario_geometry(scenario: str, growth_kind: str | None, epsilon: float):
-    if scenario == "validate" or scenario == "convergence":
-        table = _VALIDATE_TABLE
-        fallback = (1.0 / epsilon, 80.0, 0.04, 30.0)
-    elif scenario == "step" or (scenario == "growth" and growth_kind == "step"):
-        table = _STEP_TABLE
-        fallback = (max(12.0, 1.0 / epsilon + 2.0), 80.0, 0.04, 38.0)
-    elif scenario == "sinusoid":
-        table = _SINUSOID_TABLE
-        fallback = (1.0 / epsilon, 20.0, 0.04, 2.0)
-    elif scenario == "growth" and growth_kind == "sinusoid":
-        table = {}
-        fallback = (1.0 / epsilon, 4.0 / epsilon, 0.04, 1.0 / epsilon)
-    else:
-        raise ConfigurationError(f"no geometry defaults for scenario {scenario!r}")
-    return table.get(epsilon, fallback)
 
 
 def _all_finite(value) -> bool:
@@ -187,23 +207,16 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{f.name} must be {f.type}, got {value!r}")
             if not _all_finite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
-        if self.scenario not in _SCENARIOS:
-            raise ConfigurationError(
-                f"scenario must be one of {_SCENARIOS}, got {self.scenario!r}"
-            )
+        if (self.scenario, self.growth_kind) not in SCENARIOS:
+            raise ConfigurationError(f"(scenario, growth_kind) must be one of {list(SCENARIOS)}, "
+                                     f"got {(self.scenario, self.growth_kind)}")
         if self.epsilon <= 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.alpha <= 0.0:
             raise ConfigurationError(f"soliton amplitude must be positive, got {self.alpha}")
-        if self.scenario == "growth":
-            if self.growth_kind not in ("step", "sinusoid"):
-                raise ConfigurationError(
-                    "growth scenarios need growth_kind 'step' or 'sinusoid'"
-                )
-        elif self.growth_kind is not None:
-            raise ConfigurationError("growth_kind is only valid for growth scenarios")
         if self.refinement_levels < 1:
-            raise ConfigurationError("refinement_levels must be >= 1")
+            raise ConfigurationError(f"refinement_levels {self.refinement_levels} < 1; a "
+                                     "convergence study needs at least 3 refinement levels")
         if self.overtime and self.final_time not in (None, self.epsilon ** -1.5):
             raise ConfigurationError(f"overtime sets final_time to epsilon^-1.5, not to the "
                                      f"given {self.final_time}; give overtime or final_time")
@@ -211,9 +224,9 @@ class ScenarioConfig:
         self._validate_filled()
 
     def _fill_defaults(self) -> None:
-        t_def, l_def, dx_def, x0_def = _scenario_geometry(
-            self.scenario, self.growth_kind, self.epsilon
-        )
+        record = SCENARIOS[self.scenario, self.growth_kind]
+        t_def, l_def, dx_def, x0_def = (record.published.get(self.epsilon)
+                                        or record.rule(self.epsilon))
         if self.final_time is None:
             self.final_time = self.epsilon ** -1.5 if self.overtime else t_def
         if self.domain_length is None:
@@ -222,18 +235,17 @@ class ScenarioConfig:
             self.dx = dx_def
         if self.shift is None:
             self.shift = -x0_def
-        defaults = (ModelCoefficients.zero_smoothing if self.scenario == "growth"
-                    else ModelCoefficients.balanced)(self.epsilon)
+        defaults = record.coefficients(self.epsilon)
         for name in ("theta", "lambda1", "lambda2"):
             if getattr(self, name) is None:
                 setattr(self, name, getattr(defaults, name))
         if self.bathymetry is None:
-            self.bathymetry = self._default_bathymetry()
+            self.bathymetry = record.bottom(self)
         if self.error_interval is None:
             target = self.final_time / 100.0
             self.error_interval = max(self.dx, round(target / self.dx) * self.dx)
         if self.snapshot_times is None:
-            if self.scenario in ("validate", "convergence"):
+            if record.final_snapshot_only:
                 self.snapshot_times = [self.final_time]
             else:
                 marks = [0.25, 0.5, 0.75, 1.0]
@@ -241,27 +253,6 @@ class ScenarioConfig:
                 if 1.0 / self.epsilon < self.final_time:
                     times.add(1.0 / self.epsilon)
                 self.snapshot_times = sorted(times)
-
-    def _default_bathymetry(self) -> dict:
-        if self.scenario in ("validate", "convergence"):
-            return {"kind": "flat"}
-        if self.scenario == "step" or (self.scenario == "growth" and self.growth_kind == "step"):
-            return {
-                "kind": "step",
-                "beta0": 0.5,
-                "center": self.domain_length / 2.0,
-                "ramp_half_width": 1.5,
-            }
-        if self.scenario == "sinusoid":
-            wavelength = (1.0 + self.epsilon * self.alpha / 4.0) / self.epsilon
-            return {
-                "kind": "sinusoid",
-                "b0": 0.5,
-                "wavelength": wavelength,
-                "phase": math.pi / 2.0,
-            }
-        # growth over the slowly modulated bottom
-        return {"kind": "slow_sinusoid", "amplitude": 0.5, "frequency": self.epsilon}
 
     def _validate_filled(self) -> None:
         if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
@@ -357,13 +348,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"bad config: {exc}") from exc
 
     @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
+    def from_json(cls, path, **overrides) -> "ScenarioConfig":
         try:
             with open(path) as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -472,13 +463,30 @@ class ConvergenceReport:
 # Scenario runners
 # ---------------------------------------------------------------------------
 
+def _check_runner(config: ScenarioConfig, runner: str) -> None:
+    """Refuse a config whose scenario another runner handles, naming that runner."""
+    own = SCENARIOS[config.scenario, config.growth_kind].runner
+    if own != runner:
+        handled = dict.fromkeys(key[0] for key, record in SCENARIOS.items()
+                                if record.runner == runner)
+        raise ConfigurationError(f"{runner} needs a {'/'.join(handled)} scenario, "
+                                 f"got {config.scenario!r}; use {own} instead")
+
+
+def _check_crest_path(config: ScenarioConfig) -> None:
+    """Refuse a run whose crest reaches the end of the periodic window by
+    final_time: the wave would wrap, and the analytic reference does not."""
+    end = -config.shift + config.build_soliton().speed * config.final_time
+    if end >= config.domain_length:
+        raise ConfigurationError(
+            f"the soliton crest goes from x = {-config.shift:g} to x = {end:g} by "
+            f"final_time {config.final_time:g}, past the window [0, domain_length) = "
+            f"[0, {config.domain_length:g})")
+
+
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """Run the three models of a comparison scenario and collect all metrics."""
-    if config.scenario not in ("validate", "step", "sinusoid"):
-        raise ConfigurationError(
-            f"run_scenario handles validate/step/sinusoid, got {config.scenario!r}; "
-            "use run_growth or convergence_study instead"
-        )
+    _check_runner(config, "run_scenario")
     grid = config.build_grid()
     time_grid = config.build_time_grid()
     coeffs = config.build_coefficients()
@@ -495,6 +503,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     _check_storage("simulate storage at the error steps",
                    8 * (4 if needs_topo else 3) * grid.num_points
                    * _stored_rows(num_steps, stride))
+    _check_crest_path(config)
     # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
     # as K runs and read out at the error steps, the only steps K stores
     keep = {*range(0, num_steps, stride), num_steps}
@@ -599,8 +608,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
 
 def run_growth(config: ScenarioConfig) -> GrowthReport:
     """Right-going run plus corrector-norm series for a growth scenario."""
-    if config.scenario != "growth":
-        raise ConfigurationError("run_growth needs a growth scenario")
+    _check_runner(config, "run_growth")
     grid = config.build_grid()
     time_grid = config.build_time_grid()
     coeffs = config.build_coefficients()
@@ -609,6 +617,7 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
     u0 = soliton_field(spec, grid)
 
     stride = config.error_stride(time_grid)
+    _check_crest_path(config)
     t0 = _time.perf_counter()
     u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride)
     kdv_seconds = _time.perf_counter() - t0
@@ -641,10 +650,7 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     coarse nodes are a subset of fine ones).  A study whose levels add up to
     more node-steps, over both steppers, than one run may take is refused
     before the first run."""
-    if config.scenario != "convergence":
-        raise ConfigurationError(
-            f"convergence_study needs a convergence scenario, got {config.scenario!r}"
-        )
+    _check_runner(config, "convergence_study")
     if config.refinement_levels < 3:
         raise ConfigurationError("convergence study needs at least 3 refinement levels")
     deltas = [config.dx / 2**k for k in range(config.refinement_levels)]
@@ -655,6 +661,7 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
                        TimeGrid(int(round(config.final_time / config.dx)) * ratio, d)))
     _check_work("convergence study",
                 2 * sum(grid.num_points * time_grid.num_steps for grid, time_grid in levels))
+    _check_crest_path(config)
 
     kdv_errors = []
     eta_fields = []

@@ -28,10 +28,19 @@ def random_field(grid: Grid1D, rng, scale: float = 1.0) -> Field:
     return Field(scale * rng.standard_normal(grid.num_points), grid)
 
 
+def as_dense(op) -> np.ndarray:
+    """The n x n matrix of a ``CyclicBandedOperator``."""
+    dense = np.zeros((op.n, op.n))
+    rows = np.arange(op.n)
+    for off, c in zip(op.offsets, op.coeffs):
+        dense[rows, (rows + off) % op.n] += c
+    return dense
+
+
 class DenseRecorder:
     """Dense reference for the step-matrix assembly: takes the calls a
     ``StepOperator`` takes (n unknowns interleaving ``blocks`` fields per node)
-    and adds each term, scale * diag(pre) @ op.as_dense() @ diag(post), into
+    and adds each term, scale * diag(pre) @ as_dense(op) @ diag(post), into
     its block of the dense ``matrix``."""
 
     def __init__(self, n: int, blocks: int = 1):
@@ -50,4 +59,4 @@ class DenseRecorder:
         ones = np.ones(op.n)
         pre = ones if pre_diag is None else pre_diag
         post = ones if post_diag is None else post_diag
-        self._block(block)[...] += scale * np.diag(pre) @ op.as_dense() @ np.diag(post)
+        self._block(block)[...] += scale * np.diag(pre) @ as_dense(op) @ np.diag(post)

@@ -22,7 +22,7 @@ from longwave.grid import (
     soliton_field,
 )
 from longwave.scenarios import ScenarioConfig
-from conftest import DenseRecorder
+from conftest import DenseRecorder, as_dense
 
 
 def _mirror(values):
@@ -46,14 +46,15 @@ class TestInit:
     def test_zero_data_zero_predictors(self, setup):
         _, grid, tg, coeffs, _ = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
-        state = init_boussinesq(problem, Field.zeros(grid), Field.zeros(grid))
+        zero = Field(np.zeros(grid.num_points), grid)
+        state = init_boussinesq(problem, zero, zero)
         np.testing.assert_allclose(state.predictor[0::2], 0.0)
         np.testing.assert_allclose(state.predictor[1::2], 0.0)
 
     def test_constant_pair_is_stationary_on_flat_bottom(self, setup):
         _, grid, tg, coeffs, _ = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
-        c = Field.full(grid, 0.3)
+        c = Field(np.full(grid.num_points, 0.3), grid)
         state = init_boussinesq(problem, c, c)
         np.testing.assert_allclose(state.predictor[0::2], 0.3, atol=1e-13)
         np.testing.assert_allclose(state.predictor[1::2], 0.3, atol=1e-13)
@@ -76,8 +77,8 @@ class TestInit:
                            + coeffs.a1 * d3.apply_values(v)))
         # invert the (I - eps a D2) factors with a dense solve as the oracle
         n = grid.num_points
-        mass_v = np.eye(n) - eps * coeffs.a2 * d2.as_dense()
-        mass_e = np.eye(n) - eps * coeffs.a4 * d2.as_dense()
+        mass_v = np.eye(n) - eps * coeffs.a2 * as_dense(d2)
+        mass_e = np.eye(n) - eps * coeffs.a4 * as_dense(d2)
         expected_v = half.values + 0.5 * tg.dt * np.linalg.solve(mass_v, f_v)
         expected_e = half.values + 0.5 * tg.dt * np.linalg.solve(mass_e, f_eta)
         np.testing.assert_allclose(state.predictor[0::2], expected_v, atol=1e-13)
@@ -88,7 +89,8 @@ class TestStep:
     def test_zero_state_stays_zero(self, setup):
         _, grid, tg, coeffs, _ = setup
         problem = BoussinesqProblem(coeffs, FlatBottom(), grid, tg)
-        state = init_boussinesq(problem, Field.zeros(grid), Field.zeros(grid))
+        zero = Field(np.zeros(grid.num_points), grid)
+        state = init_boussinesq(problem, zero, zero)
         state = step_boussinesq(problem, state)
         np.testing.assert_allclose(state.current[0::2], 0.0, atol=1e-14)
         np.testing.assert_allclose(state.current[1::2], 0.0, atol=1e-14)
@@ -169,7 +171,8 @@ class TestRun:
         _, grid, tg, coeffs, _ = setup
         traj = run_boussinesq(
             BoussinesqProblem(coeffs, FlatBottom(), grid, tg),
-            Field.zeros(grid), Field.zeros(grid), stride=10,
+            Field(np.zeros(grid.num_points), grid), Field(np.zeros(grid.num_points), grid),
+            stride=10,
         )
         assert np.all(traj.v_data == 0.0) and np.all(traj.eta_data == 0.0)
         for data in (traj.v_data, traj.eta_data):

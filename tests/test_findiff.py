@@ -20,7 +20,7 @@ from longwave.findiff import (
     make_d3,
 )
 from longwave.grid import Grid1D
-from conftest import DenseRecorder, random_field
+from conftest import DenseRecorder, as_dense, random_field
 
 
 def _inner(grid, a, b):
@@ -42,7 +42,7 @@ class TestStencils:
     def test_d3_matches_dense_stencil(self):
         grid = Grid1D(8, 0.5)
         op = make_d3(grid)
-        dense = op.as_dense()
+        dense = as_dense(op)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(8)
         np.testing.assert_allclose(op.apply_values(u), dense @ u, atol=1e-13)
@@ -88,7 +88,7 @@ class TestStencils:
         f = random_field(small_grid, rng)
         d1 = make_d1(small_grid)
         out = d1.apply_values(f.values)
-        np.testing.assert_allclose(out, d1.as_dense() @ f.values, atol=1e-12)
+        np.testing.assert_allclose(out, as_dense(d1) @ f.values, atol=1e-12)
         with pytest.raises(GridMismatchError):
             d1.apply_values(np.zeros(10))
 
@@ -97,7 +97,7 @@ class TestStencils:
         f = rng.standard_normal(32)
         for make in (make_d1, make_d2, make_d3):
             op = make(grid)
-            np.testing.assert_allclose(op.apply_values(f), op.as_dense() @ f, atol=1e-13)
+            np.testing.assert_allclose(op.apply_values(f), as_dense(op) @ f, atol=1e-13)
 
     def test_identity_operator(self, rng):
         op = CyclicBandedOperator((0,), (1.0,), 16)
@@ -241,8 +241,8 @@ class TestSolve:
         operator, recorded = _operator(12, 1, terms)
         dense = (
             2.0 * np.eye(12)
-            + 0.3 * np.diag(pre) @ make_d1(grid).as_dense()
-            - 0.1 * make_d3(grid).as_dense() @ np.diag(post)
+            + 0.3 * np.diag(pre) @ as_dense(make_d1(grid))
+            - 0.1 * as_dense(make_d3(grid)) @ np.diag(post)
         )
         np.testing.assert_allclose(recorded, dense, atol=1e-13)
         rhs = rng.standard_normal(12)

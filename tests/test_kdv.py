@@ -38,13 +38,14 @@ def setup():
 class TestInitPredictor:
     def test_zero_initial_data_gives_zero_predictor(self, setup):
         eps, grid, tg, _ = setup
-        state = init_predictor(KdvProblem(eps, grid, tg), Field.zeros(grid))
+        state = init_predictor(KdvProblem(eps, grid, tg), Field(np.zeros(grid.num_points), grid))
         np.testing.assert_allclose(state.predictor, 0.0)
         assert state.step_index == 0
 
     def test_constant_initial_data_unchanged(self, setup):
         eps, grid, tg, _ = setup
-        state = init_predictor(KdvProblem(eps, grid, tg), Field.full(grid, 0.3))
+        state = init_predictor(KdvProblem(eps, grid, tg),
+                               Field(np.full(grid.num_points, 0.3), grid))
         np.testing.assert_allclose(state.predictor, 0.3, atol=1e-15)
 
     def test_matches_hand_assembled_half_step(self, setup):
@@ -78,14 +79,14 @@ class TestStep:
     def test_zero_is_fixed_point(self, setup):
         eps, grid, tg, _ = setup
         problem = KdvProblem(eps, grid, tg)
-        state = init_predictor(problem, Field.zeros(grid))
+        state = init_predictor(problem, Field(np.zeros(grid.num_points), grid))
         state = step(problem, state)
         np.testing.assert_allclose(state.current, 0.0, atol=1e-14)
 
     def test_constant_is_fixed_point(self, setup):
         eps, grid, tg, _ = setup
         problem = KdvProblem(eps, grid, tg)
-        state = init_predictor(problem, Field.full(grid, 0.4))
+        state = init_predictor(problem, Field(np.full(grid.num_points, 0.4), grid))
         for _ in range(3):
             state = step(problem, state)
         np.testing.assert_allclose(state.current, 0.4, atol=1e-12)
@@ -121,7 +122,6 @@ class TestStep:
         u0 = soliton_field(spec, grid)
         right = KdvProblem(eps, grid, tg, bathymetry=FlatBottom(), direction="right")
         left = KdvProblem(eps, grid, tg, bathymetry=FlatBottom(), direction="left")
-        assert right.variant == "variable"
         s_right = step(right, init_predictor(right, u0))
         n0 = Field(-_mirror(u0.values), grid)
         s_left = step(left, init_predictor(left, n0))
@@ -164,7 +164,7 @@ class TestStep:
         # a sloped bottom forces d/dt u != 0 through the b_x u term
         eps, grid, tg, _ = setup
         problem = KdvProblem(eps, grid, tg, bathymetry=StepBottom(0.5, 20.0, 1.5))
-        state = init_predictor(problem, Field.full(grid, 0.4))
+        state = init_predictor(problem, Field(np.full(grid.num_points, 0.4), grid))
         state = step(problem, state)
         assert np.max(np.abs(state.current - 0.4)) > 1e-6
 
@@ -172,7 +172,7 @@ class TestStep:
 class TestRun:
     def test_zero_data_all_snapshots_zero(self, setup):
         eps, grid, tg, _ = setup
-        traj = run(KdvProblem(eps, grid, tg), Field.zeros(grid), stride=10)
+        traj = run(KdvProblem(eps, grid, tg), Field(np.zeros(grid.num_points), grid), stride=10)
         assert np.all(traj.data == 0.0)
         with pytest.raises(ValueError):
             traj.data[0, 0] = 1.0
@@ -221,7 +221,7 @@ class TestRun:
         grid = Grid1D(200_000, 0.01)
         tg = TimeGrid(1_000, 0.01)
         with pytest.raises(ConfigurationError, match="1 GB guard"):
-            run(KdvProblem(eps, grid, tg), Field.zeros(grid), stride=1)
+            run(KdvProblem(eps, grid, tg), Field(np.zeros(grid.num_points), grid), stride=1)
 
     def test_work_guard(self, monkeypatch):
         # 1e5 nodes x (1e5 + 1) steps is just above 1e10 node-steps; the
@@ -233,7 +233,8 @@ class TestRun:
         grid = Grid1D(100_000, 0.01)
         tg = TimeGrid(100_001, 0.01)
         with pytest.raises(ConfigurationError, match="node-steps"):
-            run(KdvProblem(0.1, grid, tg), Field.zeros(grid), stride=100_001)
+            run(KdvProblem(0.1, grid, tg), Field(np.zeros(grid.num_points), grid),
+                stride=100_001)
 
     def test_l2_drift_over_run(self):
         eps = 0.2

@@ -3,12 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from longwave import kdv, scenarios
+from longwave import cli, kdv, scenarios
 from longwave.cli import main
 from longwave.errors import ConfigurationError
 from longwave.findiff import StepOperator
@@ -23,6 +24,34 @@ from longwave.scenarios import (
     write_growth_outputs,
     write_outputs,
 )
+
+
+# ScenarioConfig(...).to_dict() of every scenario at five eps, with and without
+# overtime, as commit 6c6c8b0 filled them; keys read "<scenario[/growth_kind]>
+# <eps> <default|overtime>"
+PINNED_DEFAULTS = json.loads(
+    (Path(__file__).parent / "golden" / "scenario_defaults.json").read_text())
+
+
+
+def _readme_default_rows() -> list[tuple]:
+    """(name, eps, T, L, dx, x0) of each all-numeric row of the table under
+    README's "Scenario defaults"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Scenario defaults")[1].split("\n### ")[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        try:
+            values = [float(cell) for cell in cells[1:]]
+        except ValueError:
+            continue
+        if len(values) == 5:
+            rows.append((cells[0], *values))
+    return rows
+
+
+README_ROWS = _readme_default_rows()
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +75,24 @@ class TestScenarioConfig:
             cfg = ScenarioConfig(scenario=scenario, epsilon=eps)
             assert (cfg.final_time, cfg.domain_length, cfg.dx) == (t, ell, d)
             assert cfg.dt == cfg.dx
+
+    @pytest.mark.parametrize("key", sorted(PINNED_DEFAULTS))
+    def test_every_default_is_pinned(self, key):
+        name, eps, mode = key.split()
+        scenario, _, kind = name.partition("/")
+        cfg = ScenarioConfig(scenario=scenario, epsilon=float(eps), growth_kind=kind or None,
+                             overtime=mode == "overtime")
+        assert cfg.to_dict() == PINNED_DEFAULTS[key]
+
+    def test_readme_table_is_read(self):
+        assert len(README_ROWS) == 10
+
+    @pytest.mark.parametrize("name,eps,t,ell,d,x0", README_ROWS,
+                             ids=[f"{row[0]}-{row[1]:g}" for row in README_ROWS])
+    def test_readme_defaults_match_the_code(self, name, eps, t, ell, d, x0):
+        scenario, _, kind = name.partition("/")
+        cfg = ScenarioConfig(scenario=scenario, epsilon=eps, growth_kind=kind or None)
+        assert (cfg.final_time, cfg.domain_length, cfg.dx, -cfg.shift) == (t, ell, d, x0)
 
     def test_sinusoid_wavelength_follows_epsilon(self):
         cfg = ScenarioConfig(scenario="sinusoid", epsilon=0.1)
@@ -164,7 +211,7 @@ class TestMetrics:
             relative_linf_error(np.zeros(4), np.zeros(5))
 
     def test_reflected_metric_empty_region(self, small_grid):
-        eta = Field.zeros(small_grid)
+        eta = Field(np.zeros(small_grid.num_points), small_grid)
         assert reflected_wave_metric(eta, 0.5, width_param=0.4) == 0.0
 
     def test_reflected_metric_finds_planted_bump(self):
@@ -208,6 +255,21 @@ class TestRunScenario:
         assert report.crossing_time == pytest.approx(2.0 / 1.025, rel=1e-12)
         assert report.diagnostic.slope > 0.0
         assert report.diagnostic.r_squared > 0.95
+
+    @pytest.mark.parametrize("runner,cfg", [
+        (run_growth, {"scenario": "growth", "growth_kind": "step", "epsilon": 0.2,
+                      "final_time": 60.0}),
+        (convergence_study, {"scenario": "convergence", "epsilon": 0.02}),
+    ], ids=["growth", "convergence"])
+    def test_other_runners_refuse_a_crest_leaving_the_window(self, monkeypatch, runner, cfg):
+        # growth step: 38 + 1.025 * 60 = 99.5; convergence: 30 + 1.0025 * 50 = 80.125
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        with pytest.raises(ConfigurationError, match="past the window"):
+            runner(ScenarioConfig(**cfg))
 
     def test_run_scenario_rejects_growth(self):
         config = ScenarioConfig(scenario="growth", epsilon=0.2, growth_kind="step")
@@ -603,6 +665,29 @@ class TestCli:
         assert err.startswith("configuration error: shift -30 ")
         assert "crest at x = 30" in err and "[0, 20)" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--scenario", "validate", "--epsilon", "0.02"],
+         "crest goes from x = 30 to x = 80.125 by final_time 50, "
+         "past the window [0, domain_length) = [0, 80)"),
+        (["--scenario", "sinusoid", "--epsilon", "0.1", "--overtime"],
+         "crest goes from x = 2 to x = 34.0181 by final_time 31.6228, "
+         "past the window [0, domain_length) = [0, 20)"),
+        (["--scenario", "validate", "--epsilon", "0.05", "--overtime"],
+         "crest goes from x = 30 to x = 120.002 by final_time 89.4427,"),
+    ], ids=["validate-0.02", "sinusoid-0.1-overtime", "validate-0.05-overtime"])
+    def test_crest_leaving_the_window_exits_2_before_any_run(self, monkeypatch, capsys,
+                                                             argv, message):
+        # the window is periodic and the analytic wave is not: run anyway,
+        # validate 0.02 ends 1.0 away from the analytic wave
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        assert main(["simulate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the soliton crest") and message in err
+
     def test_singular_step_names_step_time_and_norms(self, tmp_path, monkeypatch, capsys):
         # K's fifth step drops its predictor terms and its 2/dt diagonal: the
         # step matrix D1 + eps/6 D3 annihilates constants, so it is singular
@@ -631,6 +716,38 @@ class TestCli:
         assert f"(at step 5) at t = {5 * config.dt:.6g};" in err
         assert (f"L2 norm {math.sqrt(grid.dx * float(last @ last)):.6e}, "
                 f"max norm {np.max(np.abs(last)):.6e}") in err
+
+    @pytest.mark.parametrize("argv,scenario", [
+        (["simulate", "--config", "CFG", "--out", "o"], "validate"),
+        (["simulate", "--scenario", "validate", "--epsilon", "0.2", "--out", "o"], None),
+        (["convergence", "--config", "CFG", "--out", "o", "--levels", "4"], "convergence"),
+        (["convergence", "--epsilon", "0.2", "--out", "o", "--levels", "4"], None),
+        (["growth", "--scenario", "step", "--epsilon", "0.2", "--out", "o"], None),
+    ], ids=["simulate-config", "simulate", "convergence-config", "convergence", "growth"])
+    def test_flags_are_validated_with_the_config(self, tmp_path, monkeypatch, capsys,
+                                                 argv, scenario):
+        # each command builds one config, with its flags in it before validation
+        validated, ran = [], []
+        post_init = ScenarioConfig.__post_init__
+
+        def recording_post_init(self):
+            post_init(self)
+            validated.append(self.to_dict())
+
+        def runner(config):
+            ran.append(config.to_dict())
+            raise ConfigurationError("stop before the run")
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", recording_post_init)
+        for name in ("run_scenario", "convergence_study", "run_growth"):
+            monkeypatch.setattr(cli, name, runner)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2}))
+        assert main([str(path) if arg == "CFG" else arg for arg in argv]) == 2
+        assert "stop before the run" in capsys.readouterr().err
+        assert validated == ran and ran[0]["output_dir"] == "o"
+        if argv[0] == "convergence":
+            assert ran[0]["refinement_levels"] == 4
 
     def test_missing_epsilon_exits_2(self):
         proc = self._run("simulate", "--scenario", "validate")
