@@ -229,11 +229,13 @@ def step_boussinesq(problem: BoussinesqProblem, state: RelaxationState) -> Relax
 
 
 def run_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field,
-                   stride: int = 1) -> PairTrajectory:
+                   stride: int = 1, on_step=None) -> PairTrajectory:
     """Integrate over the full time grid, storing every stride-th pair.
 
-    The returned ``v_data`` and ``eta_data`` arrays are read-only."""
+    ``on_step(m, z)`` is called at step 0 and after every step with the
+    interleaved z = (v_0, eta_0, v_1, eta_1, ...) (see ``kdv._drive``).  The
+    returned ``v_data`` and ``eta_data`` arrays are read-only."""
     plan, (v_data, eta_data) = _drive(
-        problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq, stride,
+        problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq, stride, on_step,
     )
     return PairTrajectory(problem.grid, problem.time_grid.dt, plan, v_data, eta_data)

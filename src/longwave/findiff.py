@@ -25,8 +25,13 @@ factors for every n, with no corner correction.
 A run solves one such system per step, and most of its matrix does not
 change: the mass terms, D1, D3, the D2 smoothing and every bottom term.  A
 ``StepOperator`` adds that constant part into band storage once, when built.
-Each step copies it into a work band, adds the predictor-dependent entries
-through scatter indices precomputed by ``_fold_layout``, and refines from a
+The predictor-dependent part touches the same few band entries every step:
+one slot per (offset mod n, field row) pair, a contiguous slice of one value
+buffer that holds those entries, their flat band indices and their constant
+values.  Each step copies the constants into the buffer, adds the terms into
+the slots as contiguous slices, and writes the buffer into the band once,
+with one indexed assignment, before the solve; the entries no slot covers
+keep their constant values from construction.  It then refines from a
 guess with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the
 residual taken against the work band.  Refinement stops once the estimated
 remaining error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most
@@ -207,22 +212,29 @@ class StepOperator:
     blocks * off + col - row over the rows row::blocks; a stencil reaches at
     most +-2 nodes, so the band reaches 3 blocks - 1.  ``constant_terms(self)``,
     called once, adds the constant part C through ``add_operator`` and
-    ``add_diagonal``.  ``reset()`` starts a step with the work band equal to
-    C; the per-step part V is then added the same way, and ``solve(rhs,
-    guess)`` refines from the guess with the LU of an earlier step,
-    refactoring the work band when that LU no longer converges in two
-    corrections.
+    ``add_diagonal`` straight into the work band.  Every later term goes to
+    a slot: the entries A[u, (u + offset) mod n] of the rows u = row mod
+    blocks, keyed by (offset mod n, row), so offsets that alias at small n
+    share one.  A slot is a slice of one value buffer, made the first time a
+    term reaches it, with the flat band indices of its entries and their
+    values at that moment: no slot has written them yet, so they are C.
+    ``reset()`` starts a step with every slot equal to C; the per-step part
+    V is then added to the slots, and ``solve(rhs, guess)`` writes the slots
+    into the work band, then refines from the guess with the LU of an
+    earlier step, refactoring the work band when that LU no longer converges
+    in two corrections.
 
     The LU is P A = L U with one row order P per run: the first
     factorization takes the order of partial pivoting, every later one
     factors P A and must meet no interchange (one that does adopts the new
     order and factors again).  L (unit lower) and U are kept as two band
     arrays over the one LU buffer, with the entries below the smallest
-    normal float set to 0, so applying the LU is a gather by P and two
-    triangular band solves.  ``factorizations`` (dgbtrf calls) and
-    ``corrections`` (LU applications) count the solver's work.  The work
-    band and the LU buffer are allocated per operator (the buffer again when
-    the order changes), so a run holds its own.
+    normal float set to 0, so applying the LU is a gather by P (a copy when
+    P is the identity) and two triangular band solves.  ``factorizations``
+    (dgbtrf calls) and ``corrections`` (LU applications) count the solver's
+    work.  The work band, the slots, the residual buffer and the LU buffer
+    are allocated per operator (the LU buffer again when the order changes),
+    so a run holds its own.
     """
 
     def __init__(self, n: int, blocks: int = 1, constant_terms=None):
@@ -233,9 +245,15 @@ class StepOperator:
         self._rows = max(self.n, 2 * self._k + 1)
         self._work = np.zeros((2 * self._k + 1, self.n), order="F")
         self._work_flat = self._work.reshape(-1, order="F")
+        self._slots = None  # the constant terms go straight into the band
         if constant_terms is not None:
             constant_terms(self)
-        self._constant = self._work.copy(order="F")
+        # slot key -> start of its slice in _values, _indices and _constants
+        self._slots = {}
+        self._values = np.empty(0)
+        self._indices = np.empty(0, dtype=np.intp)
+        self._constants = np.empty(0)
+        self._residual_buffer = np.zeros(self._rows)
         self._set_order(np.arange(self.n))
         self._kept = False
         self._stale = False
@@ -254,7 +272,7 @@ class StepOperator:
             raise GridMismatchError("operator dimension does not match matrix")
         row, col = block
         for off, c in zip(op.offsets, op.coeffs):
-            contrib = np.full(op.n, scale * c)
+            contrib = scale * c
             if pre_diag is not None:
                 contrib = contrib * pre_diag
             if post_diag is not None:
@@ -270,6 +288,7 @@ class StepOperator:
         k, n = self._k, self.n
         self._order = order
         shift = order - np.arange(n)
+        self._moves_rows = bool(shift.any())
         self._kl = kl = min(k - int(shift.min()), n - 1)
         self._ku = ku = min(k + int(shift.max()), n - 1)
         size = (2 * kl + ku + 1) * n
@@ -293,16 +312,35 @@ class StepOperator:
         self._clear = cols[clear] * (2 * kl + ku) + kl + ku + rows[clear]
 
     def reset(self) -> None:
-        """Start a step: the work band holds the constant part alone."""
-        np.copyto(self._work, self._constant)
+        """Start a step: every slot holds the constant part alone."""
+        np.copyto(self._values, self._constants)
 
     def _add(self, offset: int, row: int, values) -> None:
         if abs(offset) > self._reach:
             raise GridMismatchError(
                 f"band offset {offset} lies outside the constant band (+-{self._reach})"
             )
-        # one entry per row, so the indices of one call never repeat
-        self._work_flat[self._scatter[offset + self._reach][row::self.blocks]] += values
+        if self._slots is None:
+            # one entry per row, so the indices of one call never repeat
+            self._work_flat[self._scatter[offset + self._reach][row::self.blocks]] += values
+            return
+        start = self._slots.get((offset % self.n, row))
+        if start is None:
+            start = self._new_slot(offset, row)
+        self._values[start:start + self.n // self.blocks] += values
+
+    def _new_slot(self, offset: int, row: int) -> int:
+        """Append the slot of A[u, (u + offset) mod n] over the rows u = row
+        mod blocks, holding the band's values of those entries; returns its
+        start."""
+        indices = self._scatter[offset + self._reach][row::self.blocks]
+        start = self._values.size
+        self._slots[(offset % self.n, row)] = start
+        constants = self._work_flat[indices]
+        self._indices = np.concatenate((self._indices, indices))
+        self._constants = np.concatenate((self._constants, constants))
+        self._values = np.concatenate((self._values, constants))
+        return start
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
         """Solve A x = rhs to ||A x - rhs||_inf <= 1e-10 ||rhs||_inf for the
@@ -324,6 +362,7 @@ class StepOperator:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
             raise GridMismatchError("rhs length does not match matrix dimension")
+        self._work_flat[self._indices] = self._values
         pos = self._pos
         b = np.empty(self.n)
         b[pos] = rhs
@@ -410,13 +449,15 @@ class StepOperator:
     def _apply_lu(self, r: np.ndarray) -> np.ndarray:
         """(L U)^-1 P r: the rows of r in the run's order, then two triangular solves."""
         self.corrections += 1
-        y = r[self._order]
+        y = r[self._order] if self._moves_rows else r.copy()
         dtbsv(self._kl, self._lower, y, lower=1, diag=1, overwrite_x=1)
         return dtbsv(self._ku, self._upper, y, overwrite_x=1)
 
     def _residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """b - A x in folded order, against the current work band."""
-        y = np.zeros(self._rows)
+        """b - A x in folded order, against the current work band, in the
+        operator's residual buffer: valid until the next call."""
+        y = self._residual_buffer
         y[:self.n] = b
+        y[self.n:] = 0.0
         return dgbmv(self._rows, self.n, self._k, self._k, -1.0, self._work, x,
                      beta=1.0, y=y, overwrite_y=1)[:self.n]

@@ -36,8 +36,9 @@ terms fixed over a run (the 2/dt mass terms, the linear D1, D3 and D2 terms,
 every bottom term), and ``add_predictor_terms(target, predictor, current)``,
 the nonlinear terms frozen at the predictor, returning the right-hand side.
 ``_start`` folds the constant terms once into the run's ``StepOperator``,
-which the state carries.  Each step copies that band, adds the predictor
-terms and solves for w by refinement with the LU kept from an earlier step,
+which the state carries.  Each step resets the operator's per-step entries
+to those constants, adds the predictor terms (see ``findiff.StepOperator``)
+and solves for w by refinement with the LU kept from an earlier step,
 starting from the quadratic extrapolation z^{n+1/2} + 3 delta_1 - 3 delta_2
 + delta_3, where delta = w - z^{n+1/2} of the last three steps (also carried
 by the state, so two runs of one problem never share them; the first steps

@@ -707,16 +707,14 @@ def _snapshot_name(time: float) -> str:
     return f"snapshot_t{time:g}.csv"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """One header line, then one line per row of the equal-length columns,
+    every value as "%.17g" (round-trip exact)."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _meta_payload(config: ScenarioConfig, coeffs: ModelCoefficients,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf
 
+from longwave import findiff
 from longwave.boussinesq import (
     BoussinesqProblem,
     init_boussinesq,
@@ -9,7 +10,7 @@ from longwave.boussinesq import (
     step_boussinesq,
 )
 from longwave.errors import ConfigurationError, SolverError
-from longwave.findiff import make_d1, make_d2, make_d3
+from longwave.findiff import StepOperator, make_d1, make_d2, make_d3
 from longwave.grid import (
     Field,
     FlatBottom,
@@ -18,6 +19,7 @@ from longwave.grid import (
     SolitonSpec,
     StepBottom,
     TimeGrid,
+    _shifted,
     discrete_h1_eps,
     soliton_field,
 )
@@ -232,9 +234,19 @@ class TestRun:
         ]
         assert len(drifts) > 4 and max(drifts) <= 1e-12
 
-    def test_solver_failure_names_its_step(self, setup, monkeypatch):
-        from longwave.findiff import StepOperator
+    def test_on_step_sees_every_step_once_in_order(self, setup):
+        _, grid, tg, coeffs, half = setup
+        problem = BoussinesqProblem(coeffs, StepBottom(0.5, 20.0, 1.5), grid, tg)
+        full = run_boussinesq(problem, half, half, stride=1)
+        seen = []
+        run_boussinesq(problem, half, half, stride=10,
+                       on_step=lambda m, z: seen.append((m, z.copy())))
+        assert [m for m, _ in seen] == list(range(tg.num_steps + 1))
+        for m, z in seen:
+            v, eta = full.at_step(m)
+            assert np.array_equal(z[0::2], v) and np.array_equal(z[1::2], eta)
 
+    def test_solver_failure_names_its_step(self, setup, monkeypatch):
         _, grid, tg, coeffs, half = setup
         original = StepOperator.solve
         block_solves = []
@@ -276,6 +288,26 @@ class TestRun:
         x_hat = operator.solve(reference.matrix @ x)
         assert np.max(np.abs(x_hat - x)) <= 1e-10 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("mode", ["conservative", "weighted"])
+    def test_step_band_matches_scatter_assembly(self, setup, mode):
+        # After a few steps (so every slot exists and holds an earlier step's
+        # values), one more step's band equals the band assembled the way it
+        # was before slots: the constant band copied, then one += scatter per
+        # term.
+        _, grid, tg, coeffs, half = setup
+        problem = BoussinesqProblem(coeffs, StepBottom(0.5, 20.0, 1.5), grid, tg,
+                                    nonlinear_mode=mode)
+        state = init_boussinesq(problem, half, half)
+        for _ in range(3):
+            state = step_boussinesq(problem, state)
+        operator = state.operator
+        reference = _ScatterBand(StepOperator(operator.n, 2, problem.add_constant_terms))
+        operator.reset()
+        problem.add_predictor_terms(operator, state.predictor, state.current)
+        rhs = problem.add_predictor_terms(reference, state.predictor, state.current)
+        operator.solve(rhs, state.predictor)
+        assert np.array_equal(operator._work, reference.band)
+
     def test_surfaces_track_scalar_model_at_large_time(self):
         # flat bottom: coupled and uncoupled surfaces agree to within 0.1*alpha
         # at t = 1/eps (the regime where the two-wave reduction is justified)
@@ -296,6 +328,36 @@ class TestRun:
         _, eta_b = b_traj.at_step(tg.num_steps)
         eta_k = u_traj.at_step(tg.num_steps) / 2.0
         assert np.max(np.abs(eta_k - eta_b)) < 0.1 * alpha
+
+
+class _ScatterBand:
+    """A step's band as assembled before slots: a copy of the constant band
+    of ``constant`` (a freshly built step operator), then each term added
+    through one fancy-index += over its scatter indices."""
+
+    def __init__(self, constant: StepOperator):
+        self.n, self.blocks = constant.n, constant.blocks
+        self.band = constant._work.copy(order="F")
+        self._reach = 3 * self.blocks - 1
+        _, _, self._scatter = findiff._fold_layout(self.n, self._reach)
+
+    def add_diagonal(self, values, block=(0, 0)) -> None:
+        row, col = block
+        self._add(col - row, row, values)
+
+    def add_operator(self, op, pre_diag=None, post_diag=None, scale=1.0, block=(0, 0)) -> None:
+        row, col = block
+        for off, c in zip(op.offsets, op.coeffs):
+            contrib = np.full(op.n, scale * c)
+            if pre_diag is not None:
+                contrib = contrib * pre_diag
+            if post_diag is not None:
+                contrib = contrib * _shifted(post_diag, off)
+            self._add(self.blocks * off + col - row, row, contrib)
+
+    def _add(self, offset, row, values) -> None:
+        flat = self.band.reshape(-1, order="F")
+        flat[self._scatter[offset + self._reach][row::self.blocks]] += values
 
 
 def test_kept_factors_hold_no_subnormals():

@@ -353,6 +353,17 @@ def _step(operator, constant, terms):
     return reference.matrix
 
 
+def _band_matrix(operator):
+    """The n x n matrix that the operator's work band holds, unfolded; the
+    band holds every entry within the folded half-width."""
+    pos, k = operator._pos, operator._k
+    rows, cols = np.meshgrid(pos, pos, indexing="ij")  # folded place of A[i, j]
+    inside = np.abs(rows - cols) <= k
+    dense = np.zeros((operator.n, operator.n))
+    dense[inside] = operator._work[(k + rows - cols)[inside], cols[inside]]
+    return dense
+
+
 class TestStepOperator:
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 300), shape=_shapes(), seed=st.integers(0, 2**32 - 1),
@@ -393,6 +404,31 @@ class TestStepOperator:
             np.testing.assert_allclose(x, expected, rtol=0,
                                        atol=1e-12 * np.max(np.abs(expected)))
             assert np.max(np.abs(dense @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 40), shape=_shapes(), seed=st.integers(0, 2**32 - 1),
+           masks=st.lists(st.integers(0, 2**21 - 1), min_size=1, max_size=6))
+    # fewer pairs than the step before, none, then a pair first added late;
+    # blocks * n <= 2p makes pairs alias onto one slot
+    @example(n=30, shape=(2, 5), seed=1, masks=[0xFFFFF, 0x00F0F, 0, 0x30000, 0xFFFFF])
+    @example(n=1, shape=(2, 5), seed=2, masks=[0x00003, 0, 0x1FFFFF, 0x00100])
+    @example(n=2, shape=(1, 2), seed=3, masks=[0x1F, 0x01, 0x10, 0])
+    @example(n=3, shape=(2, 4), seed=4, masks=[0, 0x0FF00, 0x000FF])
+    def test_each_step_matrix_matches_dense(self, n, shape, seed, masks):
+        # Each step adds the terms of a random band that its mask selects
+        # (bits 0-19; bit 20 adds them all twice); after the solve the work
+        # band holds exactly the recorder's matrix.
+        blocks, p = shape
+        rng = np.random.default_rng(seed)
+        operator, constant = _dominant_operator(n, blocks, p, rng, extra=4 * p + 2)
+        for mask in masks:
+            band = _random_band(n, blocks, p, _uniform(rng))
+            terms = [term for i, term in enumerate(band) if mask >> i & 1]
+            if mask >> 20 & 1:
+                terms += terms
+            dense = _step(operator, constant, terms)
+            operator.solve(rng.standard_normal(blocks * n))
+            np.testing.assert_array_equal(_band_matrix(operator), dense)
 
     def test_far_kept_lu_refactors_and_keeps_the_bound(self, rng):
         n = 64

@@ -470,6 +470,19 @@ class TestCsvRoundTrip:
         assert read[:, 0].view(np.uint64).tolist() == column.view(np.uint64).tolist()
         assert read[:, 1].view(np.uint64).tolist() == (-column).view(np.uint64).tolist()
 
+    def test_bytes_match_one_format_per_value(self, tmp_path):
+        # the reference writer formats each value on its own, non-finite
+        # values and an integer column included
+        columns = [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, -2.5e300]),
+                   1.1 * np.arange(8), np.arange(1, 9)]
+        path = tmp_path / "table.csv"
+        scenarios._write_csv(path, ["a", "b", "c"], columns)
+        expected = "a,b,c\n" + "".join(
+            ",".join(format(float(column[i]), ".17g") for column in columns) + "\n"
+            for i in range(8)
+        )
+        assert path.read_bytes() == expected.encode()
+
 
 class TestCli:
     def _run(self, *args):
