@@ -1,8 +1,8 @@
 """1-D long-wave simulation toolkit.
 
-Solvers for the symmetric coupled long-wave system and the uncoupled
-dispersive wave equations (flat and uneven bottoms), plus the classical and
-topography-corrected surface reconstructions that tie them together, and an
+Solvers for the symmetric coupled long-wave system over flat and uneven
+bottoms and the uncoupled right-going dispersive equation, plus the classical
+and topography-corrected surface reconstructions that tie them together, and an
 experiment driver that cross-compares the models over step and sinusoidal
 topographies.
 """
@@ -55,8 +55,6 @@ from .reconstruct import (
     GrowthDiagnostic,
     SurfaceReconstruction,
     bottom_shift_integral,
-    characteristic_cross_integral,
-    classical_surfaces,
     corrector_fields,
     growth_diagnostic,
     topo_modified_surfaces,

@@ -1,14 +1,13 @@
-"""Crank-Nicolson relaxation stepper for the fast-time dispersive wave equations.
+"""Crank-Nicolson relaxation stepper for the fast-time dispersive wave equation.
 
-The right-going equation solved here is
+The equation solved here is the right-going, flat-bottom one,
 
     u_t + u_x + eps * [ 3/4 u u_x + 1/6 u_xxx ] = 0,
 
-its left-going mirror flips the signs of the transport and dispersion terms,
-and the variable-coefficient extension adds the bottom terms
-
-    right:  eps * [ -1/2 b u_x - 1/4 b_x u ]
-    left:   eps * [ +1/2 b u_x + 1/4 b_x u ].
+the uncoupled K of the long-wave system.  Every run starts from
+v0 = eta0 = u0/2, so the left-going profile is identically zero and this one
+equation carries K; the bottom enters only the reconstruction
+(``reconstruct``) and the coupled model (``boussinesq``).
 
 Time discretization is Crank-Nicolson with the relaxation treatment of the
 nonlinearity: the nonlinear factor is frozen at a predictor u^{n+1/2} that
@@ -63,7 +62,7 @@ from .errors import (
     SolverError,
 )
 from .findiff import StepOperator, make_d1, make_d3
-from .grid import BathymetryProfile, Field, Grid1D, TimeGrid, _shifted
+from .grid import Field, Grid1D, TimeGrid, _shifted
 
 __all__ = [
     "Trajectory",
@@ -136,13 +135,14 @@ def _frozen(a) -> np.ndarray:
 
 class Trajectory(_TrajectoryBase):
     """Scalar-field trajectory from one solver run.  ``data`` is frozen at
-    construction (``_frozen``) and has no setter, so the characteristic sums
-    in ``sums``, written only by ``reconstruct._RunningSum.attach``, stay valid."""
+    construction (``_frozen``) and has no setter, so the characteristic sum
+    in ``topo_sum``, written only by ``reconstruct._RunningSum.attach``, stays
+    valid."""
 
     def __init__(self, grid, dt, step_indices, data: np.ndarray):
         super().__init__(grid, dt, step_indices)
         self._data = _frozen(data)
-        self.sums = {}
+        self.topo_sum = None
 
     @property
     def data(self) -> np.ndarray:
@@ -167,23 +167,14 @@ class PairTrajectory(_TrajectoryBase):
 
 
 class KdvProblem:
-    """Problem definition for one propagation direction.
-
-    A problem without bathymetry is the classical (flat-bottom) equation;
-    passing a profile selects the variable-coefficient variant with b and b_x
-    sampled at the nodes.
-    """
+    """The right-going, flat-bottom equation on one grid and time grid."""
 
     blocks = 1  # fields per node in the unknown
 
     def __init__(self, epsilon: float, grid: Grid1D, time_grid: TimeGrid,
-                 bathymetry: BathymetryProfile | None = None,
-                 direction: str = "right",
                  nonlinear_mode: str = "neighbor_average"):
         if epsilon <= 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        if direction not in ("right", "left"):
-            raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
         if nonlinear_mode not in KDV_NONLINEAR_MODES:
             raise ConfigurationError(
                 f"nonlinear_mode must be one of {KDV_NONLINEAR_MODES}, got {nonlinear_mode!r}"
@@ -191,40 +182,22 @@ class KdvProblem:
         self.epsilon = float(epsilon)
         self.grid = grid
         self.time_grid = time_grid
-        self.bathymetry = bathymetry
-        self.direction = direction
         self.nonlinear_mode = nonlinear_mode
         self._d1 = make_d1(grid)
         self._d3 = make_d3(grid)
-        if bathymetry is not None:
-            self.bottom = bathymetry.sample(grid)
-            self.bottom_slope = np.asarray(bathymetry.derivative(grid.nodes), dtype=float)
-        else:
-            self.bottom = None
-            self.bottom_slope = None
-
-    @property
-    def _sign(self) -> float:
-        return 1.0 if self.direction == "right" else -1.0
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """Explicit spatial right-hand side F(u) of u_t = F(u)."""
-        eps, s = self.epsilon, self._sign
+        eps = self.epsilon
         du = self._d1.apply_values(values)
-        out = s * du + eps * (0.75 * values * du + s / 6.0 * self._d3.apply_values(values))
-        if self.bottom is not None:
-            out -= s * eps * (0.5 * self.bottom * du + 0.25 * self.bottom_slope * values)
-        return -out
+        return -(du + eps * (0.75 * values * du + 1.0 / 6.0 * self._d3.apply_values(values)))
 
     def add_constant_terms(self, target) -> None:
         """The step-matrix terms that stay fixed over a run: (2/dt) I + L_0."""
-        eps, s, dt = self.epsilon, self._sign, self.time_grid.dt
+        eps, dt = self.epsilon, self.time_grid.dt
         target.add_diagonal(2.0 / dt)
-        target.add_operator(self._d1, scale=s)
-        target.add_operator(self._d3, scale=s * eps / 6.0)
-        if self.bottom is not None:
-            target.add_operator(self._d1, pre_diag=self.bottom, scale=-s * eps / 2.0)
-            target.add_diagonal(-s * eps / 4.0 * self.bottom_slope)
+        target.add_operator(self._d1)
+        target.add_operator(self._d3, scale=eps / 6.0)
 
     def add_predictor_terms(self, target, predictor: np.ndarray,
                             current: np.ndarray) -> np.ndarray:

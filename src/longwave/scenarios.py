@@ -3,7 +3,7 @@
 A scenario runs the same solitary-wave initial data through three models:
 
 * B      -- the coupled symmetric system (reference),
-* K      -- the classical two-wave reconstruction (bottom-blind),
+* K      -- the classical reconstruction v = eta = u/2 (bottom-blind),
 * K_topo -- the topography-modified reconstruction,
 
 then records the relative L-infinity errors of K and K_topo against B over
@@ -507,7 +507,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
     # as K runs and read out at the error steps, the only steps K stores
     keep = {*range(0, num_steps, stride), num_steps}
-    topo_sum = _RunningSum(bottom, grid, num_steps, "left", keep) if needs_topo else None
+    topo_sum = _RunningSum(bottom, grid, num_steps, keep) if needs_topo else None
     t0 = _time.perf_counter()
     u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride,
                  on_step=None if topo_sum is None else topo_sum.record)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from longwave.grid import Field, Grid1D, ModelCoefficients, SolitonSpec, TimeGrid
+from longwave.errors import ConfigurationError
+from longwave.grid import Field, Grid1D, ModelCoefficients, SolitonSpec
 
 
 @pytest.fixture
@@ -35,6 +36,32 @@ def as_dense(op) -> np.ndarray:
     for off, c in zip(op.offsets, op.coeffs):
         dense[rows, (rows + off) % op.n] += c
     return dense
+
+
+def characteristic_cross_integral(b, traj, t: float, x: float) -> float:
+    """Int_0^t b'(x+t-s) u(s, x+t-s) ds at one node, N1's characteristic sum
+    over the right-going trajectory without its -1/4.  A direct O(m) sum over
+    the m+1 snapshots with the trapezoid rule (dt = dx), kept as the
+    reference for the running sums of ``reconstruct``.  ``x`` must be a node
+    and ``traj`` must be stored at every step up to t."""
+    grid = traj.grid
+    n, dt = grid.num_points, grid.dx
+    if traj.dt != dt:
+        raise ConfigurationError(f"the reference needs dt == dx, got {traj.dt} and {dt}")
+    i = int(round(x / dt))
+    if abs(i * dt - x) > 1e-9 * max(1.0, abs(x)) or not 0 <= i < n:
+        raise ConfigurationError(f"x={x} is not a node of the trajectory grid")
+    m = traj.step_of_time(t)
+    if m == 0:
+        return 0.0
+    if not traj.has_every_step_upto(m):
+        raise ConfigurationError(f"the trajectory is not stored at every step up to {m}")
+    steps = np.arange(m + 1)
+    y = i + m - steps
+    vals = traj.data[steps, y % n] * np.asarray(b.derivative(y * dt), dtype=float)
+    weights = np.full(m + 1, dt)
+    weights[0] = weights[-1] = dt / 2.0
+    return float(np.dot(weights, vals))
 
 
 class DenseRecorder:

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import characteristic_cross_integral
 from hypothesis import given, settings, strategies as st
 
 from longwave.errors import ConfigurationError, DiagnosticError, MissingSnapshotError
@@ -23,12 +24,9 @@ from longwave.grid import (
 )
 from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
-    TERM_NAMES,
     _RunningSum,
     _cross_integral_nodes,
     bottom_shift_integral,
-    characteristic_cross_integral,
-    classical_surfaces,
     corrector_fields,
     growth_diagnostic,
     topo_modified_surfaces,
@@ -53,64 +51,18 @@ def step_run():
     return eps, grid, tg, spec, traj, bottom, coeffs
 
 
-@pytest.fixture(scope="module")
-def two_wave_run():
-    """Small counter-propagating pair stored at every step."""
-    eps = 0.2
-    grid = Grid1D.from_length(40.0, 0.1)
-    tg = TimeGrid(60, 0.1)
-    spec_r = SolitonSpec(alpha=0.5, shift=-15.0, epsilon=eps)
-    spec_l = SolitonSpec(alpha=0.3, shift=-25.0, epsilon=eps)
-    u_traj = run(KdvProblem(eps, grid, tg, direction="right"),
-                 soliton_field(spec_r, grid), stride=1)
-    n_traj = run(KdvProblem(eps, grid, tg, direction="left"),
-                 soliton_field(spec_l, grid), stride=1)
-    return eps, grid, tg, u_traj, n_traj
+class TestRefusals:
+    """A left-going trajectory is refused before any work: no argument is read."""
 
-
-class TestClassicalSurfaces:
-    def test_unidirectional_reduction(self, step_run):
-        _, grid, tg, _, traj, _, _ = step_run
-        t = 40 * tg.dt
-        rec = classical_surfaces(traj, None, t)
-        u = traj.at_step(40)
-        np.testing.assert_allclose(rec.v.values, u / 2.0, atol=1e-15)
-        np.testing.assert_allclose(rec.eta.values, u / 2.0, atol=1e-15)
-
-    def test_equal_waves_cancel_surface(self, step_run):
-        _, grid, tg, _, traj, _, _ = step_run
-        t = 20 * tg.dt
-        rec = classical_surfaces(traj, traj, t)
-        np.testing.assert_allclose(rec.eta.values, 0.0, atol=1e-15)
-
-    def test_round_trip_is_involution(self, two_wave_run):
-        _, grid, tg, u_traj, n_traj = two_wave_run
-        t = 30 * tg.dt
-        rec = classical_surfaces(u_traj, n_traj, t)
-        u_back = rec.v.values + rec.eta.values
-        n_back = rec.v.values - rec.eta.values
-        np.testing.assert_allclose(u_back, u_traj.at_step(30), atol=1e-15)
-        np.testing.assert_allclose(n_back, n_traj.at_step(30), atol=1e-15)
-
-    def test_counter_with_other_time_step_rejected(self, two_wave_run):
-        # a left-going run at dt = 2 dx read at step m would be read at time 2t
-        eps, grid, tg, u_traj, _ = two_wave_run
-        coeffs = ModelCoefficients.balanced(eps)
-        n_traj = Trajectory(grid, 2 * tg.dt, np.arange(tg.num_steps + 1),
-                            np.zeros((tg.num_steps + 1, grid.num_points)))
-        t = 10 * tg.dt
-        for reconstruct in (
-            lambda: classical_surfaces(u_traj, n_traj, t),
-            lambda: corrector_fields(u_traj, n_traj, FlatBottom(), coeffs, t),
-            lambda: topo_modified_surfaces(u_traj, n_traj, FlatBottom(), coeffs, t),
-        ):
-            with pytest.raises(ConfigurationError, match="different time steps"):
-                reconstruct()
-
-    def test_missing_snapshot(self, step_run):
-        _, _, tg, _, traj, _, _ = step_run
-        with pytest.raises(MissingSnapshotError):
-            classical_surfaces(traj, None, tg.final_time + 1.0)
+    @pytest.mark.parametrize("call", [
+        lambda n_traj: topo_modified_surfaces(None, n_traj, None, None, 1.0),
+        lambda n_traj: growth_diagnostic(None, n_traj, None, None, 2),
+        lambda n_traj: corrector_fields(None, n_traj, None, 1.0),
+    ], ids=["topo_modified_surfaces", "growth_diagnostic", "corrector_fields"])
+    def test_left_going_trajectory_refused(self, step_run, call):
+        traj = step_run[4]
+        with pytest.raises(ConfigurationError, match="left-going component is identically zero"):
+            call(traj)
 
 
 class TestBottomShiftIntegral:
@@ -167,70 +119,45 @@ class TestCharacteristicCrossIntegral:
     def test_zero_counter_trajectory(self, step_run):
         _, grid, tg, _, _, bottom, _ = step_run
         zeros = _constant_trajectory(grid, 50, 0.0)
-        got = characteristic_cross_integral(bottom, zeros, 50 * grid.dx, 10.0, "right")
+        got = characteristic_cross_integral(bottom, zeros, 50 * grid.dx, 10.0)
         assert got == 0.0
 
     def test_flat_weight_vanishes(self, step_run):
         _, grid, _, _, _, _, _ = step_run
         ones = _constant_trajectory(grid, 40, 1.0)
-        got = characteristic_cross_integral(FlatBottom(), ones, 40 * grid.dx, 10.0, "right")
+        got = characteristic_cross_integral(FlatBottom(), ones, 40 * grid.dx, 10.0)
         assert got == 0.0
 
-    def test_constant_counter_telescopes(self):
-        # Int_0^t b'(x-t+s) c ds = c (b(x) - b(x-t)) up to quadrature error
+    @pytest.mark.parametrize("c, m, nodes", [(0.7, 160, (0, 150, 256, 400)),
+                                             (-0.4, 120, (200,))])
+    def test_constant_counter_telescopes(self, c, m, nodes):
+        # Int_0^t b'(x+t-s) c ds = c (b(x+t) - b(x)) up to quadrature error
         grid = Grid1D(512, 0.05)
         b = StepBottom(0.5, 12.8, 1.5)
-        c = 0.7
-        m = 160
         traj = _constant_trajectory(grid, m, c)
         t = m * grid.dx
-        for i in (0, 150, 256, 400):
+        for i in nodes:
             x = i * grid.dx
-            got = characteristic_cross_integral(b, traj, t, x, "right")
-            want = c * (float(b.value(x)) - float(b.value(x - t)))
+            got = characteristic_cross_integral(b, traj, t, x)
+            want = c * (float(b.value(x + t)) - float(b.value(x)))
             assert got == pytest.approx(want, abs=2e-4)
-
-    def test_left_direction_constant_counter(self):
-        grid = Grid1D(512, 0.05)
-        b = StepBottom(0.5, 12.8, 1.5)
-        c = -0.4
-        m = 120
-        traj = _constant_trajectory(grid, m, c)
-        t = m * grid.dx
-        x = 200 * grid.dx
-        got = characteristic_cross_integral(b, traj, t, x, "left")
-        # Int_0^t b'(x+t-s) c ds = c (b(x+t) - b(x))
-        want = c * (float(b.value(x + t)) - float(b.value(x)))
-        assert got == pytest.approx(want, abs=2e-4)
-
-    def test_weight_as_array_uses_periodic_sampling(self):
-        grid = Grid1D(64, 0.5)
-        m = 16
-        traj = _constant_trajectory(grid, m, 1.0)
-        weight = np.zeros(grid.num_points)
-        weight[60] = 1.0  # lattice point -4, reached by wrapping the window
-        t = m * grid.dx
-        got = characteristic_cross_integral(weight, traj, t, 0.0, "right")
-        # weight hits exactly one interior lattice point of the shifted window
-        assert got == pytest.approx(grid.dx, rel=1e-12)
 
     def test_stride_too_coarse_rejected(self, step_run):
         eps, grid, tg, spec, _, bottom, _ = step_run
         sparse = run(KdvProblem(eps, grid, tg), soliton_field(spec, grid), stride=10)
         with pytest.raises(ConfigurationError):
-            characteristic_cross_integral(bottom, sparse, 20 * grid.dx, 10.0, "right")
+            characteristic_cross_integral(bottom, sparse, 20 * grid.dx, 10.0)
 
     def test_off_lattice_point_rejected(self, step_run):
         _, grid, _, _, _, bottom, _ = step_run
         traj = _constant_trajectory(grid, 10, 1.0)
         with pytest.raises(ConfigurationError):
-            characteristic_cross_integral(bottom, traj, 10 * grid.dx, 0.123, "right")
+            characteristic_cross_integral(bottom, traj, 10 * grid.dx, 0.123)
 
 
-def _oracle_nodes(weight, traj, m, direction):
+def _oracle_nodes(b, traj, m):
     grid = traj.grid
-    return np.array([characteristic_cross_integral(weight, traj, m * grid.dx, i * grid.dx,
-                                                   direction)
+    return np.array([characteristic_cross_integral(b, traj, m * grid.dx, i * grid.dx)
                      for i in range(grid.num_points)])
 
 
@@ -241,32 +168,25 @@ class TestRunningSum:
     @given(n=st.integers(8, 40), steps=st.integers(1, 30),
            dx=st.sampled_from([0.05, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1),
            source=st.sampled_from(["run", "hand_writeable", "hand_read_only"]),
-           direction=st.sampled_from(["right", "left"]),
-           weight_kind=st.sampled_from(["none", "bottom"]),
            order=st.lists(st.integers(0, 30), min_size=1, max_size=6))
-    def test_matches_direct_sum(self, n, steps, dx, seed, source, direction, weight_kind,
-                                order):
+    def test_matches_direct_sum(self, n, steps, dx, seed, source, order):
         rng = np.random.default_rng(seed)
         grid = Grid1D(n, dx)
         if source == "run":
             u0 = Field(0.3 * np.sin(2 * np.pi * np.arange(n) / n + rng.uniform(0, 6)), grid)
-            traj = run(KdvProblem(0.2, grid, TimeGrid(steps, dx), direction=direction),
-                       u0, stride=1)
+            traj = run(KdvProblem(0.2, grid, TimeGrid(steps, dx)), u0, stride=1)
         else:
             data = rng.standard_normal((steps + 1, n))
             data.flags.writeable = source != "hand_read_only"
             traj = Trajectory(grid, dx, np.arange(steps + 1), data)
-        if weight_kind == "none":
-            weight, w_max = None, 1.0
-        else:
-            weight = StepBottom(rng.uniform(-1, 1), rng.uniform(-steps, n) * dx,
-                                rng.uniform(0.5, 5) * dx)
-            w_max = np.pi / 4 * abs(weight.beta0) / weight.ramp_half_width
+        bottom = StepBottom(rng.uniform(-1, 1), rng.uniform(-steps, n) * dx,
+                            rng.uniform(0.5, 5) * dx)
+        w_max = np.pi / 4 * abs(bottom.beta0) / bottom.ramp_half_width
         bound = 1e-12 * max(w_max * np.max(np.abs(traj.data)), 1e-300)
         for m in order:
             m = min(m, steps)
-            got = _cross_integral_nodes(weight, traj, m, direction)
-            want = _oracle_nodes(weight, traj, m, direction)
+            got = _cross_integral_nodes(bottom, traj, m)
+            want = _oracle_nodes(bottom, traj, m)
             assert np.max(np.abs(got - want)) <= bound
 
     def test_frozen_data_and_other_bottom_are_seen(self):
@@ -276,16 +196,16 @@ class TestRunningSum:
         before = data.copy()
         traj = Trajectory(grid, grid.dx, np.arange(9), data)
         bottom = StepBottom(0.5, 4.0, 1.0)
-        _cross_integral_nodes(bottom, traj, 8, "left")
+        _cross_integral_nodes(bottom, traj, 8)
         with pytest.raises(ValueError):
             traj.data[3] += 1.0
         data[3] += 1.0  # the caller's array, not the trajectory's frozen copy
         np.testing.assert_array_equal(traj.data, before)
-        np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8, "left"),
-                                   _oracle_nodes(bottom, traj, 8, "left"), atol=1e-13)
+        np.testing.assert_allclose(_cross_integral_nodes(bottom, traj, 8),
+                                   _oracle_nodes(bottom, traj, 8), atol=1e-13)
         other = StepBottom(-0.3, 2.0, 1.0)
-        np.testing.assert_allclose(_cross_integral_nodes(other, traj, 8, "left"),
-                                   _oracle_nodes(other, traj, 8, "left"), atol=1e-13)
+        np.testing.assert_allclose(_cross_integral_nodes(other, traj, 8),
+                                   _oracle_nodes(other, traj, 8), atol=1e-13)
 
     def test_data_cannot_be_replaced(self):
         grid = Grid1D(16, 0.5)
@@ -294,13 +214,13 @@ class TestRunningSum:
             traj.data = np.ones((9, 16))
         assert not traj.data.any()
 
-    def test_sums_go_with_their_trajectory(self, step_run):
-        # the sums live on the trajectory, so no module state keeps it alive
+    def test_sum_goes_with_its_trajectory(self, step_run):
+        # the sum lives on the trajectory, so no module state keeps it alive
         eps, grid, tg, spec, _, bottom, coeffs = step_run
         traj = run(KdvProblem(eps, grid, TimeGrid(40, tg.dt)), soliton_field(spec, grid),
                    stride=1)
         topo_modified_surfaces(traj, None, bottom, coeffs, 40 * tg.dt)
-        assert set(traj.sums) == {("left", True)}
+        assert isinstance(traj.topo_sum, _RunningSum)
         ref = weakref.ref(traj)
         del traj
         gc.collect()
@@ -313,13 +233,12 @@ class TestRunningSum:
         data = np.random.default_rng(5).standard_normal((steps + 1, 32))
         traj = Trajectory(grid, grid.dx, np.arange(steps + 1), data)
         bottom = StepBottom(0.5, 8.0, 1.0)
-        want = {m: _oracle_nodes(bottom, traj, m, "left") for m in range(steps + 1)}
+        want = {m: _oracle_nodes(bottom, traj, m) for m in range(steps + 1)}
         wrong = []
 
         def ask(seed):
             for m in np.random.default_rng(seed).integers(0, steps + 1, 80).tolist():
-                if np.max(np.abs(_cross_integral_nodes(bottom, traj, m, "left")
-                                 - want[m])) > 1e-12:
+                if np.max(np.abs(_cross_integral_nodes(bottom, traj, m) - want[m])) > 1e-12:
                     wrong.append(m)
 
         threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
@@ -338,7 +257,7 @@ class TestRunningSum:
     def test_loaded_data_is_fed_once(self, step_run, tmp_path, monkeypatch):
         # np.load returns a view of a writeable array; the trajectory freezes
         # a copy, so m reconstructions at increasing steps feed each snapshot
-        # of the left-going quadrature once, and agree with the run's own
+        # of N1's quadrature once, and agree with the run's own
         eps, grid, tg, _, traj, bottom, coeffs = step_run
         path = tmp_path / "u.npy"
         np.save(path, traj.data)
@@ -362,17 +281,14 @@ class TestRunningSum:
 class TestCorrectorFields:
     def test_flat_bottom_unidirectional_corrector_vanishes(self, step_run):
         eps, grid, tg, spec, traj, _, coeffs = step_run
-        u1, n1 = corrector_fields(traj, None, FlatBottom(), coeffs, 30 * tg.dt)
+        u1 = corrector_fields(traj, None, FlatBottom(), 30 * tg.dt)
         np.testing.assert_allclose(u1.total, 0.0, atol=1e-14)
-        # the left-going corrector keeps the quadratic difference of the
-        # right-going wave even over a flat bottom
-        assert np.max(np.abs(n1.total)) > 0.0
 
     def test_step_bottom_reduces_to_two_terms(self, step_run):
         eps, grid, tg, spec, traj, bottom, coeffs = step_run
         m = 120
         t = m * tg.dt
-        u1, _ = corrector_fields(traj, None, bottom, coeffs, t)
+        u1 = corrector_fields(traj, None, bottom, t)
         for name in ("quadratic_difference", "dispersive_difference",
                      "cross_product", "counterprop_integral",
                      "bottom_derivative_integral"):
@@ -391,56 +307,28 @@ class TestCorrectorFields:
         np.testing.assert_allclose(u1.bottom_integral[::64], du[::64] * integral / 2.0,
                                    atol=1e-12)
 
-    def test_equal_smoothing_kills_dispersive_difference(self, two_wave_run):
-        eps, grid, tg, u_traj, n_traj = two_wave_run
-        coeffs = ModelCoefficients.balanced(eps)  # a2 == a4
-        u1, n1 = corrector_fields(u_traj, n_traj, FlatBottom(), coeffs, 20 * tg.dt)
-        np.testing.assert_allclose(u1.dispersive_difference, 0.0, atol=1e-15)
-        np.testing.assert_allclose(n1.dispersive_difference, 0.0, atol=1e-15)
-
-    def test_breakdown_additivity(self, two_wave_run):
-        eps, grid, tg, u_traj, n_traj = two_wave_run
-        coeffs = ModelCoefficients.zero_smoothing(eps)
-        bottom = StepBottom(0.5, 20.0, 1.5)
-        for m in (10, 30, 60):
-            u1, n1 = corrector_fields(u_traj, n_traj, bottom, coeffs, m * tg.dt)
-            for breakdown in (u1, n1):
-                total = sum(breakdown.terms().values())
-                scale = max(np.max(np.abs(breakdown.total)), 1e-30)
-                assert np.max(np.abs(total - breakdown.total)) <= 1e-12 * scale
-
-    def test_right_only_skips_left_corrector(self, step_run):
+    def test_breakdown_additivity(self, step_run):
         eps, grid, tg, spec, traj, bottom, coeffs = step_run
-        u1, n1 = corrector_fields(traj, None, bottom, coeffs, 40 * tg.dt,
-                                  components="right_only")
-        assert n1 is None
-        assert np.max(np.abs(u1.total)) > 0.0
-
-    def test_scalar_and_field_cross_integrals_agree(self, two_wave_run):
-        # the vectorized corrector path must match the per-point contract
-        eps, grid, tg, u_traj, n_traj = two_wave_run
-        coeffs = ModelCoefficients.zero_smoothing(eps)
-        bottom = StepBottom(0.5, 20.0, 1.5)
-        m = 24
-        t = m * tg.dt
-        u1, _ = corrector_fields(u_traj, n_traj, bottom, coeffs, t)
-        du = make_d1(grid).apply_values(u_traj.at_step(m))
-        for i in (5, 100, 200, 350):
-            x = grid.nodes[i]
-            cp = characteristic_cross_integral(None, n_traj, t, x, "right")
-            jb = characteristic_cross_integral(bottom, n_traj, t, x, "right")
-            assert u1.counterprop_integral[i] == pytest.approx(-du[i] * cp / 4.0, abs=1e-13)
-            assert u1.bottom_derivative_integral[i] == pytest.approx(jb / 4.0, abs=1e-13)
+        for m in (10, 30, 60):
+            u1 = corrector_fields(traj, None, bottom, m * tg.dt)
+            total = sum(u1.terms().values())
+            scale = max(np.max(np.abs(u1.total)), 1e-30)
+            assert np.max(np.abs(total - u1.total)) <= 1e-12 * scale
 
 
 class TestTopoModifiedSurfaces:
+    def test_missing_snapshot(self, step_run):
+        _, _, tg, _, traj, _, coeffs = step_run
+        with pytest.raises(MissingSnapshotError):
+            topo_modified_surfaces(traj, None, FlatBottom(), coeffs, tg.final_time + 1.0)
+
     def test_flat_bottom_reduces_to_classical(self, step_run):
         eps, grid, tg, spec, traj, _, coeffs = step_run
         t = 60 * tg.dt
         topo = topo_modified_surfaces(traj, None, FlatBottom(), coeffs, t)
-        classical = classical_surfaces(traj, None, t)
-        np.testing.assert_allclose(topo.v.values, classical.v.values, atol=1e-14)
-        np.testing.assert_allclose(topo.eta.values, classical.eta.values, atol=1e-14)
+        classical = traj.at_step(60) / 2.0
+        np.testing.assert_allclose(topo.v.values, classical, atol=1e-14)
+        np.testing.assert_allclose(topo.eta.values, classical, atol=1e-14)
 
     @pytest.mark.parametrize("eta_bracket", ["sign_split", "identical"])
     def test_step_surface_offset_matches_term_oracle_past_ramp(self, step_run, eta_bracket):
@@ -451,10 +339,9 @@ class TestTopoModifiedSurfaces:
         t = m * tg.dt
         topo = topo_modified_surfaces(traj, None, bottom, coeffs, t,
                                       eta_bracket=eta_bracket)
-        classical = classical_surfaces(traj, None, t)
-        offset = topo.eta.values - classical.eta.values
-
         u = traj.at_step(m)
+        offset = topo.eta.values - u / 2.0
+
         du = make_d1(grid).apply_values(u)
         past = grid.nodes > 41.5  # beyond the ramp end
         nodes = grid.nodes[past]
@@ -470,10 +357,10 @@ class TestTopoModifiedSurfaces:
         t = 100 * tg.dt
         topo = topo_modified_surfaces(traj, None, bottom, coeffs, t,
                                       eta_bracket="identical")
-        classical = classical_surfaces(traj, None, t)
+        classical = traj.at_step(100) / 2.0
         np.testing.assert_allclose(
-            topo.v.values - classical.v.values,
-            topo.eta.values - classical.eta.values,
+            topo.v.values - classical,
+            topo.eta.values - classical,
             atol=1e-14,
         )
 
@@ -482,9 +369,8 @@ class TestTopoModifiedSurfaces:
         eps, grid, tg, spec, traj, bottom, coeffs = step_run
         t = 120 * tg.dt
         topo = topo_modified_surfaces(traj, None, bottom, coeffs, t)
-        classical = classical_surfaces(traj, None, t)
-        offset = np.max(np.abs(topo.eta.values - classical.eta.values))
         u = traj.at_step(120)
+        offset = np.max(np.abs(topo.eta.values - u / 2.0))
         du = make_d1(grid).apply_values(u)
         beta0 = 0.5
         term_bound = (np.max(np.abs(du)) * beta0 * t
@@ -492,96 +378,42 @@ class TestTopoModifiedSurfaces:
                       + 0.5 * beta0 * np.max(np.abs(u)))
         assert offset <= eps / 4.0 * term_bound
 
-    def test_periodic_variant_sign_asymmetry(self, two_wave_run):
-        eps, grid, tg, u_traj, n_traj = two_wave_run
-        coeffs = ModelCoefficients.zero_smoothing(eps)
-        t = 40 * tg.dt
-        base = topo_modified_surfaces(u_traj, n_traj, FlatBottom(), coeffs, t)
-        per = topo_modified_surfaces(u_traj, n_traj, FlatBottom(), coeffs, t,
-                                     periodic_variant=True)
-        m = 40
-        du = make_d1(grid).apply_values(u_traj.at_step(m))
-        dn = make_d1(grid).apply_values(n_traj.at_step(m))
-        cp_r = np.array([
-            characteristic_cross_integral(None, n_traj, t, x, "right")
-            for x in grid.nodes
-        ])
-        cp_l = np.array([
-            characteristic_cross_integral(None, u_traj, t, x, "left")
-            for x in grid.nodes
-        ])
-        np.testing.assert_allclose(
-            per.v.values - base.v.values,
-            -eps / 8.0 * (du * cp_r + dn * cp_l), atol=1e-13,
-        )
-        np.testing.assert_allclose(
-            per.eta.values - base.eta.values,
-            -eps / 8.0 * (du * cp_r - dn * cp_l), atol=1e-13,
-        )
-
-    @pytest.mark.parametrize("run_name", ["two_wave_run", "step_run"])
     @pytest.mark.parametrize("bottom_kind", ["step", "sinusoid", "flat"])
     @pytest.mark.parametrize("where", ["zero", "one", "mid", "last"])
-    def test_topo_is_classical_plus_corrector_terms(self, request, run_name, bottom_kind,
-                                                     where):
-        # K_topo = classical + eps/2 (U1_b +- N1_b), plus eps/2 (U1_cp +- N1_cp) in
-        # the periodic variant, where X_b sums the three bottom terms of X; the
-        # terms themselves must match the single-node references of U1 and N1
-        if run_name == "two_wave_run":
-            eps, grid, tg, u_traj, n_traj = request.getfixturevalue(run_name)
-        else:
-            eps, grid, tg, _, u_traj, _, _ = request.getfixturevalue(run_name)
-            n_traj = None
+    def test_topo_is_classical_plus_corrector_terms(self, step_run, bottom_kind, where):
+        # K_topo = u/2 + eps/2 (U1 +- N1), U1 the two bottom terms of the
+        # right-going corrector and N1 the b'-weighted left sum; the terms
+        # themselves must match their single-node references
+        eps, grid, tg, _, u_traj, _, _ = step_run
         bottom = {"step": StepBottom(0.5, grid.length / 2.0, 1.5),
                   "sinusoid": SinusoidBottom(0.5, grid.length / 4.0),
                   "flat": FlatBottom()}[bottom_kind]
         coeffs = ModelCoefficients.balanced(eps)
         m = {"zero": 0, "one": 1, "mid": tg.num_steps // 2, "last": tg.num_steps}[where]
         t = m * tg.dt
-        u1, n1 = corrector_fields(u_traj, n_traj, bottom, coeffs, t)
-        classical = classical_surfaces(u_traj, n_traj, t)
-        used = ("bottom_jump", "bottom_integral", "bottom_derivative_integral",
-                "counterprop_integral")
-        scale = max(np.max(np.abs(getattr(c, name))) for c in (u1, n1) for name in used)
-
-        def bottom_sum(c):
-            return c.bottom_jump + c.bottom_integral + c.bottom_derivative_integral
+        u1 = corrector_fields(u_traj, None, bottom, t)
+        n1 = -_cross_integral_nodes(bottom, u_traj, m) / 4.0
+        u = u_traj.at_step(m)
+        u1_b = u1.bottom_jump + u1.bottom_integral
+        scale = max(np.max(np.abs(term)) for term in (u1.bottom_jump, u1.bottom_integral, n1))
 
         for eta_bracket, eta_sign in (("sign_split", -1.0), ("identical", 1.0)):
-            for periodic in (False, True):
-                topo = topo_modified_surfaces(u_traj, n_traj, bottom, coeffs, t,
-                                              periodic_variant=periodic,
-                                              eta_bracket=eta_bracket)
-                v = classical.v.values + eps / 2.0 * (bottom_sum(u1) + bottom_sum(n1))
-                eta = classical.eta.values + eps / 2.0 * (
-                    bottom_sum(u1) + eta_sign * bottom_sum(n1))
-                if periodic:
-                    v = v + eps / 2.0 * (u1.counterprop_integral + n1.counterprop_integral)
-                    eta = eta + eps / 2.0 * (u1.counterprop_integral
-                                             - n1.counterprop_integral)
-                np.testing.assert_allclose(topo.v.values, v, rtol=0, atol=1e-14 * scale)
-                np.testing.assert_allclose(topo.eta.values, eta, rtol=0, atol=1e-14 * scale)
+            topo = topo_modified_surfaces(u_traj, None, bottom, coeffs, t,
+                                          eta_bracket=eta_bracket)
+            v = u / 2.0 + eps / 2.0 * (u1_b + n1)
+            eta = u / 2.0 + eps / 2.0 * (u1_b + eta_sign * n1)
+            np.testing.assert_allclose(topo.v.values, v, rtol=0, atol=1e-14 * scale)
+            np.testing.assert_allclose(topo.eta.values, eta, rtol=0, atol=1e-14 * scale)
 
-        u = u_traj.at_step(m)
-        n = np.zeros(grid.num_points) if n_traj is None else n_traj.at_step(m)
-        d1 = make_d1(grid)
-        for s, c, own, counter_traj, direction in ((1.0, u1, u, n_traj, "right"),
-                                                   (-1.0, n1, n, u_traj, "left")):
-            d_own = d1.apply_values(own)
-            for i in range(0, grid.num_points, grid.num_points // 7):
-                x = grid.nodes[i]
-                jump = s * own[i] * (float(bottom.value(x)) - float(bottom.value(x - s * t)))
-                integral = s * d_own[i] * bottom_shift_integral(bottom, t, x, direction, tg.dt)
-                cross, cp = 0.0, 0.0
-                if counter_traj is not None:
-                    cross = s * characteristic_cross_integral(bottom, counter_traj, t, x,
-                                                              direction)
-                    cp = -d_own[i] * characteristic_cross_integral(None, counter_traj, t, x,
-                                                                   direction)
-                assert c.bottom_jump[i] == pytest.approx(jump / 4.0, abs=1e-13)
-                assert c.bottom_integral[i] == pytest.approx(integral / 2.0, abs=1e-13)
-                assert c.bottom_derivative_integral[i] == pytest.approx(cross / 4.0, abs=1e-13)
-                assert c.counterprop_integral[i] == pytest.approx(cp / 4.0, abs=1e-13)
+        d_u = make_d1(grid).apply_values(u)
+        for i in range(0, grid.num_points, grid.num_points // 7):
+            x = grid.nodes[i]
+            jump = u[i] * (float(bottom.value(x)) - float(bottom.value(x - t)))
+            integral = d_u[i] * bottom_shift_integral(bottom, t, x, "right", tg.dt)
+            cross = -characteristic_cross_integral(bottom, u_traj, t, x)
+            assert u1.bottom_jump[i] == pytest.approx(jump / 4.0, abs=1e-13)
+            assert u1.bottom_integral[i] == pytest.approx(integral / 2.0, abs=1e-13)
+            assert n1[i] == pytest.approx(cross / 4.0, abs=1e-13)
 
 
 class TestStreamedTopoSum:
@@ -591,9 +423,9 @@ class TestStreamedTopoSum:
     @given(n=st.integers(16, 60), steps=st.integers(1, 40), stride=st.integers(1, 45),
            bottom_kind=st.sampled_from(["step", "sinusoid"]),
            eta_bracket=st.sampled_from(["sign_split", "identical"]),
-           periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_streamed_equals_stride_one(self, n, steps, stride, bottom_kind, eta_bracket,
-                                        periodic, seed):
+                                        seed):
         rng = np.random.default_rng(seed)
         eps, dx = 0.2, 0.25
         grid = Grid1D(n, dx)
@@ -612,13 +444,12 @@ class TestStreamedTopoSum:
             with pytest.raises(ConfigurationError):
                 topo_modified_surfaces(sparse, None, bottom, coeffs,
                                        sparse.times[1], eta_bracket=eta_bracket)
-        topo_sum = _RunningSum(bottom, grid, steps, "left", keep=set(sparse.step_indices))
+        topo_sum = _RunningSum(bottom, grid, steps, keep=set(sparse.step_indices))
         streamed = run(problem, u0, stride=stride, on_step=topo_sum.record)
         topo_sum.attach(streamed)
         assert np.array_equal(streamed.data, sparse.data)
         for t in streamed.times:
             got, want = (topo_modified_surfaces(traj, None, bottom, coeffs, float(t),
-                                                periodic_variant=periodic,
                                                 eta_bracket=eta_bracket)
                          for traj in (streamed, full))
             assert np.array_equal(got.v.values, want.v.values)
@@ -667,7 +498,7 @@ class TestTransportResidual:
         d1 = make_d1(grid)
 
         breakdowns = {
-            k: corrector_fields(traj, None, bottom, coeffs, (m + k) * dt)[0]
+            k: corrector_fields(traj, None, bottom, (m + k) * dt)
             for k in (-1, 0, 1)
         }
         u1_prev, u1_now, u1_next = (breakdowns[k].total for k in (-1, 0, 1))

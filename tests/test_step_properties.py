@@ -3,9 +3,8 @@
 * One coupled step in the conservative assembly conserves the energy
   ``discrete_h1_eps`` to round-off, for any admissible coefficients, any
   bottom and any data.
-* Mirror symmetry: u(x) -> -u(-x) maps the right-going scalar step onto the
-  left-going one, and (v, eta) -> (-v(-x), eta(-x)) maps the coupled step on
-  a flat bottom onto itself in the conservative assembly.
+* Mirror symmetry: (v, eta) -> (-v(-x), eta(-x)) maps the coupled step on a
+  flat bottom onto itself in the conservative assembly.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from longwave.grid import (
     TimeGrid,
     discrete_h1_eps,
 )
-from longwave.kdv import KdvProblem, init_predictor, step
 
 grids = st.builds(Grid1D, st.integers(16, 400), st.floats(0.01, 0.5))
 epsilons = st.floats(0.01, 0.5)
@@ -75,25 +73,6 @@ def test_coupled_step_conserves_h1_eps(grid, eps, data, seed, bottom, amplitude)
     state = step_boussinesq(problem, init_boussinesq(problem, v0, eta0))
     after = discrete_h1_eps(*_fields(state, grid), coeffs)
     assert abs(after - before) <= 1e-12 * before
-
-
-@settings(max_examples=80, deadline=None)
-@given(grid=grids, eps=epsilons, seed=seeds, amplitude=st.floats(0.01, 1.0),
-       mode=st.sampled_from(["neighbor_average", "split_form"]),
-       bathymetry=st.sampled_from([None, FlatBottom()]))
-def test_mirror_maps_right_going_onto_left_going(grid, eps, seed, amplitude, mode,
-                                                 bathymetry):
-    u0 = amplitude * np.random.default_rng(seed).standard_normal(grid.num_points)
-    tg = TimeGrid(2, grid.dx)
-    right = KdvProblem(eps, grid, tg, bathymetry=bathymetry, nonlinear_mode=mode)
-    left = KdvProblem(eps, grid, tg, bathymetry=bathymetry, direction="left",
-                      nonlinear_mode=mode)
-    s_right = init_predictor(right, Field(u0, grid))
-    s_left = init_predictor(left, Field(-_mirror(u0), grid))
-    for _ in range(2):
-        s_right, s_left = step(right, s_right), step(left, s_left)
-    np.testing.assert_allclose(s_left.current, -_mirror(s_right.current),
-                               rtol=0, atol=1e-11 * amplitude)
 
 
 @settings(max_examples=80, deadline=None)
