@@ -51,6 +51,20 @@ def step_run():
     return eps, grid, tg, spec, traj, bottom, coeffs
 
 
+@pytest.fixture(scope="module")
+def short_run():
+    """Right-going solitary wave on a coarser, shorter periodic grid; the left
+    sums of its right-hand nodes wrap through the periodic edge (module-shared)."""
+    eps = 0.2
+    grid = Grid1D.from_length(40.0, 0.1)
+    tg = TimeGrid(60, 0.1)
+    spec = SolitonSpec(alpha=0.5, shift=-15.0, epsilon=eps)
+    traj = run(KdvProblem(eps, grid, tg), soliton_field(spec, grid), stride=1)
+    bottom = StepBottom(0.5, 20.0, 1.5)
+    coeffs = ModelCoefficients.zero_smoothing(eps)
+    return eps, grid, tg, spec, traj, bottom, coeffs
+
+
 class TestRefusals:
     """A left-going trajectory is refused before any work: no argument is read."""
 
@@ -378,13 +392,15 @@ class TestTopoModifiedSurfaces:
                       + 0.5 * beta0 * np.max(np.abs(u)))
         assert offset <= eps / 4.0 * term_bound
 
+    @pytest.mark.parametrize("run_name", ["step_run", "short_run"])
     @pytest.mark.parametrize("bottom_kind", ["step", "sinusoid", "flat"])
     @pytest.mark.parametrize("where", ["zero", "one", "mid", "last"])
-    def test_topo_is_classical_plus_corrector_terms(self, step_run, bottom_kind, where):
+    def test_topo_is_classical_plus_corrector_terms(self, request, run_name, bottom_kind,
+                                                     where):
         # K_topo = u/2 + eps/2 (U1 +- N1), U1 the two bottom terms of the
         # right-going corrector and N1 the b'-weighted left sum; the terms
         # themselves must match their single-node references
-        eps, grid, tg, _, u_traj, _, _ = step_run
+        eps, grid, tg, _, u_traj, _, _ = request.getfixturevalue(run_name)
         bottom = {"step": StepBottom(0.5, grid.length / 2.0, 1.5),
                   "sinusoid": SinusoidBottom(0.5, grid.length / 4.0),
                   "flat": FlatBottom()}[bottom_kind]
