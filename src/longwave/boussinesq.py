@@ -108,13 +108,9 @@ class BoussinesqProblem:
 
     def _mass_apply(self, a: float, values: np.ndarray) -> np.ndarray:
         """(I - eps a D2) values, for a = a2 (velocity) or a4 (surface)."""
-        if a == 0.0:
-            return values.copy()
         return values - self.coeffs.epsilon * a * self._d2.apply_values(values)
 
     def _mass_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
-        if a == 0.0:
-            return rhs.copy()
         operator = StepOperator(self.grid.num_points)
         operator.add_diagonal(1.0)
         operator.add_operator(self._d2, scale=-self.coeffs.epsilon * a)
@@ -156,10 +152,8 @@ class BoussinesqProblem:
 
         target.add_diagonal(2.0 / dt, _VV)
         target.add_diagonal(2.0 / dt, _EE)
-        if a2 != 0.0:
-            target.add_operator(d2, scale=-2.0 * eps * a2 / dt, block=_VV)
-        if a4 != 0.0:
-            target.add_operator(d2, scale=-2.0 * eps * a4 / dt, block=_EE)
+        target.add_operator(d2, scale=-2.0 * eps * a2 / dt, block=_VV)
+        target.add_operator(d2, scale=-2.0 * eps * a4 / dt, block=_EE)
         target.add_operator(d3, scale=eps * a1, block=_VE)
         target.add_operator(d3, scale=eps * a1, block=_EV)
         # v-equation: (I - eps/2 B) D1 w_eta

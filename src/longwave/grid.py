@@ -440,12 +440,10 @@ def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
         raise GridMismatchError("fields live on different grids")
     dx = v.grid.dx
     total = float(np.dot(v.values, v.values) + np.dot(eta.values, eta.values))
-    if coeffs.a2 != 0.0:
-        dv = (_shifted(v.values, 1) - v.values) / dx
-        total += coeffs.epsilon * coeffs.a2 * float(np.dot(dv, dv))
-    if coeffs.a4 != 0.0:
-        de = (_shifted(eta.values, 1) - eta.values) / dx
-        total += coeffs.epsilon * coeffs.a4 * float(np.dot(de, de))
+    dv = (_shifted(v.values, 1) - v.values) / dx
+    de = (_shifted(eta.values, 1) - eta.values) / dx
+    total += coeffs.epsilon * coeffs.a2 * float(np.dot(dv, dv))
+    total += coeffs.epsilon * coeffs.a4 * float(np.dot(de, de))
     return math.sqrt(dx * total)
 
 

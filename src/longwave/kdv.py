@@ -111,13 +111,11 @@ class _TrajectoryBase:
         return self._row_of[m]
 
     def has_every_step_upto(self, m: int) -> bool:
-        """True when steps 0..m are all stored (stride-1 storage)."""
-        k = np.searchsorted(self.step_indices, m)
-        return (
-            k < len(self.step_indices)
-            and self.step_indices[k] == m
-            and np.array_equal(self.step_indices[: k + 1], np.arange(m + 1))
-        )
+        """True when steps 0..m are all stored (stride-1 storage): the steps
+        are strictly increasing integers, so steps[0] = 0 and steps[m] = m
+        leave no room for a gap."""
+        steps = self.step_indices
+        return bool(0 <= m < len(steps) and steps[0] == 0 and steps[m] == m)
 
 
 def _frozen(a) -> np.ndarray:

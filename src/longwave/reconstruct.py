@@ -13,14 +13,17 @@ one survives, the b'-weighted sum of U0 along the left characteristic,
 
     N1_b = -1/4 Int_0^t b'(x+t-s) U0(x+t-2s) ds   (bottom_derivative_integral).
 
-U1's other five terms and N1's other bottom terms multiply N0 and vanish.
+U1's other five terms and N1's other bottom terms multiply N0 and vanish, so
+``corrector_fields`` holds only the two bottom terms; ``growth_diagnostic``
+keeps a column for each of the seven and writes 0.0 for the five.
 The integrals can grow secularly for bottoms without decay; the
 topography-modified reconstruction K_topo adds them to the classical surfaces,
 
     v = u/2 + eps/2 (U1 + N1_b),    eta = u/2 + eps/2 (U1 -+ N1_b),
 
 with - for the ``sign_split`` eta bracket (eta = (U_app - N_app)/2) and +
-for ``identical``.
+for ``identical``.  Over a flat bottom b = b' = 0, every term is zero and
+K_topo is u/2, the flat-bottom KdV approximation K.
 
 All time integrals use the composite trapezoid rule with step dt = dx, which
 puts every characteristic shift on a node; the bottom profile is sampled on
@@ -78,6 +81,8 @@ __all__ = [
 
 ETA_BRACKETS = ("sign_split", "identical")
 
+# The terms of the two-wave corrector U1, the term columns of growth.csv.  All
+# but ``bottom_jump`` and ``bottom_integral`` multiply N0 and are zero here.
 TERM_NAMES = (
     "quadratic_difference",
     "dispersive_difference",
@@ -91,25 +96,18 @@ TERM_NAMES = (
 
 @dataclass
 class CorrectorBreakdown:
-    """Per-node values of each named corrector term at one time, plus their sum.
+    """Per-node values of U1's two bottom terms at one time, plus their sum
+    (U1 itself, since its other terms multiply N0 = 0)."""
 
-    The terms are those of the two-wave corrector; all but ``bottom_jump`` and
-    ``bottom_integral`` multiply N0 and are zero here."""
-
-    quadratic_difference: np.ndarray
-    dispersive_difference: np.ndarray
-    cross_product: np.ndarray
     bottom_jump: np.ndarray
-    counterprop_integral: np.ndarray
     bottom_integral: np.ndarray
-    bottom_derivative_integral: np.ndarray
     total: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.total = sum(getattr(self, name) for name in TERM_NAMES)
+        self.total = self.bottom_jump + self.bottom_integral
 
     def terms(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in TERM_NAMES}
+        return {"bottom_jump": self.bottom_jump, "bottom_integral": self.bottom_integral}
 
 
 @dataclass
@@ -139,7 +137,7 @@ def _check_alignment(traj: Trajectory) -> None:
 def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
     w = np.full(m + 1, dt)
     w[0] = w[-1] = dt / 2.0
-    return w if m > 0 else np.zeros(1)
+    return w
 
 
 def _bottom_integral_nodes(b: BathymetryProfile, grid: Grid1D, m: int) -> np.ndarray:
@@ -281,16 +279,13 @@ def _u1_bottom_terms(u_traj: Trajectory, b: BathymetryProfile,
 
 def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
                      t: float) -> CorrectorBreakdown:
-    """Every term of the right-going corrector U1 at time t, per node.
+    """U1's two bottom terms at time t, per node (``_u1_bottom_terms``).
 
     ``n_traj`` must be None (N0 = 0).  U1 needs only the snapshot at t, so
     ``u_traj`` may be stored at any stride."""
     _refuse_counter(n_traj)
     _check_alignment(u_traj)
-    m = u_traj.step_of_time(t)
-    terms = {name: np.zeros(u_traj.grid.num_points) for name in TERM_NAMES}
-    terms["bottom_jump"], terms["bottom_integral"] = _u1_bottom_terms(u_traj, b, m)
-    return CorrectorBreakdown(**terms)
+    return CorrectorBreakdown(*_u1_bottom_terms(u_traj, b, u_traj.step_of_time(t)))
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
@@ -367,7 +362,8 @@ def growth_diagnostic(u_traj: Trajectory, n_traj: None,
         raise DiagnosticError(f"growth diagnostic needs >= 4 snapshots, got {len(times)}")
     grid = u_traj.grid
     norms = np.empty(len(times))
-    term_norms = {name: np.empty(len(times)) for name in TERM_NAMES}
+    # the terms that multiply N0 keep their columns at an exact 0.0
+    term_norms = {name: np.zeros(len(times)) for name in TERM_NAMES}
     for k, t in enumerate(times):
         u1 = corrector_fields(u_traj, None, b, float(t))
         norms[k] = discrete_sobolev(Field(u1.total, grid), s)

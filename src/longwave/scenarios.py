@@ -494,25 +494,22 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     spec = config.build_soliton()
     u0 = soliton_field(spec, grid)
     half = Field(u0.values / 2.0, grid)
-    needs_topo = not bottom.is_flat()
     num_steps = time_grid.num_steps
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
 
     stride = config.error_stride(time_grid)
     # K (one field), B (two) and K_topo's read-outs (n floats), all at the error steps
     _check_storage("simulate storage at the error steps",
-                   8 * (4 if needs_topo else 3) * grid.num_points
-                   * _stored_rows(num_steps, stride))
+                   8 * 4 * grid.num_points * _stored_rows(num_steps, stride))
     _check_crest_path(config)
     # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
     # as K runs and read out at the error steps, the only steps K stores
     keep = {*range(0, num_steps, stride), num_steps}
-    topo_sum = _RunningSum(bottom, grid, num_steps, keep) if needs_topo else None
+    topo_sum = _RunningSum(bottom, grid, num_steps, keep)
     t0 = _time.perf_counter()
     u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride,
-                 on_step=None if topo_sum is None else topo_sum.record)
-    if topo_sum is not None:
-        topo_sum.attach(u_traj)
+                 on_step=topo_sum.record)
+    topo_sum.attach(u_traj)
     kdv_seconds = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
@@ -542,12 +539,8 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
 
         t0 = _time.perf_counter()
         eta_k_vals = u_now.values / 2.0
-        if needs_topo:
-            topo = topo_modified_surfaces(u_traj, None, bottom, coeffs, t,
-                                          eta_bracket=config.topo_eta_bracket)
-            eta_kt_vals = topo.eta.values
-        else:
-            eta_kt_vals = eta_k_vals
+        eta_kt_vals = topo_modified_surfaces(u_traj, None, bottom, coeffs, t,
+                                             eta_bracket=config.topo_eta_bracket).eta.values
         recon_seconds += _time.perf_counter() - t0
 
         times.append(t)
@@ -722,16 +715,7 @@ def _meta_payload(config: ScenarioConfig, coeffs: ModelCoefficients,
     payload = {
         "scheme_version": SCHEME_VERSION,
         "config": config.to_dict(),
-        "coefficients": {
-            "theta": coeffs.theta,
-            "lambda1": coeffs.lambda1,
-            "lambda2": coeffs.lambda2,
-            "epsilon": coeffs.epsilon,
-            "a1": coeffs.a1,
-            "a2": coeffs.a2,
-            "a3": coeffs.a3,
-            "a4": coeffs.a4,
-        },
+        "coefficients": dataclasses.asdict(coeffs),
         "runtimes_seconds": runtimes,
     }
     payload.update(extra)

@@ -1,7 +1,8 @@
 """Every name a ``longwave`` module imports is read in that module or listed
-in its ``__all__``.  An ``ast`` check, since no linter is installed with the
-test dependencies.  The package ``__init__`` imports only to re-export, so
-it is left out."""
+in its ``__all__``, and every private name a module defines at its top level
+is read somewhere in the package, not only in the tests.  ``ast`` checks,
+since no linter is installed with the test dependencies.  The package
+``__init__`` imports only to re-export, so the import check leaves it out."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longwave"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,11 +36,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(SOURCES[module]) == []
 
 
 def test_a_stray_import_is_caught():
-    source = (PACKAGE / "reconstruct.py").read_text()
+    source = SOURCES["reconstruct.py"]
     stray = source.replace("import numpy as np\n", "import numpy as np\nfrom .findiff import make_d2\n")
     assert stray != source
     assert unused_imports(stray) == ["make_d2"]
@@ -47,3 +49,46 @@ def test_a_stray_import_is_caught():
 def test_a_name_listed_in_all_counts_as_used():
     assert unused_imports("from .grid import Field\n__all__ = ['Field']\n") == []
     assert unused_imports("import os.path\nfrom .grid import Field as F\n") == ["F", "os"]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private name that a module of ``sources``
+    binds at its top level (function, class or assignment) and that no module
+    reads: loads it, takes it as an attribute or imports it by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            orphans += [f"{module}:{name}" for name in bound
+                        if name.startswith("_") and not name.startswith("__")
+                        and name not in read]
+    return orphans
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert orphaned_private_names(SOURCES) == []
+
+
+def test_an_orphan_helper_is_caught():
+    planted = {**SOURCES, "grid.py": SOURCES["grid.py"] + "\n\ndef _orphan(values):\n"
+                                                         "    return values\n"}
+    assert orphaned_private_names(planted) == ["grid.py:_orphan"]
+    assert orphaned_private_names({"a.py": "_X, _Y = 1, 2\n", "b.py": "from .a import _X\n"}) \
+        == ["a.py:_Y"]

@@ -16,7 +16,7 @@ from longwave.grid import (
     discrete_l2,
     soliton_field,
 )
-from longwave.kdv import KdvProblem, init_predictor, run, step
+from longwave.kdv import KdvProblem, Trajectory, init_predictor, run, step
 
 
 def _mirror(values):
@@ -160,6 +160,16 @@ class TestRun:
         sparse = run(KdvProblem(eps, grid, tg), soliton_field(spec, grid), stride=10)
         assert full.has_every_step_upto(tg.num_steps)
         assert not sparse.has_every_step_upto(tg.num_steps)
+        assert not full.has_every_step_upto(tg.num_steps + 1)
+        data = np.zeros((4, grid.num_points))
+        gap = Trajectory(grid, tg.dt, [0, 1, 3, 4], data)
+        assert gap.has_every_step_upto(1)
+        assert not gap.has_every_step_upto(2)
+        assert not gap.has_every_step_upto(3)
+        negative = Trajectory(grid, tg.dt, [-1, 0, 1, 2], data)
+        assert not negative.has_every_step_upto(1)
+        assert not negative.has_every_step_upto(2)
+        assert not full.has_every_step_upto(-1)
 
     def test_step_hook_sees_every_step(self, setup):
         eps, grid, tg, spec = setup

@@ -243,8 +243,10 @@ class TestRunScenario:
         assert report.err_kdv[0] == 0.0
         assert report.err_kdv_topo[0] == 0.0
         assert report.l2_drift[0] == 0.0
-        # flat bottom: the two reconstructions coincide
-        np.testing.assert_allclose(report.err_kdv, report.err_kdv_topo)
+        # flat bottom, b = b' = 0: K_topo runs its reconstruction and is u/2 to the bit
+        assert np.array_equal(report.err_kdv, report.err_kdv_topo)
+        final = report.snapshots[-1]
+        assert final.eta_kdv_topo.tobytes() == final.eta_kdv.tobytes()
         assert report.validation_error is not None
         assert report.validation_error < 3e-3
         assert len(report.snapshots) == 1
@@ -402,6 +404,17 @@ class TestWriteOutputs:
         assert {p.name for p in paths} == {"growth.csv", "meta.json"}
         meta = json.loads((tmp_path / "g" / "meta.json").read_text())
         assert "fit" in meta and "slope" in meta["fit"]
+        with open(tmp_path / "g" / "growth.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "u1_norm", "quadratic_difference", "dispersive_difference",
+                          "cross_product", "bottom_jump", "counterprop_integral",
+                          "bottom_integral", "bottom_derivative_integral"]
+        columns = {name: [float(row[k]) for row in rows] for k, name in enumerate(header)}
+        # the five terms that multiply N0 = 0 read exactly 0 at every snapshot
+        for name in ("quadratic_difference", "dispersive_difference", "cross_product",
+                     "counterprop_integral", "bottom_derivative_integral"):
+            assert columns[name] == [0.0] * len(rows)
+        assert max(columns["bottom_jump"]) > 0.0 and max(columns["bottom_integral"]) > 0.0
 
     def test_missing_output_dir_rejected(self):
         config = ScenarioConfig(scenario="validate", epsilon=0.2, final_time=1.0)
