@@ -59,7 +59,7 @@ from .grid import (
     Grid1D,
     ModelCoefficients,
     TimeGrid,
-    _shifted,
+    _padded,
 )
 from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start
 
@@ -105,10 +105,13 @@ class BoussinesqProblem:
         self._d1 = make_d1(grid)
         self._d2 = make_d2(grid)
         self._d3 = make_d3(grid)
-
-    def _mass_apply(self, a: float, values: np.ndarray) -> np.ndarray:
-        """(I - eps a D2) values, for a = a2 (velocity) or a4 (surface)."""
-        return values - self.coeffs.epsilon * a * self._d2.apply_values(values)
+        # (2/dt)(I - eps a D2) z = own * z_i - neighbours * (z_{i-1} + z_{i+1})
+        # per interleaved unknown, a = a2 for v and a4 for eta
+        self._mass_neighbours = np.empty(2 * grid.num_points)
+        self._mass_neighbours[0::2] = coeffs.epsilon * coeffs.a2
+        self._mass_neighbours[1::2] = coeffs.epsilon * coeffs.a4
+        self._mass_neighbours *= 2.0 / (time_grid.dt * grid.dx**2)
+        self._mass_own = 2.0 / time_grid.dt + 2.0 * self._mass_neighbours
 
     def _mass_solve(self, a: float, rhs: np.ndarray) -> np.ndarray:
         operator = StepOperator(self.grid.num_points)
@@ -169,41 +172,53 @@ class BoussinesqProblem:
 
     def add_predictor_terms(self, target, predictor: np.ndarray,
                             current: np.ndarray) -> np.ndarray:
-        """Add the nonlinear terms frozen at the predictor and return the rhs,
-        (2/dt)(I - eps a D2) z^n per field plus the explicit lagged-eta term
-        of the weighted assembly."""
-        coeffs = self.coeffs
-        eps, a2, a4 = coeffs.epsilon, coeffs.a2, coeffs.a4
-        dt = self.time_grid.dt
-        d1 = self._d1
-        vp, ep = predictor[0::2], predictor[1::2]
-        rhs = np.empty(2 * self.grid.num_points)
-        rhs[0::2] = 2.0 / dt * self._mass_apply(a2, current[0::2])
-        rhs[1::2] = 2.0 / dt * self._mass_apply(a4, current[1::2])
+        """Add the nonlinear terms frozen at the predictor, one ``add_shift``
+        per band entry, and return the rhs, (2/dt)(I - eps a D2) z^n per
+        field plus the explicit lagged-eta term of the weighted assembly.
+
+        Both come from padded copies of the interleaved z, whose entry
+        2i + 2 + f is field f at node i, so a node's neighbours are slices."""
+        eps = self.coeffs.epsilon
+        left, right = self._d1.coeffs  # D1's weights of node i - 1 and i + 1
+        z = _padded(predictor, 2)
+        padded = _padded(current, 2)
+        rhs = self._mass_own * current
+        rhs -= self._mass_neighbours * (padded[:-4] + padded[4:])
 
         if self.nonlinear_mode == "conservative":
+            c = eps / 2.0 * right  # and eps/2 times D1's weight of node i - 1 is -c
+            # eta_term[i] = c eta^p_{i-1} for i = 0..n+1, pairs[i] = c (v^p_{i-1} + v^p_i)
+            eta_term = c * z[1::2]
+            pairs = c * (z[0:-2:2] + z[2::2])
             # v-equation: eps/2 eta^p D1 w_eta + eps/2 [ diag(v^p) D1 + D1 diag(v^p) ] w_v
-            target.add_operator(d1, pre_diag=ep, scale=eps / 2.0, block=_VE)
-            target.add_operator(d1, pre_diag=vp, scale=eps / 2.0, block=_VV)
-            target.add_operator(d1, post_diag=vp, scale=eps / 2.0, block=_VV)
+            target.add_shift(eta_term[1:-1], 1, _VE)
+            target.add_shift(eta_term[1:-1], -1, _VE, sign=-1)
+            target.add_shift(pairs[1:], 1, _VV)
+            target.add_shift(pairs[:-1], -1, _VV, sign=-1)
             # eta-equation: eps/2 D1 diag(eta^p) w_v
-            target.add_operator(d1, post_diag=ep, scale=eps / 2.0, block=_EV)
+            target.add_shift(eta_term[2:], 1, _EV)
+            target.add_shift(eta_term[:-2], -1, _EV, sign=-1)
         else:
-            smoothed_vp = vp + 0.5 * (_shifted(vp, 1) + _shifted(vp, -1))
-            smoothed_ep = 0.5 * (_shifted(ep, 1) + _shifted(ep, -1))
-            dvp = d1.apply_values(vp)
-            dep = d1.apply_values(ep)
+            vp, ep = predictor[0::2], predictor[1::2]
+            v_before, v_after, e_before, e_after = z[0:-4:2], z[4::2], z[1:-4:2], z[5::2]
+            smoothed_vp = vp + 0.5 * (v_after + v_before)
+            smoothed_ep = 0.5 * (e_after + e_before)
+            dvp = left * v_before + right * v_after
+            dep = left * e_before + right * e_after
             # v-equation: the two per-node weightings.
-            target.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 2.0, block=_VV)
-            target.add_diagonal(eps / 2.0 * dvp, _VV)
-            target.add_operator(d1, pre_diag=ep, scale=eps / 3.0, block=_VE)
-            target.add_diagonal(eps / 6.0 * dep, _VE)
+            target.add_shift(eps / 2.0 * left * smoothed_vp, -1, _VV)
+            target.add_shift(eps / 2.0 * right * smoothed_vp, 1, _VV)
+            target.add_shift(eps / 2.0 * dvp, 0, _VV)
+            target.add_shift(eps / 3.0 * left * ep, -1, _VE)
+            target.add_shift(eps / 3.0 * right * ep, 1, _VE)
+            target.add_shift(eps / 6.0 * dep, 0, _VE)
             # eta-equation, with the lagged eta factor fully explicit.
-            target.add_operator(d1, pre_diag=smoothed_ep, scale=eps / 3.0, block=_EV)
-            target.add_operator(d1, pre_diag=smoothed_vp, scale=eps / 6.0, block=_EV)
-            target.add_diagonal(eps / 6.0 * dvp, _EV)
-            lagged = ep if self.lagged_eta_level == "predictor" else current[1::2]
-            lag_factor = 0.5 * (_shifted(lagged, 1) + _shifted(lagged, -1)) - 0.5 * lagged
+            for offset, c in ((-1, left), (1, right)):
+                target.add_shift(eps / 3.0 * c * smoothed_ep + eps / 6.0 * c * smoothed_vp,
+                                 offset, _EV)
+            target.add_shift(eps / 6.0 * dvp, 0, _EV)
+            lagged = z if self.lagged_eta_level == "predictor" else padded
+            lag_factor = 0.5 * (lagged[5::2] + lagged[1:-4:2]) - 0.5 * lagged[3:-2:2]
             rhs[1::2] -= eps / 3.0 * dep * lag_factor
         return rhs
 

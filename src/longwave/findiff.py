@@ -29,11 +29,14 @@ The predictor-dependent part touches the same few band entries every step:
 one slot per (offset mod n, field row) pair, a contiguous slice of one value
 buffer that holds those entries, their flat band indices and their constant
 values.  Each step copies the constants into the buffer, adds the terms into
-the slots as contiguous slices, and writes the buffer into the band once,
-with one indexed assignment, before the solve; the entries no slot covers
-keep their constant values from construction.  It then refines from a
-guess with the LU kept from an earlier step, x <- x + LU^-1 (b - A x), the
-residual taken against the work band.  Refinement stops once the estimated
+the slots as contiguous slices (``add_shift``, one per band entry and step
+for both steppers), and writes the buffer into the band once, with one
+indexed assignment, before the solve; the entries no slot covers keep their
+constant values from construction.  It then refines from a guess with the
+LU kept from an earlier step, x <- x + LU^-1 (b - A x), the residual taken
+against the work band.  rhs and guess go into folded order, and x out of
+it, by two strided slices each; b, x, the correction and the residual live
+in buffers the operator owns.  Refinement stops once the estimated
 remaining error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most
 1e-15 ||x||.  A correction that does not halve the previous one, or a third
 that still misses the stop, refactors the work band at once and takes one
@@ -49,19 +52,24 @@ a factorization (``dgbtrf``) meets row interchanges and P adopts them.  Every
 factorization loads P A, whose half-widths grow by P's largest row
 displacement, as one block copy of A's band plus the rows P moves, and must
 meet no interchange, or it adopts the new order and factors again.
-With no interchange, L (unit lower) and U are plain band matrices, so one
-application of the LU is a gather of the rows by P and two triangular band
-solves (``dtbsv``), each a single BLAS call.  Factor entries below the
-smallest normal float are set to 0: the fill that couples the two halves of
-the fold decays into subnormals, which slow every solve.
+With no interchange, L (unit lower) and U are plain band matrices.  After
+each factorization the rows of U are divided by their pivots, U = D U1 with
+U1 unit upper, so one application of the LU is a gather of the rows by P,
+two unit-diagonal triangular band solves (``dtbsv``, each a single BLAS
+call) and one multiply by D^-1 between them; a unit-diagonal solve skips
+the division per row.  Then factor entries below the smallest normal float
+are set to 0: the fill that couples the two halves of the fold decays into
+subnormals, which slow every solve.  The sizes of the rhs, of x and of the
+corrections come from BLAS ``idamax``, which skips NaN; a NaN there reaches
+the residual, whose NaN-propagating norm every acceptance checks.
 
-``dgbmv`` and ``dtbsv`` come from scipy's compiled BLAS module ``_fblas``
-and ``dgbtrf`` from its compiled LAPACK module ``_flapack``, both in scipy's
-``linalg`` directory, each loaded from its file: going through the public
-``blas`` and ``lapack`` wrappers would run ``scipy/linalg/__init__.py``,
-which imports all of scipy's linalg package (85 modules, about 0.4 s and
-24 MB resident) for three routines.  They are the same function objects
-that those wrappers export.  A scipy without these two modules fails at
+``dgbmv``, ``dtbsv`` and ``idamax`` come from scipy's compiled BLAS module
+``_fblas`` and ``dgbtrf`` from its compiled LAPACK module ``_flapack``, both
+in scipy's ``linalg`` directory, each loaded from its file: going through
+the public ``blas`` and ``lapack`` wrappers would run
+``scipy/linalg/__init__.py``, which imports all of scipy's linalg package
+(85 modules, about 0.4 s and 24 MB resident) for four routines.  They are
+the same function objects that those wrappers export.  A scipy without these two modules fails at
 import; the names were checked on scipy 1.17.1 only, older versions are
 unverified.
 """
@@ -107,7 +115,7 @@ def _scipy_linalg_extension(name: str):
 
 
 _fblas = _scipy_linalg_extension("_fblas")
-dgbmv, dtbsv = _fblas.dgbmv, _fblas.dtbsv
+dgbmv, dtbsv, idamax = _fblas.dgbmv, _fblas.dtbsv, _fblas.idamax
 dgbtrf = _scipy_linalg_extension("_flapack").dgbtrf
 
 __all__ = [
@@ -132,6 +140,13 @@ _ORDER_TRIES = 3
 # Factor entries below the smallest normal float are set to 0: subnormals slow every solve.
 _TINY = np.finfo(float).tiny
 _FLUSH_CHUNK = 1 << 13
+
+
+def _peak(v: np.ndarray) -> float:
+    """max |v_i| by one BLAS call.  idamax skips NaN, so this sizes only the
+    rhs, x and the corrections: a NaN in any of them reaches the residual,
+    whose ``_norm`` every acceptance checks."""
+    return abs(v[idamax(v)])
 
 
 class CyclicBandedOperator:
@@ -209,13 +224,14 @@ class StepOperator:
 
     The ``n`` unknowns interleave ``blocks`` fields per node.  Every term is
     A[row, col] += scale * diag(pre) @ Op @ diag(post), placed at band offset
-    blocks * off + col - row over the rows row::blocks; a stencil reaches at
-    most +-2 nodes, so the band reaches 3 blocks - 1.  ``constant_terms(self)``,
-    called once, adds the constant part C through ``add_operator`` and
-    ``add_diagonal`` straight into the work band.  Every later term goes to
-    a slot: the entries A[u, (u + offset) mod n] of the rows u = row mod
-    blocks, keyed by (offset mod n, row), so offsets that alias at small n
-    share one.  A slot is a slice of one value buffer, made the first time a
+    blocks * off + col - row over the rows row::blocks, or one stencil entry
+    of it, A[row, col] += diag(values) @ S^off (``add_shift``); a stencil
+    reaches at most +-2 nodes, so the band reaches 3 blocks - 1.
+    ``constant_terms(self)``, called once, adds the constant part C through
+    ``add_operator`` and ``add_diagonal`` straight into the work band.
+    Every later term goes to a slot: the entries A[u, (u + offset) mod n] of
+    the rows u = row mod blocks, keyed by (offset mod n, row), so offsets
+    that alias at small n share one.  A slot is a slice of one value buffer, made the first time a
     term reaches it, with the flat band indices of its entries and their
     values at that moment: no slot has written them yet, so they are C.
     ``reset()`` starts a step with every slot equal to C; the per-step part
@@ -227,14 +243,15 @@ class StepOperator:
     The LU is P A = L U with one row order P per run: the first
     factorization takes the order of partial pivoting, every later one
     factors P A and must meet no interchange (one that does adopts the new
-    order and factors again).  L (unit lower) and U are kept as two band
-    arrays over the one LU buffer, with the entries below the smallest
-    normal float set to 0, so applying the LU is a gather by P (a copy when
-    P is the identity) and two triangular band solves.  ``factorizations``
-    (dgbtrf calls) and ``corrections`` (LU applications) count the solver's
-    work.  The work band, the slots, the residual buffer and the LU buffer
-    are allocated per operator (the LU buffer again when the order changes),
-    so a run holds its own.
+    order and factors again).  L (unit lower) and U1 (unit upper, U's rows
+    over their pivots) are kept as two band arrays over the one LU buffer,
+    with the entries below the smallest normal float set to 0, and D^-1 as
+    the inverse pivots, so applying the LU is a gather by P (a copy when P
+    is the identity), two unit-diagonal band solves and one multiply.
+    ``factorizations`` (dgbtrf calls) and ``corrections`` (LU applications)
+    count the solver's work.  The work band, the slots, the solve's vectors
+    and the LU buffer are allocated per operator (the LU buffer again when
+    the order changes), so a run holds its own.
     """
 
     def __init__(self, n: int, blocks: int = 1, constant_terms=None):
@@ -254,30 +271,39 @@ class StepOperator:
         self._indices = np.empty(0, dtype=np.intp)
         self._constants = np.empty(0)
         self._residual_buffer = np.zeros(self._rows)
+        # folded rhs, iterate and correction of a solve, and the norms' scratch
+        self._b, self._x, self._correction, self._scratch = (np.empty(self.n) for _ in range(4))
+        self._half = (self.n + 1) // 2
         self._set_order(np.arange(self.n))
         self._kept = False
         self._stale = False
         self.factorizations = 0
         self.corrections = 0
 
+    def add_shift(self, values, offset: int, block: tuple[int, int] = (0, 0),
+                  sign: int = 1) -> None:
+        """A[row, col] += sign * diag(values) @ S^offset, where (S^offset u)_i =
+        u_{(i + offset) mod n}: values per node, or one scalar; a sign of -1
+        subtracts them, with no negated copy."""
+        row, col = block
+        self._add(self.blocks * offset + col - row, row, values, sign)
+
     def add_diagonal(self, values, block: tuple[int, int] = (0, 0)) -> None:
         """A[row, col] += diag(values): values per node, or one scalar."""
-        row, col = block
-        self._add(col - row, row, values)
+        self.add_shift(values, 0, block)
 
     def add_operator(self, op: CyclicBandedOperator, pre_diag=None, post_diag=None,
                      scale: float = 1.0, block: tuple[int, int] = (0, 0)) -> None:
         """A[row, col] += scale * diag(pre_diag) @ op @ diag(post_diag) (diags optional)."""
         if op.n * self.blocks != self.n:
             raise GridMismatchError("operator dimension does not match matrix")
-        row, col = block
         for off, c in zip(op.offsets, op.coeffs):
             contrib = scale * c
             if pre_diag is not None:
                 contrib = contrib * pre_diag
             if post_diag is not None:
                 contrib = contrib * _shifted(post_diag, off)
-            self._add(self.blocks * off + col - row, row, contrib)
+            self.add_shift(contrib, off, block)
 
     def _set_order(self, order: np.ndarray) -> None:
         """Adopt the row order P (row i of P A is row order[i] of A), with the
@@ -315,19 +341,24 @@ class StepOperator:
         """Start a step: every slot holds the constant part alone."""
         np.copyto(self._values, self._constants)
 
-    def _add(self, offset: int, row: int, values) -> None:
+    def _add(self, offset: int, row: int, values, sign: int = 1) -> None:
         if abs(offset) > self._reach:
             raise GridMismatchError(
                 f"band offset {offset} lies outside the constant band (+-{self._reach})"
             )
         if self._slots is None:
             # one entry per row, so the indices of one call never repeat
-            self._work_flat[self._scatter[offset + self._reach][row::self.blocks]] += values
+            indices = self._scatter[offset + self._reach][row::self.blocks]
+            self._work_flat[indices] += values if sign > 0 else -values
             return
         start = self._slots.get((offset % self.n, row))
         if start is None:
             start = self._new_slot(offset, row)
-        self._values[start:start + self.n // self.blocks] += values
+        slot = self._values[start:start + self.n // self.blocks]
+        if sign > 0:
+            slot += values
+        else:
+            slot -= values
 
     def _new_slot(self, offset: int, row: int) -> int:
         """Append the slot of A[u, (u + offset) mod n] over the rows u = row
@@ -363,14 +394,12 @@ class StepOperator:
         if rhs.shape != (self.n,):
             raise GridMismatchError("rhs length does not match matrix dimension")
         self._work_flat[self._indices] = self._values
-        pos = self._pos
-        b = np.empty(self.n)
-        b[pos] = rhs
-        scale = max(np.max(np.abs(rhs)), 1e-300)
+        b, x = self._b, self._x
+        self._fold(rhs, b)
+        scale = max(_peak(b), 1e-300)
         bound = _SOLVE_RTOL * scale
         if guess is not None:
-            x = np.empty(self.n)
-            x[pos] = guess
+            self._fold(guess, x)
             residual = self._residual(x, b)
         if self._kept and guess is not None and not self._stale:
             last = None
@@ -378,31 +407,51 @@ class StepOperator:
                 d = self._apply_lu(residual)
                 x += d
                 residual = self._residual(x, b)
-                size = np.max(np.abs(d))
-                if (last is not None and size * size <= _REFINE_RTOL * np.max(np.abs(x)) * last
-                        and np.max(np.abs(residual)) <= bound):
+                size = _peak(d)
+                if (last is not None and size * size <= _REFINE_RTOL * _peak(x) * last
+                        and self._norm(residual) <= bound):
                     # a step that needed more than two corrections: refactor next time
                     self._stale = count > _KEPT_LU_CORRECTIONS
-                    return x[pos]
+                    return self._unfold(x)
                 if last is not None and size > 0.5 * last:
                     break  # the kept LU no longer halves the error
                 last = size
         self._factor()
-        if guess is not None and np.max(np.abs(residual)) < scale:
+        if guess is not None and self._norm(residual) < scale:
             x += self._apply_lu(residual)
-            if np.max(np.abs(self._residual(x, b))) <= bound:
-                return x[pos]
-        x = self._apply_lu(b)
-        residual = np.max(np.abs(self._residual(x, b)))
+            if self._norm(self._residual(x, b)) <= bound:
+                return self._unfold(x)
+        x[:] = self._apply_lu(b)
+        residual = self._norm(self._residual(x, b))
         if not np.isfinite(residual) or residual > bound:
             raise SolverError(
                 f"solver residual {residual:.3e} exceeds {_SOLVE_RTOL:.1e} * ||rhs||_inf"
             )
-        return x[pos]
+        return self._unfold(x)
+
+    def _fold(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``values`` in folded order into ``out``: node i < ceil(n/2) at 2i,
+        the others at the odd positions from the last node down."""
+        half = self._half
+        out[0::2] = values[:half]
+        out[1::2] = values[half:][::-1]
+
+    def _unfold(self, x: np.ndarray) -> np.ndarray:
+        """The folded ``x`` in node order, as a new array."""
+        out = np.empty(self.n)
+        half = self._half
+        out[:half] = x[0::2]
+        out[half:] = x[1::2][::-1]
+        return out
+
+    def _norm(self, v: np.ndarray) -> float:
+        """||v||_inf of an n-vector, through the operator's scratch buffer; NaN
+        if v holds one."""
+        return np.abs(v, out=self._scratch).max()
 
     def _factor(self) -> None:
         """P A = L U of the work band, in place in the one LU buffer, kept as
-        the band arrays L and U."""
+        the unit band arrays L and U1 and the inverse pivots of U = diag(U) U1."""
         self._kept = False
         for _ in range(_ORDER_TRIES):
             kl, ku, lu = self._kl, self._ku, self._lu
@@ -418,6 +467,11 @@ class StepOperator:
         pivots = np.abs(lu[kl + ku])
         if info != 0 or pivots.min() <= _PIVOT_RTOL * pivots.max():
             raise SolverError(f"matrix is singular or ill-conditioned (dgbtrf info={info})")
+        # U1 holds U's rows over their pivots; U(i, j) sits at row kl + ku + i - j of column j
+        self._inverse_pivots = 1.0 / lu[kl + ku]
+        for s in range(1, ku + 1):
+            lu[kl + ku - s, s:] *= self._inverse_pivots[:self.n - s]
+        lu[kl + ku] = 1.0
         flat = lu.reshape(-1, order="F")
         for i in range(0, flat.size, _FLUSH_CHUNK):
             chunk = flat[i:i + _FLUSH_CHUNK]
@@ -447,11 +501,18 @@ class StepOperator:
         self._set_order(np.array(order))
 
     def _apply_lu(self, r: np.ndarray) -> np.ndarray:
-        """(L U)^-1 P r: the rows of r in the run's order, then two triangular solves."""
+        """(L U)^-1 P r in the operator's correction buffer, valid until the
+        next call: the rows of r in the run's order, the unit lower solve, the
+        inverse pivots, the unit upper solve."""
         self.corrections += 1
-        y = r[self._order] if self._moves_rows else r.copy()
-        dtbsv(self._kl, self._lower, y, lower=1, diag=1, overwrite_x=1)
-        return dtbsv(self._ku, self._upper, y, overwrite_x=1)
+        d = self._correction
+        if self._moves_rows:
+            np.take(r, self._order, out=d, mode="clip")
+        else:
+            np.copyto(d, r)
+        d = dtbsv(self._kl, self._lower, d, lower=1, diag=1, overwrite_x=1)
+        d *= self._inverse_pivots
+        return dtbsv(self._ku, self._upper, d, diag=1, overwrite_x=1)
 
     def _residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b - A x in folded order, against the current work band, in the

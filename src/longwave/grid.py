@@ -418,6 +418,12 @@ def _shifted(values: np.ndarray, off: int) -> np.ndarray:
     return np.concatenate((values[s:], values[:s]))
 
 
+def _padded(values: np.ndarray, width: int) -> np.ndarray:
+    """values with ``width`` periodic neighbours on each side: entry j + width
+    is values[j mod n] for -width <= j < n + width (width <= n)."""
+    return np.concatenate((values[-width:], values, values[:width]))
+
+
 def _centered_diff(values: np.ndarray, dx: float) -> np.ndarray:
     """Periodic centered first difference; matches findiff.make_d1 exactly."""
     return (_shifted(values, 1) - _shifted(values, -1)) / (2.0 * dx)

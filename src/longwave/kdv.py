@@ -36,20 +36,28 @@ every bottom term), and ``add_predictor_terms(target, predictor, current)``,
 the nonlinear terms frozen at the predictor, returning the right-hand side.
 ``_start`` folds the constant terms once into the run's ``StepOperator``,
 which the state carries.  Each step resets the operator's per-step entries
-to those constants, adds the predictor terms (see ``findiff.StepOperator``)
-and solves for w by refinement with the LU kept from an earlier step,
-starting from the quadratic extrapolation z^{n+1/2} + 3 delta_1 - 3 delta_2
-+ delta_3, where delta = w - z^{n+1/2} of the last three steps (also carried
-by the state, so two runs of one problem never share them; the first steps
-extrapolate from the ones there are); the stop and refactor rules are in
-``findiff``, and the solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf
-contract as a direct solve.  The step then sets z^{n+1} = 2w - z^n and
-relaxes the predictor to 2 z^{n+1} - z^{n+1/2}.
+to those constants, adds the predictor terms, one ``add_shift`` per band
+entry computed from a padded copy of the predictor (see
+``findiff.StepOperator``), and solves for w by refinement with the LU kept
+from an earlier step, starting from the degree-8 extrapolation of the last
+nine w,
+
+    w_n ~ sum_{j=1..9} (-1)^(j+1) C(9, j) w_{n-j},
+
+one matrix-vector product over the run's w history (a ring of ten rows,
+also carried by the state, so two runs of one problem never share it; the
+first steps extrapolate from the w there are, the first from the
+predictor).  The stop and refactor rules are in ``findiff``, and the
+solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf contract as a
+direct solve.  The step then sets z^{n+1} = 2w - z^n and relaxes the
+predictor to 2 z^{n+1} - z^{n+1/2}, in place in two fresh arrays, so the
+state it started from keeps its own.
 ``_drive`` is the one run loop of both steppers, with one per-step hook.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,7 +70,7 @@ from .errors import (
     SolverError,
 )
 from .findiff import StepOperator, make_d1, make_d3
-from .grid import Field, Grid1D, TimeGrid, _shifted
+from .grid import Field, Grid1D, TimeGrid, _padded
 
 __all__ = [
     "Trajectory",
@@ -199,72 +207,98 @@ class KdvProblem:
 
     def add_predictor_terms(self, target, predictor: np.ndarray,
                             current: np.ndarray) -> np.ndarray:
-        """Add the nonlinear terms frozen at the predictor; return the rhs (2/dt) u^n."""
-        eps, d1 = self.epsilon, self._d1
+        """Add the nonlinear terms frozen at the predictor, one ``add_shift``
+        per band entry, and return the rhs (2/dt) u^n."""
+        # D1 weighs u_{i+1} by c and u_{i-1} by -c
+        c = self.epsilon / 4.0 * self._d1.coeffs[1]
+        padded = _padded(predictor, 1)
         if self.nonlinear_mode == "neighbor_average":
-            smoothed = predictor + 0.5 * (_shifted(predictor, 1) + _shifted(predictor, -1))
-            target.add_operator(d1, pre_diag=smoothed, scale=eps / 4.0)
-            target.add_diagonal(eps / 4.0 * d1.apply_values(predictor))
+            before, after = padded[:-2], padded[2:]
+            term = c * (predictor + 0.5 * (after + before))
+            target.add_shift(term, 1)
+            target.add_shift(term, -1, sign=-1)
+            target.add_shift(c * (after - before), 0)
         else:
-            target.add_operator(d1, pre_diag=predictor, scale=eps / 4.0)
-            target.add_operator(d1, post_diag=predictor, scale=eps / 4.0)
+            # eps/4 (diag(u^p) D1 + D1 diag(u^p)), both terms in one entry:
+            # pairs[i] = c (u_{i-1} + u_i)
+            pairs = c * (padded[:-1] + padded[1:])
+            target.add_shift(pairs[1:], 1)
+            target.add_shift(pairs[:-1], -1, sign=-1)
         return 2.0 / self.time_grid.dt * current
 
 
 class RelaxationState:
     """State after n steps of one run: raw arrays of the unknown z^n and its
     predictor z^{n+1/2} (the coupled stepper's z interleaves
-    (v_0, eta_0, v_1, eta_1, ...)), the step index, the run's step operator,
-    and the offsets delta = w - z^{n-1/2} of the last (up to) three solves,
-    latest first, from which the next solve's guess is extrapolated.  A state
-    is advanced by the problem that started it."""
+    (v_0, eta_0, v_1, eta_1, ...)), the step index, and the run's step
+    operator and w history.  The history holds the half-sums w of the solves
+    in ring rows, w_m in row m mod 10; the guess of a step reads the nine rows
+    before its own.  A state is advanced by the problem that started it, and
+    advancing it never writes into its arrays: until a later step of the run
+    is taken, advancing it again gives the same successor."""
 
     def __init__(self, current: np.ndarray, predictor: np.ndarray, step_index: int,
-                 dt: float, operator: StepOperator, deltas: tuple = ()):
+                 dt: float, operator: StepOperator, history: np.ndarray):
         self.current = current
         self.predictor = predictor
         self.step_index = int(step_index)
         self.dt = float(dt)
         self.operator = operator
-        self.deltas = deltas
+        self.history = history
+
+
+# The guess extrapolates the last nine w (degree 8); the ring keeps one row
+# more, so the row a step writes is none that its guess reads.
+_GUESS_DEPTH = 9
+
+
+@functools.cache
+def _guess_weights(known: int, row: int) -> np.ndarray:
+    """Weights over the history rows of the degree known - 1 extrapolation
+    sum_{j=1..known} (-1)^(j+1) C(known, j) w_{m-j} to w_m, w_m's row being
+    ``row``; read-only, as calls share it."""
+    weights = np.zeros(_GUESS_DEPTH + 1)
+    for j in range(1, known + 1):
+        weights[(row - j) % weights.size] = (-1) ** (j + 1) * math.comb(known, j)
+    weights.flags.writeable = False
+    return weights
 
 
 def _start(problem, current: np.ndarray) -> RelaxationState:
     """First predictor: an explicit half-step z + dt/2 F(z) of either model;
-    the run's step operator is built here, once."""
+    the run's step operator and w history are built here, once."""
     dt = problem.time_grid.dt
     predictor = current + 0.5 * dt * problem.rhs(current)
     if not np.all(np.isfinite(predictor)):
         raise InstabilityError("non-finite predictor during initialization", step_index=0)
     blocks = problem.blocks
-    operator = StepOperator(blocks * problem.grid.num_points, blocks, problem.add_constant_terms)
-    return RelaxationState(current, predictor, 0, dt, operator)
+    size = blocks * problem.grid.num_points
+    operator = StepOperator(size, blocks, problem.add_constant_terms)
+    return RelaxationState(current, predictor, 0, dt, operator,
+                           np.zeros((_GUESS_DEPTH + 1, size)))
 
 
 def _advance(problem, state: RelaxationState) -> RelaxationState:
     """One relaxation step of either model: solve for the half-sum w at the
     frozen predictor, set z^{n+1} = 2w - z^n, then relax the predictor.
 
-    The solve starts from the guess predictor + 3 delta_1 - 3 delta_2 +
-    delta_3, a quadratic extrapolation of the last three offsets
-    delta = w - predictor (linear or constant while fewer are known)."""
-    operator, deltas = state.operator, state.deltas
+    The solve starts from the polynomial extrapolation of the last (up to)
+    nine w, one matrix-vector product over the history; the first step
+    starts from the predictor.  w goes into its history row."""
+    operator, history, m = state.operator, state.history, state.step_index
     operator.reset()
     rhs = problem.add_predictor_terms(operator, state.predictor, state.current)
-    guess = state.predictor
-    if len(deltas) == 3:
-        guess = guess + (3.0 * (deltas[0] - deltas[1]) + deltas[2])
-    elif len(deltas) == 2:
-        guess = guess + (2.0 * deltas[0] - deltas[1])
-    elif deltas:
-        guess = guess + deltas[0]
+    row = m % len(history)
+    guess = _guess_weights(min(m, _GUESS_DEPTH), row) @ history if m else state.predictor
     w = operator.solve(rhs, guess)
-    current = 2.0 * w - state.current
-    next_index = state.step_index + 1
-    if not np.all(np.isfinite(current)):
-        raise InstabilityError("non-finite solution", step_index=next_index)
-    return RelaxationState(current, 2.0 * current - state.predictor, next_index, state.dt,
-                           operator, (w - state.predictor,) + deltas[:2])
+    history[row] = w
+    current = np.multiply(w, 2.0)
+    current -= state.current
+    if not np.isfinite(current).all():
+        raise InstabilityError("non-finite solution", step_index=m + 1)
+    predictor = np.multiply(current, 2.0)
+    predictor -= state.predictor
+    return RelaxationState(current, predictor, m + 1, state.dt, operator, history)
 
 
 def init_predictor(problem: KdvProblem, u0: Field) -> RelaxationState:

@@ -27,7 +27,9 @@ K_topo is u/2, the flat-bottom KdV approximation K.
 
 All time integrals use the composite trapezoid rule with step dt = dx, which
 puts every characteristic shift on a node; the bottom profile is sampled on
-the whole real line (no wrap) and the snapshots with periodic wrap.  The
+the whole real line (no wrap) and the snapshots with periodic wrap.  U1's
+integral at step m is a difference of prefix sums of b on the lattice
+[-M, n), sampled once for all the steps m <= M of one diagnostic.  The
 abscissa x + t - 2s of N1's integrand is read from the snapshot at time s,
 where it sits at y = x + t - s, so that sum needs u at every step: stored
 (stride 1), or fed during the run (below).
@@ -44,7 +46,9 @@ applied when the sum is read out.  The trajectory owns its sum
 (``Trajectory.topo_sum``), so it goes when the trajectory goes.  A call at
 step m' >= m feeds only the snapshots m+1..m', at cost O((m' - m) (n + M));
 a call at an earlier step, or with a bottom whose b' differs on the extended
-lattice, starts again from step 0.  The sum can also be fed by ``kdv.run``'s
+lattice (b' is evaluated on the kept sum's lattice and compared), starts
+again from step 0.  Over b' = 0 every sum is 0: the sum feeds nothing and
+reads out zeros.  The sum can also be fed by ``kdv.run``'s
 per-step hook (``record``) and keep its read-outs at the stored steps, so a
 run stored at a coarser stride serves K_topo once the sum is attached to it.
 A trajectory's data is frozen at construction and cannot be replaced, so a
@@ -140,20 +144,33 @@ def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
     return w
 
 
-def _bottom_integral_nodes(b: BathymetryProfile, grid: Grid1D, m: int) -> np.ndarray:
-    """Trapezoid of Int_0^t b(x_i - t + s) ds over lattice [i-m .. i] for
-    every node; the profile is evaluated on the real line (no periodic wrap)."""
-    n = grid.num_points
-    dt = grid.dx
-    if m == 0:
-        return np.zeros(n)
-    lattice = np.arange(-m, n) * dt
-    first = np.arange(0, n)  # extended index of i - m
-    ext = np.asarray(b.value(lattice), dtype=float)
-    csum = np.concatenate(([0.0], np.cumsum(ext)))
-    last = first + m
-    sums = csum[last + 1] - csum[first]
-    return dt * (sums - 0.5 * ext[first] - 0.5 * ext[last])
+class _BottomLattice:
+    """b on the lattice x_j = j dx, j in [-M, n), with its prefix sums: U1's
+    bottom terms at any step m <= M from one evaluation of b.  The profile is
+    evaluated on the real line (no periodic wrap)."""
+
+    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
+        self.grid, self.big_m = grid, big_m
+        self.values = np.asarray(b.value(np.arange(-big_m, grid.num_points) * grid.dx),
+                                 dtype=float)
+        self.sums = np.concatenate(([0.0], np.cumsum(self.values)))
+
+    def u1_terms(self, u_traj: Trajectory, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """U1's ``bottom_jump`` and ``bottom_integral`` at step m: b(x_i) and
+        b(x_i - t) are lattice values, and the trapezoid of
+        Int_0^t b(x_i - t + s) ds over lattice [i-m .. i] a difference of
+        prefix sums."""
+        grid, n, big_m = self.grid, self.grid.num_points, self.big_m
+        u = u_traj.at_step(m)
+        d_u = make_d1(grid).apply_values(u)
+        here = self.values[big_m:]
+        back = self.values[big_m - m:big_m - m + n]
+        if m == 0:
+            integral = np.zeros(n)
+        else:
+            sums = self.sums[big_m + 1:] - self.sums[big_m - m:big_m - m + n]
+            integral = grid.dx * (sums - 0.5 * back - 0.5 * here)
+        return u * (here - back) / 4.0, d_u * integral / 2.0
 
 
 class _RunningSum:
@@ -168,32 +185,42 @@ class _RunningSum:
     """
 
     def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int, keep=()):
-        n, self.dx = grid.num_points, grid.dx
-        lattice = np.arange(0, n + big_m)
-        self.w_ext = np.asarray(b.derivative(lattice * grid.dx), dtype=float)
+        self.n, self.dx = grid.num_points, grid.dx
+        lattice = np.arange(0, self.n + big_m)
+        self.x = lattice * grid.dx
+        self.w_ext = np.asarray(b.derivative(self.x), dtype=float)
+        self.zero = not self.w_ext.any()  # b' = 0: every sum is 0, nothing is fed
         self.data = None
-        self.wrap = lattice % n
+        self.wrap = lattice % self.n
         self.acc = np.zeros(len(lattice))
         self.step = -1
         self.keep = frozenset(keep)
         self.readouts = {}
 
+    def matches(self, b: BathymetryProfile) -> bool:
+        """Whether b' on this sum's lattice is the one it sums with."""
+        return np.array_equal(np.asarray(b.derivative(self.x), dtype=float), self.w_ext)
+
     def _integrand(self, values: np.ndarray, lattice: slice) -> np.ndarray:
         return values[self.wrap[lattice]] * self.w_ext[lattice]
 
     def feed(self, values: np.ndarray) -> None:
-        j, length = self.step + 1, len(self.acc)
-        self.acc[j:] += self._integrand(values, slice(0, length - j))
-        if j == 0:
-            self.first = values.copy()
-        self.step, self.last = j, values
+        j = self.step + 1
+        if not self.zero:
+            self.acc[j:] += self._integrand(values, slice(0, len(self.acc) - j))
+            if j == 0:
+                self.first = values.copy()
+            self.last = values
+        self.step = j
 
     def advance(self, m: int) -> None:
         for j in range(self.step + 1, m + 1):
             self.feed(self.data[j])
 
     def read(self) -> np.ndarray:
-        m, n = self.step, len(self.last)
+        m, n = self.step, self.n
+        if self.zero:
+            return np.zeros(n)
         first = self._integrand(self.first, slice(m, m + n))
         last = self.last * self.w_ext[:n]
         return self.dx * (self.acc[m:m + n] - 0.5 * first - 0.5 * last)
@@ -228,11 +255,9 @@ def _cross_integral_nodes(b: BathymetryProfile, counter: Trajectory, m: int) -> 
     grid = counter.grid
     if m == 0:
         return np.zeros(grid.num_points)
-    # M, the last stored step, bounds every m the trajectory can resolve.
-    fresh = _RunningSum(b, grid, int(counter.step_indices[-1]))
     with _SUMS_LOCK:
         state = counter.topo_sum
-        valid = state is not None and np.array_equal(fresh.w_ext, state.w_ext)
+        valid = state is not None and state.matches(b)
         if valid and m in state.readouts:
             return state.readouts[m]
         if not counter.has_every_step_upto(m):
@@ -240,7 +265,8 @@ def _cross_integral_nodes(b: BathymetryProfile, counter: Trajectory, m: int) -> 
                 f"the right-going trajectory must be stored at every step up to {m} "
                 "(stride 1) to resolve the characteristic quadrature")
         if not valid or state.step > m:
-            state = fresh
+            # M, the last stored step, bounds every m the trajectory can resolve.
+            state = _RunningSum(b, grid, int(counter.step_indices[-1]))
             state.attach(counter)
         state.advance(m)
         return state.read()
@@ -266,17 +292,6 @@ def bottom_shift_integral(b: BathymetryProfile, t: float, x: float,
     return float(np.dot(_trapezoid_weights(m, dt), vals))
 
 
-def _u1_bottom_terms(u_traj: Trajectory, b: BathymetryProfile,
-                     m: int) -> tuple[np.ndarray, np.ndarray]:
-    """U1's ``bottom_jump`` and ``bottom_integral`` at step m."""
-    grid = u_traj.grid
-    u = u_traj.at_step(m)
-    b_here = np.asarray(b.value(grid.nodes), dtype=float)
-    d_u = make_d1(grid).apply_values(u)
-    b_back = np.asarray(b.value(grid.nodes - m * grid.dx), dtype=float)
-    return u * (b_here - b_back) / 4.0, d_u * _bottom_integral_nodes(b, grid, m) / 2.0
-
-
 def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
                      t: float) -> CorrectorBreakdown:
     """U1's two bottom terms at time t, per node (``_u1_bottom_terms``).
@@ -285,7 +300,8 @@ def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
     ``u_traj`` may be stored at any stride."""
     _refuse_counter(n_traj)
     _check_alignment(u_traj)
-    return CorrectorBreakdown(*_u1_bottom_terms(u_traj, b, u_traj.step_of_time(t)))
+    m = u_traj.step_of_time(t)
+    return CorrectorBreakdown(*_BottomLattice(b, u_traj.grid, m).u1_terms(u_traj, m))
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
@@ -306,7 +322,7 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfil
         )
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
-    jump, integral = _u1_bottom_terms(u_traj, b, m)
+    jump, integral = _BottomLattice(b, u_traj.grid, m).u1_terms(u_traj, m)
     n1_b = -_cross_integral_nodes(b, u_traj, m) / 4.0
     half = u_traj.at_step(m) / 2.0
     half_eps = coeffs.epsilon / 2.0
@@ -360,12 +376,14 @@ def growth_diagnostic(u_traj: Trajectory, n_traj: None,
     times = u_traj.times
     if len(times) < 4:
         raise DiagnosticError(f"growth diagnostic needs >= 4 snapshots, got {len(times)}")
+    _check_alignment(u_traj)
     grid = u_traj.grid
+    lattice = _BottomLattice(b, grid, int(u_traj.step_indices[-1]))
     norms = np.empty(len(times))
     # the terms that multiply N0 keep their columns at an exact 0.0
     term_norms = {name: np.zeros(len(times)) for name in TERM_NAMES}
-    for k, t in enumerate(times):
-        u1 = corrector_fields(u_traj, None, b, float(t))
+    for k, m in enumerate(u_traj.step_indices.tolist()):
+        u1 = CorrectorBreakdown(*lattice.u1_terms(u_traj, m))
         norms[k] = discrete_sobolev(Field(u1.total, grid), s)
         for name, vals in u1.terms().items():
             term_norms[name][k] = discrete_sobolev(Field(vals, grid), s)

@@ -67,8 +67,8 @@ def characteristic_cross_integral(b, traj, t: float, x: float) -> float:
 class DenseRecorder:
     """Dense reference for the step-matrix assembly: takes the calls a
     ``StepOperator`` takes (n unknowns interleaving ``blocks`` fields per node)
-    and adds each term, scale * diag(pre) @ as_dense(op) @ diag(post), into
-    its block of the dense ``matrix``."""
+    and adds each term, scale * diag(pre) @ as_dense(op) @ diag(post) or
+    diag(values) @ S^offset, into its block of the dense ``matrix``."""
 
     def __init__(self, n: int, blocks: int = 1):
         self.n, self.blocks = n, blocks
@@ -78,9 +78,12 @@ class DenseRecorder:
         row, col = block
         return self.matrix[row::self.blocks, col::self.blocks]
 
+    def add_shift(self, values, offset, block=(0, 0), sign=1) -> None:
+        nodes = np.arange(self.n // self.blocks)
+        self._block(block)[nodes, (nodes + offset) % nodes.size] += sign * values
+
     def add_diagonal(self, values, block=(0, 0)) -> None:
-        nodes = self.n // self.blocks
-        self._block(block)[...] += np.diag(np.broadcast_to(values, (nodes,)))
+        self.add_shift(values, 0, block)
 
     def add_operator(self, op, pre_diag=None, post_diag=None, scale=1.0, block=(0, 0)) -> None:
         ones = np.ones(op.n)

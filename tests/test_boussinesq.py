@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf
 
 from longwave import findiff
@@ -341,9 +342,12 @@ class _ScatterBand:
         self._reach = 3 * self.blocks - 1
         _, _, self._scatter = findiff._fold_layout(self.n, self._reach)
 
-    def add_diagonal(self, values, block=(0, 0)) -> None:
+    def add_shift(self, values, offset, block=(0, 0), sign=1) -> None:
         row, col = block
-        self._add(col - row, row, values)
+        self._add(self.blocks * offset + col - row, row, sign * values)
+
+    def add_diagonal(self, values, block=(0, 0)) -> None:
+        self.add_shift(values, 0, block)
 
     def add_operator(self, op, pre_diag=None, post_diag=None, scale=1.0, block=(0, 0)) -> None:
         row, col = block
@@ -360,10 +364,12 @@ class _ScatterBand:
         flat[self._scatter[offset + self._reach][row::self.blocks]] += values
 
 
-def test_kept_factors_hold_no_subnormals():
+def test_kept_factors_hold_no_subnormals(monkeypatch):
     # On the step eps=0.1 geometry (n=2000, 4000 unknowns) the fill that
     # couples the two halves of the fold decays through the subnormal range
-    # in a plain LU of the step matrix; the kept L and U hold none of it.
+    # in a plain LU of the step matrix; the factors an LU application hands
+    # to the two triangular solves, and the inverse pivots it scales by,
+    # hold none of it.
     config = ScenarioConfig(scenario="step", epsilon=0.1, overtime=True)
     grid, time_grid = config.build_grid(), config.build_time_grid()
     problem = BoussinesqProblem(config.build_coefficients(), config.build_bathymetry(),
@@ -383,5 +389,15 @@ def test_kept_factors_hold_no_subnormals():
     plain, _, info = dgbtrf(plain, k, k, overwrite_ab=True)
     assert info == 0 and subnormals(plain) > 0
     assert operator.factorizations > 0
-    assert subnormals(operator._lower[:operator._kl + 1]) == 0
-    assert subnormals(operator._upper[:operator._ku + 1]) == 0
+
+    applied = []
+
+    def spy(k, a, x, **kwargs):
+        applied.append(a[:k + 1].copy())  # the rows a band solve of half-width k reads
+        return dtbsv(k, a, x, **kwargs)
+
+    monkeypatch.setattr(findiff, "dtbsv", spy)
+    operator._apply_lu(np.ones(operator.n))
+    assert len(applied) == 2
+    assert all(subnormals(factor) == 0 for factor in applied)
+    assert subnormals(operator._inverse_pivots) == 0

@@ -449,6 +449,30 @@ class TestStepOperator:
         assert operator.factorizations == 3
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("where", [0, 17, 63])
+    def test_guess_with_one_nan_entry_gets_the_dense_solution(self, rng, where):
+        # idamax, which sizes x and the corrections, skips NaN; a NaN in one
+        # entry of the guess still reaches every residual the solve accepts
+        n = 64
+        operator, constant = _dominant_operator(n, 1, 2, rng)
+        _step(operator, constant, _random_band(n, 1, 2, _uniform(rng, 1e-7)))
+        operator.solve(rng.standard_normal(n))
+        dense = _step(operator, constant, _random_band(n, 1, 2, _uniform(rng, 1e-7)))
+        rhs = rng.standard_normal(n)
+        expected = np.linalg.solve(dense, rhs)
+        guess = expected.copy()
+        guess[where] = np.nan
+        x = operator.solve(rhs, guess)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_nan_in_rhs_raises(self, rng):
+        n = 64
+        operator, _ = _dominant_operator(n, 1, 2, rng)
+        rhs = rng.standard_normal(n)
+        rhs[17] = np.nan
+        with pytest.raises(SolverError):
+            operator.solve(rhs, np.zeros(n))
+
     def test_corrected_iterate_missing_the_bound_falls_back_to_a_direct_solve(self):
         # -D2 + 1e-8 I is nearly singular on constants.  A guess 1e7 off
         # along them has a residual below ||rhs||, but the correction that
@@ -525,6 +549,34 @@ class TestStepOperator:
             np.testing.assert_allclose(x, expected, rtol=0,
                                        atol=1e-12 * np.max(np.abs(expected)))
 
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 60), shape=_shapes(low=1), shift=st.sampled_from([-1, 0, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    # blocks * n <= 2p makes stencil offsets alias onto the same entry
+    @example(n=1, shape=(2, 5), shift=1, seed=1)
+    @example(n=40, shape=(1, 2), shift=0, seed=2)
+    @example(n=40, shape=(2, 5), shift=-1, seed=3)
+    def test_unit_diagonal_application_matches_dense_solve(self, n, shape, shift, seed):
+        # The kept factors are L (unit lower), U1 (unit upper) and the inverse
+        # pivots of U = diag(U) U1.  One application solves with the factored
+        # P A in folded order, on the identity order (shift 0) and on the
+        # order that partial pivoting finds for a dominant off-diagonal entry.
+        blocks, p = shape
+        rng = np.random.default_rng(seed)
+        terms = (_random_band(n, blocks, p, _uniform(rng))
+                 + _dominant_terms(n, blocks, shift, 4.0 * (2 * p + 1)))
+        operator, dense = _operator(blocks * n, blocks, lambda target: _write(target, terms))
+        operator.solve(rng.standard_normal(blocks * n))
+        if shift == 0:
+            assert not operator._moves_rows
+        folded = np.empty_like(dense)
+        folded[np.ix_(operator._pos, operator._pos)] = dense
+        factored = folded[operator._order]  # P A: row i is row order[i] of A
+        r = rng.standard_normal(blocks * n)
+        expected = np.linalg.solve(factored, r[operator._order])
+        np.testing.assert_allclose(operator._apply_lu(r), expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
     def test_moved_pivot_order_is_adopted_once(self, rng):
         # The dominant entry sits above the diagonal, so the first
         # factorization finds the row order and the second uses it; moving it
@@ -560,6 +612,7 @@ _SAME_ROUTINES = """
 import scipy.linalg.blas, scipy.linalg.lapack
 assert findiff.dgbmv is scipy.linalg.blas.dgbmv
 assert findiff.dtbsv is scipy.linalg.blas.dtbsv
+assert findiff.idamax is scipy.linalg.blas.idamax
 assert findiff.dgbtrf is scipy.linalg.lapack.dgbtrf
 """
 

@@ -323,8 +323,8 @@ class TestRunScenario:
 
     def test_solver_work_on_step(self, monkeypatch):
         # simulate --scenario step --epsilon 0.2: 240 steps of each model, one
-        # solve per step, with the factorizations (dgbtrf calls) the quadratic
-        # guess leaves and about two LU applications per solve
+        # solve per step, with the factorizations (dgbtrf calls) the degree-8
+        # guess leaves (K 6, B 14) and about two LU applications per solve
         operators = []
 
         class Recording(StepOperator):
@@ -336,8 +336,8 @@ class TestRunScenario:
         run_scenario(ScenarioConfig(scenario="step", epsilon=0.2))
         k_operator, b_operator = operators
         assert (k_operator.blocks, b_operator.blocks) == (1, 2)
-        assert k_operator.factorizations <= 70
-        assert b_operator.factorizations <= 80
+        assert k_operator.factorizations <= 8
+        assert b_operator.factorizations <= 18
         for operator in operators:
             assert operator.corrections <= 2.0 * 240
 
