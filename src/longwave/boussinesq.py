@@ -77,6 +77,16 @@ LAGGED_ETA_LEVELS = ("n", "predictor")
 _VV, _VE, _EV, _EE = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
+def _refuse_unread_lagged_level(nonlinear_mode: str, lagged_eta_level: str) -> None:
+    """Only the weighted assembly reads ``lagged_eta_level``; any other mode
+    would run a "predictor" level as if it were "n"."""
+    if lagged_eta_level != "n" and nonlinear_mode != "weighted":
+        raise ConfigurationError(
+            f"lagged_eta_level {lagged_eta_level!r} is read only by the 'weighted' "
+            f"nonlinear mode, not by {nonlinear_mode!r}"
+        )
+
+
 class BoussinesqProblem:
     """Coefficients, bottom profile and discretization for one run."""
 
@@ -95,6 +105,7 @@ class BoussinesqProblem:
             raise ConfigurationError(
                 f"lagged_eta_level must be one of {LAGGED_ETA_LEVELS}, got {lagged_eta_level!r}"
             )
+        _refuse_unread_lagged_level(nonlinear_mode, lagged_eta_level)
         self.coeffs = coeffs
         self.bathymetry = bathymetry if bathymetry is not None else FlatBottom()
         self.grid = grid

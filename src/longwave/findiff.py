@@ -23,45 +23,9 @@ becomes an ordinary band of half-width 2p, which one LAPACK banded LU
 factors for every n, with no corner correction.
 
 A run solves one such system per step, and most of its matrix does not
-change: the mass terms, D1, D3, the D2 smoothing and every bottom term.  A
-``StepOperator`` adds that constant part into band storage once, when built.
-The predictor-dependent part touches the same few band entries every step:
-one slot per (offset mod n, field row) pair, a contiguous slice of one value
-buffer that holds those entries, their flat band indices and their constant
-values.  Each step copies the constants into the buffer, adds the terms into
-the slots as contiguous slices (``add_shift``, one per band entry and step
-for both steppers), and writes the buffer into the band once, with one
-indexed assignment, before the solve; the entries no slot covers keep their
-constant values from construction.  It then refines from a guess with the
-LU kept from an earlier step, x <- x + LU^-1 (b - A x), the residual taken
-against the work band.  rhs and guess go into folded order, and x out of
-it, by two strided slices each; b, x, the correction and the residual live
-in buffers the operator owns.  Refinement stops once the estimated
-remaining error ||d_k||^2 / ||d_{k-1}|| of the corrections d is at most
-1e-15 ||x||.  A correction that does not halve the previous one, or a third
-that still misses the stop, refactors the work band at once and takes one
-correction with the fresh LU from the last iterate; it solves x = LU^-1 b
-instead when that iterate's residual is not below ||b|| or the corrected x
-misses the bound.  A step that needed a third correction refactors at the
-next solve; a solve with no guess factors afresh and solves directly.
-Every factorization passes the pivot guard, and every returned x meets
-||A x - b||_inf <= 1e-10 ||b||_inf against the current matrix.
-
-The kept LU is P A = L U with one row order P per run, the identity until
-a factorization (``dgbtrf``) meets row interchanges and P adopts them.  Every
-factorization loads P A, whose half-widths grow by P's largest row
-displacement, as one block copy of A's band plus the rows P moves, and must
-meet no interchange, or it adopts the new order and factors again.
-With no interchange, L (unit lower) and U are plain band matrices.  After
-each factorization the rows of U are divided by their pivots, U = D U1 with
-U1 unit upper, so one application of the LU is a gather of the rows by P,
-two unit-diagonal triangular band solves (``dtbsv``, each a single BLAS
-call) and one multiply by D^-1 between them; a unit-diagonal solve skips
-the division per row.  Then factor entries below the smallest normal float
-are set to 0: the fill that couples the two halves of the fold decays into
-subnormals, which slow every solve.  The sizes of the rhs, of x and of the
-corrections come from BLAS ``idamax``, which skips NaN; a NaN there reaches
-the residual, whose NaN-propagating norm every acceptance checks.
+change: a ``StepOperator`` holds the constant part once and the few band
+entries the per-step part touches; its docstring and ``solve``'s state the
+slot, refinement and refactor rules.
 
 ``dgbmv``, ``dtbsv`` and ``idamax`` come from scipy's compiled BLAS module
 ``_fblas`` and ``dgbtrf`` from its compiled LAPACK module ``_flapack``, both
@@ -137,7 +101,8 @@ _KEPT_LU_CORRECTIONS = 2
 # dgbtrf calls per factorization: one may meet interchanges and find a new row
 # order, the next factors in it and meets none; the third is a spare.
 _ORDER_TRIES = 3
-# Factor entries below the smallest normal float are set to 0: subnormals slow every solve.
+# Factor entries below the smallest normal float are set to 0: the fill that couples the
+# two halves of the fold decays into subnormals, which slow every solve.
 _TINY = np.finfo(float).tiny
 _FLUSH_CHUNK = 1 << 13
 
@@ -227,13 +192,15 @@ class StepOperator:
     blocks * off + col - row over the rows row::blocks, or one stencil entry
     of it, A[row, col] += diag(values) @ S^off (``add_shift``); a stencil
     reaches at most +-2 nodes, so the band reaches 3 blocks - 1.
-    ``constant_terms(self)``, called once, adds the constant part C through
-    ``add_operator`` and ``add_diagonal`` straight into the work band.
-    Every later term goes to a slot: the entries A[u, (u + offset) mod n] of
-    the rows u = row mod blocks, keyed by (offset mod n, row), so offsets
-    that alias at small n share one.  A slot is a slice of one value buffer, made the first time a
-    term reaches it, with the flat band indices of its entries and their
-    values at that moment: no slot has written them yet, so they are C.
+    Every term goes to a slot: the entries A[u, (u + offset) mod n] of the
+    rows u = row mod blocks, keyed by (offset mod n, row), so offsets that
+    alias at small n share one.  A slot is a slice of one value buffer, made
+    the first time a term reaches it, with the flat band indices of its
+    entries and their values in the work band at that moment.
+    ``constant_terms(self)``, called once when built, adds the constant part
+    C through ``add_operator`` and ``add_diagonal`` into slots over the zero
+    band; they go into the work band with one indexed assignment, and the
+    slot table starts empty again, so every later slot starts from C.
     ``reset()`` starts a step with every slot equal to C; the per-step part
     V is then added to the slots, and ``solve(rhs, guess)`` writes the slots
     into the work band, then refines from the guess with the LU of an
@@ -262,14 +229,12 @@ class StepOperator:
         self._rows = max(self.n, 2 * self._k + 1)
         self._work = np.zeros((2 * self._k + 1, self.n), order="F")
         self._work_flat = self._work.reshape(-1, order="F")
-        self._slots = None  # the constant terms go straight into the band
+        self._clear_slots()
         if constant_terms is not None:
+            # C goes through the slots over the zero band, then into the band
             constant_terms(self)
-        # slot key -> start of its slice in _values, _indices and _constants
-        self._slots = {}
-        self._values = np.empty(0)
-        self._indices = np.empty(0, dtype=np.intp)
-        self._constants = np.empty(0)
+            self._work_flat[self._indices] = self._values
+            self._clear_slots()
         self._residual_buffer = np.zeros(self._rows)
         # folded rhs, iterate and correction of a solve, and the norms' scratch
         self._b, self._x, self._correction, self._scratch = (np.empty(self.n) for _ in range(4))
@@ -346,11 +311,6 @@ class StepOperator:
             raise GridMismatchError(
                 f"band offset {offset} lies outside the constant band (+-{self._reach})"
             )
-        if self._slots is None:
-            # one entry per row, so the indices of one call never repeat
-            indices = self._scatter[offset + self._reach][row::self.blocks]
-            self._work_flat[indices] += values if sign > 0 else -values
-            return
         start = self._slots.get((offset % self.n, row))
         if start is None:
             start = self._new_slot(offset, row)
@@ -359,6 +319,14 @@ class StepOperator:
             slot += values
         else:
             slot -= values
+
+    def _clear_slots(self) -> None:
+        """Start an empty slot table: slot key -> start of its slice in
+        _values, _indices and _constants."""
+        self._slots = {}
+        self._values = np.empty(0)
+        self._indices = np.empty(0, dtype=np.intp)
+        self._constants = np.empty(0)
 
     def _new_slot(self, offset: int, row: int) -> int:
         """Append the slot of A[u, (u + offset) mod n] over the rows u = row

@@ -123,9 +123,6 @@ class Field:
         self.values = values
         self.grid = grid
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.grid)
-
     def __repr__(self):
         return f"Field(n={self.grid.num_points}, dx={self.grid.dx})"
 

@@ -34,22 +34,18 @@ matrix of the half-sum w in two parts: ``add_constant_terms(target)``, the
 terms fixed over a run (the 2/dt mass terms, the linear D1, D3 and D2 terms,
 every bottom term), and ``add_predictor_terms(target, predictor, current)``,
 the nonlinear terms frozen at the predictor, returning the right-hand side.
-``_start`` folds the constant terms once into the run's ``StepOperator``,
-which the state carries.  Each step resets the operator's per-step entries
-to those constants, adds the predictor terms, one ``add_shift`` per band
-entry computed from a padded copy of the predictor (see
-``findiff.StepOperator``), and solves for w by refinement with the LU kept
-from an earlier step, starting from the degree-8 extrapolation of the last
-nine w,
+``_start`` gives the constant terms to the run's ``StepOperator``, which the
+state carries.  Each step resets the operator, adds the predictor terms, one
+``add_shift`` per band entry computed from a padded copy of the predictor,
+and solves for w (``findiff.StepOperator.solve``) from the degree-8
+extrapolation of the last nine w,
 
     w_n ~ sum_{j=1..9} (-1)^(j+1) C(9, j) w_{n-j},
 
 one matrix-vector product over the run's w history (a ring of ten rows,
 also carried by the state, so two runs of one problem never share it; the
 first steps extrapolate from the w there are, the first from the
-predictor).  The stop and refactor rules are in ``findiff``, and the
-solution meets the same ||A w - b||_inf <= 1e-10 ||b||_inf contract as a
-direct solve.  The step then sets z^{n+1} = 2w - z^n and relaxes the
+predictor).  The step then sets z^{n+1} = 2w - z^n and relaxes the
 predictor to 2 z^{n+1} - z^{n+1/2}, in place in two fresh arrays, so the
 state it started from keeps its own.
 ``_drive`` is the one run loop of both steppers, with one per-step hook.
@@ -102,10 +98,6 @@ class _TrajectoryBase:
     @property
     def times(self) -> np.ndarray:
         return self.step_indices * self.dt
-
-    @property
-    def final_time(self) -> float:
-        return float(self.step_indices[-1] * self.dt)
 
     def step_of_time(self, t: float) -> int:
         m = int(round(t / self.dt))

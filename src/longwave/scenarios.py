@@ -11,23 +11,11 @@ time, reflected-wave metrics, conservation drifts, and field snapshots.
 Outputs are plain CSV (17 significant digits, so re-reading reproduces the
 float64 values bit-exactly) plus a meta.json echoing the full configuration.
 
-Scenario defaults (``SCENARIOS``) reproduce the published table; x0 = -shift:
-
-    validate, convergence  eps=0.05: T=20, L=80,  dx=0.03, x0=30
-                           eps=0.1:  T=10, L=80,  dx=0.04, x0=30
-                           eps=0.2:  T=5,  L=80,  dx=0.05, x0=30
-                           other:    T=1/eps, L=80, dx=0.04, x0=30
-    step, growth/step      eps=0.05: T=89, L=140, dx=0.03, x0=44
-                           eps=0.1:  T=12, L=80,  dx=0.04, x0=38
-                           eps=0.2:  T=12, L=80,  dx=0.05, x0=38
-                           other:    T=max(12, 1/eps + 2), L=80, dx=0.04, x0=38
-    sinusoid               any eps:  T=1/eps, L=20, dx=0.04, x0=2
-    growth/sinusoid        any eps:  T=1/eps, L=4/eps, dx=0.04, x0=1/eps
-
-with alpha = beta0 = b0 = 0.5 everywhere, dt = dx always and the sinusoid's
-wavelength (1 + eps*alpha/4)/eps.  Growth scenarios integrate the right-going
-equation only and track the corrector norm series; growth/sinusoid scales
-with 1/eps so runs at different eps see the same modulation phase.
+Scenario defaults live in one table, ``SCENARIOS`` (the README's "Scenario
+defaults" lists it), with dt = dx always.  Growth scenarios integrate the
+right-going equation only and track the corrector norm series;
+growth/sinusoid scales with 1/eps so runs at different eps see the same
+modulation phase.
 """
 
 from __future__ import annotations
@@ -49,6 +37,7 @@ from .boussinesq import (
     BOUSSINESQ_NONLINEAR_MODES,
     LAGGED_ETA_LEVELS,
     BoussinesqProblem,
+    _refuse_unread_lagged_level,
     run_boussinesq,
 )
 from .errors import ConfigurationError
@@ -264,6 +253,12 @@ class ScenarioConfig:
             )
         if self.error_interval < self.dx - 1e-12:
             raise ConfigurationError("error_interval must be at least one step dx")
+        if not 0 <= self.sobolev_order <= 3:
+            raise ConfigurationError(
+                f"sobolev_order must lie in [0, 3], got {self.sobolev_order}")
+        if self.refl_width_multiplier <= 0.0:
+            raise ConfigurationError(f"refl_width_multiplier must be positive, "
+                                     f"got {self.refl_width_multiplier}")
         for name, allowed in (("boussinesq_nonlinear_mode", BOUSSINESQ_NONLINEAR_MODES),
                               ("kdv_nonlinear_mode", KDV_NONLINEAR_MODES),
                               ("lagged_eta_level", LAGGED_ETA_LEVELS),
@@ -272,6 +267,7 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
                 )
+        _refuse_unread_lagged_level(self.boussinesq_nonlinear_mode, self.lagged_eta_level)
         bathymetry_from_config(self.bathymetry)  # raises on bad parameters
         self.build_coefficients()  # raises on an inadmissible triple
         for t in self.snapshot_times:

@@ -168,6 +168,12 @@ class TestStep:
         with pytest.raises(ConfigurationError):
             BoussinesqProblem(coeffs, FlatBottom(), grid, tg, nonlinear_mode="bogus")
 
+    def test_predictor_lagged_level_needs_the_weighted_mode(self, setup):
+        # only the weighted assembly reads the lagged eta level
+        _, grid, tg, coeffs, _ = setup
+        with pytest.raises(ConfigurationError, match="read only by the 'weighted'"):
+            BoussinesqProblem(coeffs, FlatBottom(), grid, tg, lagged_eta_level="predictor")
+
 
 class TestRun:
     def test_zero_run(self, setup):

@@ -416,11 +416,12 @@ class TestStepOperator:
     @example(n=3, shape=(2, 4), seed=4, masks=[0, 0x0FF00, 0x000FF])
     def test_each_step_matrix_matches_dense(self, n, shape, seed, masks):
         # Each step adds the terms of a random band that its mask selects
-        # (bits 0-19; bit 20 adds them all twice); after the solve the work
-        # band holds exactly the recorder's matrix.
+        # (bits 0-19; bit 20 adds them all twice); the work band holds exactly
+        # the recorder's constant part once built, and its matrix after each solve.
         blocks, p = shape
         rng = np.random.default_rng(seed)
         operator, constant = _dominant_operator(n, blocks, p, rng, extra=4 * p + 2)
+        np.testing.assert_array_equal(_band_matrix(operator), constant)
         for mask in masks:
             band = _random_band(n, blocks, p, _uniform(rng))
             terms = [term for i, term in enumerate(band) if mask >> i & 1]

@@ -2,12 +2,18 @@
 in its ``__all__``, and every private name a module defines at its top level
 is read somewhere in the package, not only in the tests.  ``ast`` checks,
 since no linter is installed with the test dependencies.  The package
-``__init__`` imports only to re-export, so the import check leaves it out."""
+``__init__`` imports only to re-export, so the import check leaves it out;
+what it publishes must be exactly its modules' ``__all__`` and the error
+classes."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import longwave
+from longwave import errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longwave"
 SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
@@ -92,3 +98,15 @@ def test_an_orphan_helper_is_caught():
     assert orphaned_private_names(planted) == ["grid.py:_orphan"]
     assert orphaned_private_names({"a.py": "_X, _Y = 1, 2\n", "b.py": "from .a import _X\n"}) \
         == ["a.py:_Y"]
+
+
+def test_package_publishes_exactly_every_modules_all():
+    # a name missing from its module's __all__ would silently leave the package
+    published = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    for module in MODULES:
+        published.update(getattr(importlib.import_module(f"longwave.{module[:-3]}"),
+                                 "__all__", ()))
+    modules = {module[:-3] for module in MODULES}
+    public = {name for name in dir(longwave) if not name.startswith("_")} - modules
+    assert public == published
+    assert len(public) == 59

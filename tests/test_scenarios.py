@@ -578,6 +578,11 @@ class TestCli:
         ("simulate", "shift", "a"),
         ("simulate", "output_dir", 5),
         ("simulate", "overtime", "no"),
+        ("simulate", "sobolev_order", -1),
+        ("simulate", "sobolev_order", 4),
+        ("simulate", "refl_width_multiplier", 0.0),
+        ("simulate", "refl_width_multiplier", -5.0),
+        ("simulate", "lagged_eta_level", "predictor"),  # read by the weighted mode only
     ])
     def test_malformed_config_value_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                            command, field, value):
