@@ -48,12 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--overtime", action="store_true",
                      help="extend the run to T = epsilon^(-3/2) (demonstration mode)")
     sim.add_argument("--out", help="output directory (overrides config.output_dir)")
+    sim.set_defaults(run=_cmd_simulate)
 
     conv = sub.add_parser("convergence", help="observed-order study under dx = dt halvings")
     conv.add_argument("--config", help="JSON scenario configuration")
     conv.add_argument("--epsilon", type=float, help="long-wave parameter (default 0.1)")
     conv.add_argument("--levels", type=int, help="number of refinement levels (default 3)")
     conv.add_argument("--out", help="output directory for convergence.json")
+    conv.set_defaults(run=_cmd_convergence)
 
     gro = sub.add_parser("growth", help="corrector-norm growth diagnostic")
     gro.add_argument("--scenario", choices=[key[1] for key, record in SCENARIOS.items()
@@ -61,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="bottom family for the growth run")
     gro.add_argument("--epsilon", type=float, required=True)
     gro.add_argument("--out", required=True, help="output directory")
+    gro.set_defaults(run=_cmd_growth)
     return parser
 
 
@@ -142,13 +145,7 @@ def _cmd_growth(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        if args.command == "growth":
-            return _cmd_growth(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return args.run(args)
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

@@ -49,7 +49,7 @@ import sys
 import numpy as np
 
 from .errors import GridMismatchError, SolverError
-from .grid import Grid1D, _shifted
+from .grid import Grid1D, _padded
 
 
 def _scipy_linalg_extension(name: str):
@@ -124,20 +124,28 @@ class CyclicBandedOperator:
             raise ValueError("offsets and coeffs must have equal length")
         if len(set(offsets)) != len(offsets):
             raise ValueError("duplicate stencil offsets")
-        if max(abs(o) for o in offsets) > 2:
+        self._width = max(abs(o) for o in offsets)
+        if self._width > 2:
             raise ValueError("stencil offsets wider than +-2 are not supported")
         self.offsets = offsets
         self.coeffs = coeffs
         self.n = int(n)
 
+    def _neighbours(self, values: np.ndarray) -> list[np.ndarray]:
+        """values[(i + off) mod n] for each offset: slices of one padded copy."""
+        w, padded = self._width, _padded(values, self._width)
+        return [padded[w + off:w + off + self.n] for off in self.offsets]
+
     def apply_values(self, values: np.ndarray) -> np.ndarray:
+        """The stencil's terms summed in offset order, from the first."""
         if values.shape != (self.n,):
             raise GridMismatchError(
                 f"operator dimension {self.n} does not match vector length {values.shape}"
             )
-        out = np.zeros_like(values)
-        for off, c in zip(self.offsets, self.coeffs):
-            out += c * _shifted(values, off)
+        neighbours = self._neighbours(values)
+        out = self.coeffs[0] * neighbours[0]
+        for c, shifted in zip(self.coeffs[1:], neighbours[1:]):
+            out += c * shifted
         return out
 
 
@@ -176,7 +184,7 @@ def _fold_layout(n: int, reach: int):
     k = min(2 * reach, n - 1)
     scatter = []
     for off in range(-reach, reach + 1):
-        cols = _shifted(pos, off)  # folded column of A[i, (i + off) mod n]
+        cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
         idx = k + pos - cols + cols * (2 * k + 1)
         idx.flags.writeable = False
         scatter.append(idx)
@@ -262,13 +270,11 @@ class StepOperator:
         """A[row, col] += scale * diag(pre_diag) @ op @ diag(post_diag) (diags optional)."""
         if op.n * self.blocks != self.n:
             raise GridMismatchError("operator dimension does not match matrix")
-        for off, c in zip(op.offsets, op.coeffs):
-            contrib = scale * c
-            if pre_diag is not None:
-                contrib = contrib * pre_diag
-            if post_diag is not None:
-                contrib = contrib * _shifted(post_diag, off)
-            self.add_shift(contrib, off, block)
+        # a missing diag is the exact factor 1.0
+        pre = 1.0 if pre_diag is None else pre_diag
+        posts = [1.0] * len(op.offsets) if post_diag is None else op._neighbours(post_diag)
+        for off, c, post in zip(op.offsets, op.coeffs, posts):
+            self.add_shift(scale * c * pre * post, off, block)
 
     def _set_order(self, order: np.ndarray) -> None:
         """Adopt the row order P (row i of P A is row order[i] of A), with the

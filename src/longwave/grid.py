@@ -21,6 +21,7 @@ discretization of the continuum L2 norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -409,21 +410,10 @@ def soliton_field(spec: SolitonSpec, grid: Grid1D, t: float = 0.0) -> Field:
 # Discrete norms
 # ---------------------------------------------------------------------------
 
-def _shifted(values: np.ndarray, off: int) -> np.ndarray:
-    """values[(i + off) mod n] for every i, built from two slices."""
-    s = off % len(values)
-    return np.concatenate((values[s:], values[:s]))
-
-
 def _padded(values: np.ndarray, width: int) -> np.ndarray:
     """values with ``width`` periodic neighbours on each side: entry j + width
     is values[j mod n] for -width <= j < n + width (width <= n)."""
     return np.concatenate((values[-width:], values, values[:width]))
-
-
-def _centered_diff(values: np.ndarray, dx: float) -> np.ndarray:
-    """Periodic centered first difference; matches findiff.make_d1 exactly."""
-    return (_shifted(values, 1) - _shifted(values, -1)) / (2.0 * dx)
 
 
 def discrete_l2(f: Field) -> float:
@@ -443,21 +433,29 @@ def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
         raise GridMismatchError("fields live on different grids")
     dx = v.grid.dx
     total = float(np.dot(v.values, v.values) + np.dot(eta.values, eta.values))
-    dv = (_shifted(v.values, 1) - v.values) / dx
-    de = (_shifted(eta.values, 1) - eta.values) / dx
+    dv = (_padded(v.values, 1)[2:] - v.values) / dx
+    de = (_padded(eta.values, 1)[2:] - eta.values) / dx
     total += coeffs.epsilon * coeffs.a2 * float(np.dot(dv, dv))
     total += coeffs.epsilon * coeffs.a4 * float(np.dot(de, de))
     return math.sqrt(dx * total)
 
 
+@functools.lru_cache(maxsize=8)
+def _d1(grid: Grid1D):
+    """The grid's ``findiff.make_d1``, built once per grid."""
+    from .findiff import make_d1  # findiff imports this module
+    return make_d1(grid)
+
+
 def discrete_sobolev(f: Field, s: int) -> float:
-    """sqrt(sum_{m=0..s} |D1^m f|^2) with the discrete L2 norm, 0 <= s <= 5."""
+    """sqrt(sum_{m=0..s} |D1^m f|^2) with the discrete L2 norm, 0 <= s <= 5,
+    D1 the steppers' own (``findiff.make_d1``)."""
     if not 0 <= s <= 5:
         raise ConfigurationError(f"Sobolev order must lie in [0, 5], got {s}")
-    dx = f.grid.dx
+    d1 = _d1(f.grid)
     values = f.values
     total = float(np.dot(values, values))
     for _ in range(s):
-        values = _centered_diff(values, dx)
+        values = d1.apply_values(values)
         total += float(np.dot(values, values))
-    return math.sqrt(dx * total)
+    return math.sqrt(f.grid.dx * total)

@@ -47,10 +47,10 @@ applied when the sum is read out.  The trajectory owns its sum
 step m' >= m feeds only the snapshots m+1..m', at cost O((m' - m) (n + M));
 a call at an earlier step, or with a bottom whose b' differs on the extended
 lattice (b' is evaluated on the kept sum's lattice and compared), starts
-again from step 0.  Over b' = 0 every sum is 0: the sum feeds nothing and
-reads out zeros.  The sum can also be fed by ``kdv.run``'s
-per-step hook (``record``) and keep its read-outs at the stored steps, so a
-run stored at a coarser stride serves K_topo once the sum is attached to it.
+again from step 0.  A bottom with b' = 0 takes the same path, and its sum
+reads out zeros.  The sum can also be fed by ``kdv.run``'s per-step hook
+(``record``) and keep its read-outs at the stored steps, so a run stored at
+a coarser stride serves K_topo once the sum is attached to it.
 A trajectory's data is frozen at construction and cannot be replaced, so a
 sum cannot go stale.
 """
@@ -145,15 +145,16 @@ def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
 
 
 class _BottomLattice:
-    """b on the lattice x_j = j dx, j in [-M, n), with its prefix sums: U1's
-    bottom terms at any step m <= M from one evaluation of b.  The profile is
-    evaluated on the real line (no periodic wrap)."""
+    """b on the lattice x_j = j dx, j in [-M, n), with its prefix sums and
+    the grid's D1: U1's bottom terms at any step m <= M from one evaluation of
+    b.  The profile is evaluated on the real line (no periodic wrap)."""
 
     def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
         self.grid, self.big_m = grid, big_m
         self.values = np.asarray(b.value(np.arange(-big_m, grid.num_points) * grid.dx),
                                  dtype=float)
         self.sums = np.concatenate(([0.0], np.cumsum(self.values)))
+        self.d1 = make_d1(grid)
 
     def u1_terms(self, u_traj: Trajectory, m: int) -> tuple[np.ndarray, np.ndarray]:
         """U1's ``bottom_jump`` and ``bottom_integral`` at step m: b(x_i) and
@@ -162,7 +163,7 @@ class _BottomLattice:
         prefix sums."""
         grid, n, big_m = self.grid, self.grid.num_points, self.big_m
         u = u_traj.at_step(m)
-        d_u = make_d1(grid).apply_values(u)
+        d_u = self.d1.apply_values(u)
         here = self.values[big_m:]
         back = self.values[big_m - m:big_m - m + n]
         if m == 0:
@@ -189,7 +190,6 @@ class _RunningSum:
         lattice = np.arange(0, self.n + big_m)
         self.x = lattice * grid.dx
         self.w_ext = np.asarray(b.derivative(self.x), dtype=float)
-        self.zero = not self.w_ext.any()  # b' = 0: every sum is 0, nothing is fed
         self.data = None
         self.wrap = lattice % self.n
         self.acc = np.zeros(len(lattice))
@@ -206,11 +206,10 @@ class _RunningSum:
 
     def feed(self, values: np.ndarray) -> None:
         j = self.step + 1
-        if not self.zero:
-            self.acc[j:] += self._integrand(values, slice(0, len(self.acc) - j))
-            if j == 0:
-                self.first = values.copy()
-            self.last = values
+        self.acc[j:] += self._integrand(values, slice(0, len(self.acc) - j))
+        if j == 0:
+            self.first = values.copy()
+        self.last = values
         self.step = j
 
     def advance(self, m: int) -> None:
@@ -219,8 +218,6 @@ class _RunningSum:
 
     def read(self) -> np.ndarray:
         m, n = self.step, self.n
-        if self.zero:
-            return np.zeros(n)
         first = self._integrand(self.first, slice(m, m + n))
         last = self.last * self.w_ext[:n]
         return self.dx * (self.acc[m:m + n] - 0.5 * first - 0.5 * last)

@@ -246,10 +246,11 @@ class ScenarioConfig:
     def _validate_filled(self) -> None:
         if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
             raise ConfigurationError("dx, final_time and domain_length must be positive")
-        if not 0.0 <= -self.shift < self.domain_length:
+        length = self.build_grid().length  # domain_length rounded to whole dx
+        if not 0.0 <= -self.shift < length:
             raise ConfigurationError(
                 f"shift {self.shift:g} puts the soliton crest at x = {-self.shift:g}, "
-                f"outside the window [0, domain_length) = [0, {self.domain_length:g})"
+                f"outside the window [0, domain_length) = [0, {length:g})"
             )
         if self.error_interval < self.dx - 1e-12:
             raise ConfigurationError("error_interval must be at least one step dx")
@@ -469,15 +470,15 @@ def _check_runner(config: ScenarioConfig, runner: str) -> None:
                                  f"got {config.scenario!r}; use {own} instead")
 
 
-def _check_crest_path(config: ScenarioConfig) -> None:
-    """Refuse a run whose crest reaches the end of the periodic window by
-    final_time: the wave would wrap, and the analytic reference does not."""
-    end = -config.shift + config.build_soliton().speed * config.final_time
-    if end >= config.domain_length:
+def _check_crest_path(config: ScenarioConfig, grid: Grid1D, time_grid: TimeGrid) -> None:
+    """Refuse a run whose crest reaches the window's end N dx by its last step,
+    num_steps dt: the wave would wrap, and the analytic reference does not."""
+    end = -config.shift + config.build_soliton().speed * time_grid.final_time
+    if end >= grid.length:
         raise ConfigurationError(
             f"the soliton crest goes from x = {-config.shift:g} to x = {end:g} by "
-            f"final_time {config.final_time:g}, past the window [0, domain_length) = "
-            f"[0, {config.domain_length:g})")
+            f"final_time {time_grid.final_time:g}, past the window [0, domain_length) = "
+            f"[0, {grid.length:g})")
 
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
@@ -497,7 +498,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     # K (one field), B (two) and K_topo's read-outs (n floats), all at the error steps
     _check_storage("simulate storage at the error steps",
                    8 * 4 * grid.num_points * _stored_rows(num_steps, stride))
-    _check_crest_path(config)
+    _check_crest_path(config, grid, time_grid)
     # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
     # as K runs and read out at the error steps, the only steps K stores
     keep = {*range(0, num_steps, stride), num_steps}
@@ -606,7 +607,7 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
     u0 = soliton_field(spec, grid)
 
     stride = config.error_stride(time_grid)
-    _check_crest_path(config)
+    _check_crest_path(config, grid, time_grid)
     t0 = _time.perf_counter()
     u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride)
     kdv_seconds = _time.perf_counter() - t0
@@ -650,7 +651,7 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
                        TimeGrid(int(round(config.final_time / config.dx)) * ratio, d)))
     _check_work("convergence study",
                 2 * sum(grid.num_points * time_grid.num_steps for grid, time_grid in levels))
-    _check_crest_path(config)
+    _check_crest_path(config, *levels[0])
 
     kdv_errors = []
     eta_fields = []

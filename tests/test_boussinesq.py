@@ -20,7 +20,6 @@ from longwave.grid import (
     SolitonSpec,
     StepBottom,
     TimeGrid,
-    _shifted,
     discrete_h1_eps,
     soliton_field,
 )
@@ -362,7 +361,7 @@ class _ScatterBand:
             if pre_diag is not None:
                 contrib = contrib * pre_diag
             if post_diag is not None:
-                contrib = contrib * _shifted(post_diag, off)
+                contrib = contrib * np.roll(post_diag, -off)
             self._add(self.blocks * off + col - row, row, contrib)
 
     def _add(self, offset, row, values) -> None:

@@ -104,6 +104,34 @@ class TestStencils:
         f = rng.standard_normal(16)
         np.testing.assert_allclose(op.apply_values(f), f)
 
+    @pytest.mark.parametrize("make", [make_d1, make_d2, make_d3])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 60), dx=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_neighbours_match_a_roll_oracle_bit_for_bit(self, make, n, dx, seed):
+        # each term c_j values[(i + off_j) mod n] by np.roll, summed in offset
+        # order from the first term; signed zeros included
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(n, dx)
+        op = make(grid)
+        values, post = (np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n),
+                                 rng.standard_normal(n)) for _ in range(2))
+        terms = [c * np.roll(values, -off) for off, c in zip(op.offsets, op.coeffs)]
+        oracle = terms[0]
+        for term in terms[1:]:
+            oracle = oracle + term
+        assert op.apply_values(values).tobytes() == oracle.tobytes()
+
+        recorded = []
+
+        class Recorder(StepOperator):
+            def add_shift(self, values, offset, block=(0, 0), sign=1):
+                recorded.append((offset, values))
+
+        Recorder(n).add_operator(op, post_diag=post, scale=0.3)
+        assert [offset for offset, _ in recorded] == list(op.offsets)
+        for (_, contrib), off, c in zip(recorded, op.offsets, op.coeffs):
+            assert contrib.tobytes() == (0.3 * c * np.roll(post, -off)).tobytes()
+
 
 class TestOperatorAlgebra:
     def test_d1_antisymmetric(self, rng):

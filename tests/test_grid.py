@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from longwave.errors import ConfigurationError, GridMismatchError
+from longwave.findiff import make_d1
 from longwave.grid import (
     Field,
     FlatBottom,
@@ -287,6 +288,19 @@ class TestNorms:
             discrete_l2(f) ** 2 + grid.dx * float(np.dot(du_exact, du_exact))
         )
         assert discrete_sobolev(f, 1) == pytest.approx(oracle, rel=1e-5)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_sobolev_sums_the_steppers_d1_powers_exactly(self, rng, s):
+        # dx = 0.03, so that D1's weights +-1/(2 dx) are not powers of two
+        grid = Grid1D(64, 0.03)
+        f = random_field(grid, rng)
+        d1 = make_d1(grid)
+        values = f.values
+        total = float(np.dot(values, values))
+        for _ in range(s):
+            values = d1.apply_values(values)
+            total += float(np.dot(values, values))
+        assert discrete_sobolev(f, s) == math.sqrt(grid.dx * total)
 
     def test_sobolev_order_out_of_range(self, small_grid):
         f = Field(np.zeros(small_grid.num_points), small_grid)

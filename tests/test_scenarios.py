@@ -701,10 +701,10 @@ class TestCli:
          "crest goes from x = 30 to x = 80.125 by final_time 50, "
          "past the window [0, domain_length) = [0, 80)"),
         (["--scenario", "sinusoid", "--epsilon", "0.1", "--overtime"],
-         "crest goes from x = 2 to x = 34.0181 by final_time 31.6228, "
+         "crest goes from x = 2 to x = 34.0355 by final_time 31.64, "
          "past the window [0, domain_length) = [0, 20)"),
         (["--scenario", "validate", "--epsilon", "0.05", "--overtime"],
-         "crest goes from x = 30 to x = 120.002 by final_time 89.4427,"),
+         "crest goes from x = 30 to x = 119.989 by final_time 89.43,"),
     ], ids=["validate-0.02", "sinusoid-0.1-overtime", "validate-0.05-overtime"])
     def test_crest_leaving_the_window_exits_2_before_any_run(self, monkeypatch, capsys,
                                                              argv, message):
@@ -718,6 +718,33 @@ class TestCli:
         assert main(["simulate", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: the soliton crest") and message in err
+
+    @pytest.mark.parametrize("cfg,message", [
+        # 976 steps of 0.05 end at t = 48.8, not at the requested 48.78
+        ({"final_time": 48.78},
+         "crest goes from x = 30 to x = 80.02 by final_time 48.8, "
+         "past the window [0, domain_length) = [0, 80)"),
+        # 1333 nodes of 0.06 span 79.98, not the requested 80
+        ({"final_time": 48.78, "dx": 0.06},
+         "crest goes from x = 30 to x = 79.9995 by final_time 48.78, "
+         "past the window [0, domain_length) = [0, 79.98)"),
+        ({"final_time": 48.78, "dx": 0.06, "shift": -79.99},
+         "shift -79.99 puts the soliton crest at x = 79.99, "
+         "outside the window [0, domain_length) = [0, 79.98)"),
+    ], ids=["realized-final-time", "realized-length", "crest-outside-realized-length"])
+    def test_guards_check_the_realized_window_and_final_time(self, tmp_path, monkeypatch,
+                                                             capsys, cfg, message):
+        # the run covers N dx and num_steps dt, which round the requested
+        # domain_length and final_time to whole steps
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "validate", "epsilon": 0.2, **cfg}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_singular_step_names_step_time_and_norms(self, tmp_path, monkeypatch, capsys):
         # K's fifth step drops its predictor terms and its 2/dt diagonal: the
