@@ -329,6 +329,11 @@ def _stored_rows(num_steps: int, stride: int) -> int:
     return -(-num_steps // stride) + 1
 
 
+def _stored_steps(num_steps: int, stride: int) -> np.ndarray:
+    """The steps of those snapshots, in order."""
+    return np.append(np.arange(0, num_steps, stride), num_steps)
+
+
 def _failed_step(exc: SolverError, state: RelaxationState, dx: float) -> SolverError:
     """``exc`` as raised by the step after ``state``, the last finite state:
     the same error type, naming the failed step, its time and that state's
@@ -366,8 +371,7 @@ def _drive(problem, start, advance, stride: int, on_step=None):
     _check_work("run", n * num_steps)
     shape = (blocks, _stored_rows(num_steps, stride), n)
     _check_storage("trajectory storage", 8 * shape[0] * shape[1] * shape[2])
-    # every stride-th step plus the final one
-    plan = np.append(np.arange(0, num_steps, stride), num_steps)
+    plan = _stored_steps(num_steps, stride)
     data = np.empty(shape)
     state = start()
     on_step = on_step or (lambda m, z: None)

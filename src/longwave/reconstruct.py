@@ -29,10 +29,11 @@ All time integrals use the composite trapezoid rule with step dt = dx, which
 puts every characteristic shift on a node; the bottom profile is sampled on
 the whole real line (no wrap) and the snapshots with periodic wrap.  U1's
 integral at step m is a difference of prefix sums of b on the lattice
-[-M, n), sampled once for all the steps m <= M of one diagnostic.  The
-abscissa x + t - 2s of N1's integrand is read from the snapshot at time s,
-where it sits at y = x + t - s, so that sum needs u at every step: stored
-(stride 1), or fed during the run (below).
+[-M, n), sampled once for all the steps m <= M of one diagnostic, which
+takes one snapshot at a time (``_CorrectorSeries.record``, also a
+``kdv.run`` hook).  The abscissa x + t - 2s of N1's integrand is read from
+the snapshot at time s, where it sits at y = x + t - s, so that sum needs u
+at every step: stored (stride 1), or fed during the run (below).
 
 N1's quadrature is a running sum.  Along the characteristic with foot c the
 integrand at step j sits at lattice point y = c - j, so the sum over steps
@@ -156,13 +157,12 @@ class _BottomLattice:
         self.sums = np.concatenate(([0.0], np.cumsum(self.values)))
         self.d1 = make_d1(grid)
 
-    def u1_terms(self, u_traj: Trajectory, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """U1's ``bottom_jump`` and ``bottom_integral`` at step m: b(x_i) and
-        b(x_i - t) are lattice values, and the trapezoid of
-        Int_0^t b(x_i - t + s) ds over lattice [i-m .. i] a difference of
-        prefix sums."""
+    def u1_terms(self, u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """U1's ``bottom_jump`` and ``bottom_integral`` at step m from the
+        snapshot u there: b(x_i) and b(x_i - t) are lattice values, and the
+        trapezoid of Int_0^t b(x_i - t + s) ds over lattice [i-m .. i] a
+        difference of prefix sums."""
         grid, n, big_m = self.grid, self.grid.num_points, self.big_m
-        u = u_traj.at_step(m)
         d_u = self.d1.apply_values(u)
         here = self.values[big_m:]
         back = self.values[big_m - m:big_m - m + n]
@@ -298,7 +298,7 @@ def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
     _refuse_counter(n_traj)
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
-    return CorrectorBreakdown(*_BottomLattice(b, u_traj.grid, m).u1_terms(u_traj, m))
+    return CorrectorBreakdown(*_BottomLattice(b, u_traj.grid, m).u1_terms(u_traj.at_step(m), m))
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
@@ -319,9 +319,10 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfil
         )
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
-    jump, integral = _BottomLattice(b, u_traj.grid, m).u1_terms(u_traj, m)
+    u = u_traj.at_step(m)
+    jump, integral = _BottomLattice(b, u_traj.grid, m).u1_terms(u, m)
     n1_b = -_cross_integral_nodes(b, u_traj, m) / 4.0
-    half = u_traj.at_step(m) / 2.0
+    half = u / 2.0
     half_eps = coeffs.epsilon / 2.0
     u1 = jump + integral
     eta_sign = 1.0 if eta_bracket == "identical" else -1.0
@@ -358,45 +359,57 @@ def _linear_fit(times: np.ndarray, values: np.ndarray) -> tuple[float, float, fl
     return float(slope), float(intercept), r_squared
 
 
+class _CorrectorSeries:
+    """U1's H^s norms at the given steps: ``record(m, u)``, a ``kdv.run`` hook,
+    fills step m's row, ``diagnostic`` fits the line.  Too few steps, in all or
+    in the fit window, are refused here, before any snapshot is fed."""
+
+    def __init__(self, b: BathymetryProfile, grid: Grid1D, s: int, steps: np.ndarray,
+                 fit_window: tuple[float, float] | None = None):
+        if s > 3:
+            raise ConfigurationError(f"growth diagnostics use Sobolev order <= 3, got {s}")
+        times = self.times = steps * grid.dx
+        if len(times) < 4:
+            raise DiagnosticError(f"growth diagnostic needs >= 4 snapshots, got {len(times)}")
+        if fit_window is None:
+            fit_window = (float(times[0]), float(times[-1]))
+        self.mask = (times >= fit_window[0] - 1e-12) & (times <= fit_window[1] + 1e-12)
+        if np.count_nonzero(self.mask) < 4:
+            raise DiagnosticError("fit window contains fewer than 4 snapshots")
+        self.grid, self.s, self.fit_window = grid, s, fit_window
+        self.lattice = _BottomLattice(b, grid, int(steps[-1]))
+        self.row_of = {m: k for k, m in enumerate(steps.tolist())}
+        self.norms = np.empty(len(times))
+        # the terms that multiply N0 keep their columns at an exact 0.0
+        self.term_norms = {name: np.zeros(len(times)) for name in TERM_NAMES}
+
+    def record(self, m: int, u: np.ndarray) -> None:
+        k = self.row_of.get(m)
+        if k is not None:
+            u1 = CorrectorBreakdown(*self.lattice.u1_terms(u, m))
+            self.norms[k] = discrete_sobolev(Field(u1.total, self.grid), self.s)
+            for name, vals in u1.terms().items():
+                self.term_norms[name][k] = discrete_sobolev(Field(vals, self.grid), self.s)
+
+    def diagnostic(self) -> GrowthDiagnostic:
+        fit = _linear_fit(self.times[self.mask], self.norms[self.mask])
+        return GrowthDiagnostic(self.times, self.norms, self.term_norms, self.s, *fit,
+                                self.fit_window)
+
+
 def growth_diagnostic(u_traj: Trajectory, n_traj: None,
                       b: BathymetryProfile, coeffs: ModelCoefficients,
                       s: int, fit_window: tuple[float, float] | None = None
                       ) -> GrowthDiagnostic:
     """Sobolev-norm time series of the right-going corrector over all stored
-    snapshots, with per-term norms and a linear fit over ``fit_window``.
+    snapshots (fed to a ``_CorrectorSeries``), with per-term norms and a
+    linear fit over ``fit_window``.
 
     ``n_traj`` must be None (N0 = 0).  U1 does not depend on ``coeffs``
     once N0 = 0; the argument keeps its place for positional callers."""
     _refuse_counter(n_traj)
-    if s > 3:
-        raise ConfigurationError(f"growth diagnostics use Sobolev order <= 3, got {s}")
-    times = u_traj.times
-    if len(times) < 4:
-        raise DiagnosticError(f"growth diagnostic needs >= 4 snapshots, got {len(times)}")
     _check_alignment(u_traj)
-    grid = u_traj.grid
-    lattice = _BottomLattice(b, grid, int(u_traj.step_indices[-1]))
-    norms = np.empty(len(times))
-    # the terms that multiply N0 keep their columns at an exact 0.0
-    term_norms = {name: np.zeros(len(times)) for name in TERM_NAMES}
-    for k, m in enumerate(u_traj.step_indices.tolist()):
-        u1 = CorrectorBreakdown(*lattice.u1_terms(u_traj, m))
-        norms[k] = discrete_sobolev(Field(u1.total, grid), s)
-        for name, vals in u1.terms().items():
-            term_norms[name][k] = discrete_sobolev(Field(vals, grid), s)
-    if fit_window is None:
-        fit_window = (float(times[0]), float(times[-1]))
-    mask = (times >= fit_window[0] - 1e-12) & (times <= fit_window[1] + 1e-12)
-    if np.count_nonzero(mask) < 4:
-        raise DiagnosticError("fit window contains fewer than 4 snapshots")
-    slope, intercept, r_squared = _linear_fit(times[mask], norms[mask])
-    return GrowthDiagnostic(
-        times=times,
-        u1_norms=norms,
-        term_norms=term_norms,
-        sobolev_order=s,
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        fit_window=fit_window,
-    )
+    series = _CorrectorSeries(b, u_traj.grid, s, u_traj.step_indices, fit_window)
+    for m, u in zip(u_traj.step_indices.tolist(), u_traj.data):
+        series.record(m, u)
+    return series.diagnostic()

@@ -59,13 +59,14 @@ from .kdv import (
     _check_storage,
     _check_work,
     _stored_rows,
+    _stored_steps,
     run,
 )
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
+    _CorrectorSeries,
     _RunningSum,
-    growth_diagnostic,
     topo_modified_surfaces,
 )
 
@@ -246,6 +247,10 @@ class ScenarioConfig:
     def _validate_filled(self) -> None:
         if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
             raise ConfigurationError("dx, final_time and domain_length must be positive")
+        # before any array of n nodes exists: a run takes >= 1 step, stores >= 2 rows
+        n = np.rint(self.domain_length / self.dx)  # a float: inf for a ratio past 1.8e308
+        _check_work("run", n * max(1.0, np.rint(self.final_time / self.dt)))
+        _check_storage("trajectory storage", 8 * 2 * n)
         length = self.build_grid().length  # domain_length rounded to whole dx
         if not 0.0 <= -self.shift < length:
             raise ConfigurationError(
@@ -428,6 +433,7 @@ class ComparisonReport:
     coefficients: ModelCoefficients
     validation_error: float | None
     wrap_contamination: float
+    stored_bytes: int  # the trajectories and read-outs the run held
 
     def error_at(self, t: float, which: str = "kdv") -> float:
         series = self.err_kdv if which == "kdv" else self.err_kdv_topo
@@ -443,6 +449,7 @@ class GrowthReport:
     diagnostic: GrowthDiagnostic
     crossing_time: float | None
     runtimes: dict[str, float]
+    stored_bytes: int
 
 
 @dataclass
@@ -454,6 +461,7 @@ class ConvergenceReport:
     boussinesq_diffs: list[float]
     boussinesq_orders: list[float]
     monotone: bool
+    runtimes: dict[str, list[float]]  # per model, one entry per level
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +489,22 @@ def _check_crest_path(config: ScenarioConfig, grid: Grid1D, time_grid: TimeGrid)
             f"[0, {grid.length:g})")
 
 
+class _Timed:
+    """A per-step hook that sums the seconds spent in it."""
+
+    def __init__(self, hook):
+        self.hook, self.seconds = hook, 0.0
+
+    def __call__(self, m: int, z: np.ndarray) -> None:
+        t0 = _time.perf_counter()
+        self.hook(m, z)
+        self.seconds += _time.perf_counter() - t0
+
+
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
-    """Run the three models of a comparison scenario and collect all metrics."""
+    """Run the three models of a comparison scenario and collect all metrics.
+    K is stored at the error steps with K_topo's read-outs; B's per-step hook
+    takes every metric and snapshot there, so B's (v, eta) are never stored."""
     _check_runner(config, "run_scenario")
     grid = config.build_grid()
     time_grid = config.build_time_grid()
@@ -495,24 +517,19 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
 
     stride = config.error_stride(time_grid)
-    # K (one field), B (two) and K_topo's read-outs (n floats), all at the error steps
+    # K and K_topo's read-outs, n floats each per error step
     _check_storage("simulate storage at the error steps",
-                   8 * 4 * grid.num_points * _stored_rows(num_steps, stride))
+                   8 * 2 * grid.num_points * _stored_rows(num_steps, stride))
     _check_crest_path(config, grid, time_grid)
     # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
     # as K runs and read out at the error steps, the only steps K stores
-    keep = {*range(0, num_steps, stride), num_steps}
+    keep = set(_stored_steps(num_steps, stride).tolist())
     topo_sum = _RunningSum(bottom, grid, num_steps, keep)
+    feed = _Timed(topo_sum.record)
     t0 = _time.perf_counter()
-    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride,
-                 on_step=topo_sum.record)
+    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride, on_step=feed)
     topo_sum.attach(u_traj)
-    kdv_seconds = _time.perf_counter() - t0
-
-    t0 = _time.perf_counter()
-    b_traj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
-                            stride=stride)
-    boussinesq_seconds = _time.perf_counter() - t0
+    kdv_seconds = _time.perf_counter() - t0 - feed.seconds
 
     snapshot_steps = set(config.snapshot_steps(time_grid))
 
@@ -525,20 +542,19 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     refl_b, refl_k, refl_kt = [], [], []
     l2_drift, h1_drift = [], []
     snapshots: list[SnapshotRecord] = []
-    wrap_contamination = 0.0
+    seam_peaks = []
     seam = np.r_[np.arange(grid.num_points - 5, grid.num_points), np.arange(0, 5)]
-    recon_seconds = 0.0
 
-    for m in b_traj.step_indices.tolist():
+    def metrics(m: int, z: np.ndarray) -> None:
+        if m not in keep:
+            return
         t = m * time_grid.dt
         u_now = Field(u_traj.at_step(m), grid)
-        v_b, eta_b = (Field(values, grid) for values in b_traj.at_step(m))
-
-        t0 = _time.perf_counter()
+        # contiguous copies of B's fields, as a stored trajectory holds them
+        v_b, eta_b = Field(z[0::2].copy(), grid), Field(z[1::2].copy(), grid)
         eta_k_vals = u_now.values / 2.0
         eta_kt_vals = topo_modified_surfaces(u_traj, None, bottom, coeffs, t,
                                              eta_bracket=config.topo_eta_bracket).eta.values
-        recon_seconds += _time.perf_counter() - t0
 
         times.append(t)
         err_k.append(relative_linf_error(eta_k_vals, eta_b.values))
@@ -551,20 +567,18 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
             Field(eta_kt_vals, grid), _main_crest_position(eta_kt_vals, grid), k, mult))
         l2_drift.append(abs(discrete_l2(u_now) - l2_ref) / l2_ref)
         h1_drift.append(abs(discrete_h1_eps(v_b, eta_b, coeffs) - h1_ref) / h1_ref)
-        wrap_contamination = max(
-            wrap_contamination, float(np.max(np.abs(eta_b.values[seam]))) / config.alpha
-        )
+        seam_peaks.append(float(np.max(np.abs(eta_b.values[seam]))) / config.alpha)
 
         if m in snapshot_steps:
             snapshots.append(SnapshotRecord(
-                time=t,
-                x=grid.nodes.copy(),
-                eta_boussinesq=eta_b.values.copy(),
-                eta_kdv=np.array(eta_k_vals),
-                eta_kdv_topo=np.array(eta_kt_vals),
-                v_boussinesq=v_b.values.copy(),
-                bottom_rescaled=-1.0 + bottom.sample(grid),
-            ))
+                t, grid.nodes.copy(), eta_b.values, np.array(eta_k_vals),
+                np.array(eta_kt_vals), v_b.values, -1.0 + bottom.sample(grid)))
+
+    hook = _Timed(metrics)
+    t0 = _time.perf_counter()
+    b_traj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
+                            stride=num_steps, on_step=hook)
+    boussinesq_seconds = _time.perf_counter() - t0 - hook.seconds
 
     validation_error = None
     if bottom.is_flat():
@@ -588,47 +602,50 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         runtimes={
             "kdv_solve": kdv_seconds,
             "boussinesq_solve": boussinesq_seconds,
-            "reconstruction": recon_seconds,
+            "reconstruction": feed.seconds + hook.seconds,
         },
         coefficients=coeffs,
         validation_error=validation_error,
-        wrap_contamination=wrap_contamination,
+        wrap_contamination=max(seam_peaks),
+        stored_bytes=(u_traj.data.nbytes + b_traj.v_data.nbytes + b_traj.eta_data.nbytes
+                      + sum(r.nbytes for r in topo_sum.readouts.values())),
     )
 
 
 def run_growth(config: ScenarioConfig) -> GrowthReport:
-    """Right-going run plus corrector-norm series for a growth scenario."""
+    """Right-going run plus corrector-norm series for a growth scenario.  The
+    K run's per-step hook feeds the series, so K stores only steps 0 and N."""
     _check_runner(config, "run_growth")
     grid = config.build_grid()
     time_grid = config.build_time_grid()
-    coeffs = config.build_coefficients()
     bottom = config.build_bathymetry()
     spec = config.build_soliton()
     u0 = soliton_field(spec, grid)
 
     stride = config.error_stride(time_grid)
     _check_crest_path(config, grid, time_grid)
-    t0 = _time.perf_counter()
-    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride)
-    kdv_seconds = _time.perf_counter() - t0
-
-    crossing = None
-    fit_window = None
+    crossing = fit_window = None
     if config.growth_kind == "step":
         center = config.bathymetry.get("center", config.domain_length / 2.0)
         crossing = (center + config.shift) / spec.speed  # crest starts at -shift
         fit_window = (min(crossing + 1.0, time_grid.final_time - 4 * stride * config.dt),
                       time_grid.final_time)
+    series = _CorrectorSeries(bottom, grid, config.sobolev_order,
+                              _stored_steps(time_grid.num_steps, stride), fit_window)
 
+    hook = _Timed(series.record)
     t0 = _time.perf_counter()
-    diag = growth_diagnostic(u_traj, None, bottom, coeffs,
-                             s=config.sobolev_order, fit_window=fit_window)
-    diag_seconds = _time.perf_counter() - t0
+    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps,
+                 on_step=hook)
+    t1 = _time.perf_counter()
+    diag = series.diagnostic()
     return GrowthReport(
         config=config,
         diagnostic=diag,
         crossing_time=crossing,
-        runtimes={"kdv_solve": kdv_seconds, "diagnostic": diag_seconds},
+        runtimes={"kdv_solve": t1 - t0 - hook.seconds,
+                  "diagnostic": hook.seconds + _time.perf_counter() - t1},
+        stored_bytes=u_traj.data.nbytes,
     )
 
 
@@ -639,32 +656,35 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     coupled stepper against its own next-finer solution (the grids nest, so
     coarse nodes are a subset of fine ones).  A study whose levels add up to
     more node-steps, over both steppers, than one run may take is refused
-    before the first run."""
+    before any level's grid is built."""
     _check_runner(config, "convergence_study")
     if config.refinement_levels < 3:
         raise ConfigurationError("convergence study needs at least 3 refinement levels")
     deltas = [config.dx / 2**k for k in range(config.refinement_levels)]
-    levels = []
-    for d in deltas:
-        ratio = int(round(config.dx / d))
-        levels.append((Grid1D(int(round(config.domain_length / config.dx)) * ratio, d),
-                       TimeGrid(int(round(config.final_time / config.dx)) * ratio, d)))
-    _check_work("convergence study",
-                2 * sum(grid.num_points * time_grid.num_steps for grid, time_grid in levels))
+    # (nodes, steps) of each level, checked before any level's grid exists
+    sizes = [(round(config.domain_length / config.dx) * 2**k,
+              round(config.final_time / config.dx) * 2**k) for k in range(len(deltas))]
+    _check_work("convergence study", 2 * sum(n * steps for n, steps in sizes))
+    levels = [(Grid1D(n, d), TimeGrid(steps, d)) for (n, steps), d in zip(sizes, deltas)]
     _check_crest_path(config, *levels[0])
 
     kdv_errors = []
     eta_fields = []
+    runtimes = {"kdv_solve": [], "boussinesq_solve": []}
     spec = config.build_soliton()
     for grid, time_grid in levels:
         u0 = soliton_field(spec, grid)
+        t0 = _time.perf_counter()
         traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps)
+        runtimes["kdv_solve"].append(_time.perf_counter() - t0)
         exact = soliton_field(spec, grid, time_grid.final_time)
         kdv_errors.append(relative_linf_error(traj.at_step(time_grid.num_steps), exact.values))
 
         half = Field(u0.values / 2.0, grid)
+        t0 = _time.perf_counter()
         btraj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
                                stride=time_grid.num_steps)
+        runtimes["boussinesq_solve"].append(_time.perf_counter() - t0)
         _, eta = btraj.at_step(time_grid.num_steps)
         eta_fields.append(eta)
 
@@ -685,6 +705,7 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
         boussinesq_diffs=b_diffs,
         boussinesq_orders=b_orders,
         monotone=monotone,
+        runtimes=runtimes,
     )
 
 
@@ -760,6 +781,7 @@ def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path
         "realized_final_time": report.realized_final_time,
         "validation_error": report.validation_error,
         "wrap_contamination": report.wrap_contamination,
+        "stored_bytes": report.stored_bytes,
     })
     return _write_files(config, tables, "meta.json", meta)
 
@@ -778,13 +800,14 @@ def write_growth_outputs(report: GrowthReport, config: ScenarioConfig) -> list[P
             "window": list(diag.fit_window),
         },
         "crossing_time": report.crossing_time,
+        "stored_bytes": report.stored_bytes,
     })
     return _write_files(config, {"growth.csv": (header, cols)}, "meta.json", meta)
 
 
 def write_convergence_outputs(report: ConvergenceReport,
                               config: ScenarioConfig) -> list[Path]:
-    payload = _meta_payload(config, config.build_coefficients(), {}, {
+    payload = _meta_payload(config, config.build_coefficients(), report.runtimes, {
         "deltas": report.deltas,
         "kdv_errors": report.kdv_errors,
         "kdv_orders": report.kdv_orders,

@@ -20,10 +20,12 @@ from longwave.grid import (
     SolitonSpec,
     StepBottom,
     TimeGrid,
+    bathymetry_from_config,
     soliton_field,
 )
 from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
+    TERM_NAMES,
     _RunningSum,
     _cross_integral_nodes,
     bottom_shift_integral,
@@ -31,6 +33,7 @@ from longwave.reconstruct import (
     growth_diagnostic,
     topo_modified_surfaces,
 )
+from longwave.scenarios import ScenarioConfig, run_growth
 
 
 def _constant_trajectory(grid, steps, value):
@@ -499,6 +502,52 @@ class TestGrowthDiagnostic:
         eps, grid, tg, spec, traj, bottom, coeffs = step_run
         with pytest.raises(ConfigurationError):
             growth_diagnostic(traj, None, bottom, coeffs, s=4)
+
+    def test_fit_window_with_too_few_snapshots_rejected(self, step_run):
+        eps, grid, tg, spec, traj, bottom, coeffs = step_run
+        with pytest.raises(DiagnosticError, match="fit window contains fewer than 4"):
+            growth_diagnostic(traj, None, bottom, coeffs, s=2, fit_window=(0.0, 0.1))
+
+
+# growth sinusoid 0.2 (n = 500, 125 steps) at error stride 3, whose last
+# stored step, 125, is 2 after the one before, over three bottoms
+_STREAM_BOTTOMS = {
+    "step": {"kind": "step", "beta0": 0.5, "center": 8.0, "ramp_half_width": 1.5},
+    "sinusoid": {"kind": "sinusoid", "b0": 0.5, "wavelength": 3.0},
+    "slow_sinusoid": {"kind": "slow_sinusoid", "amplitude": 0.5, "frequency": 0.2},
+}
+
+
+@pytest.fixture(scope="module")
+def stored_growth_run():
+    """The growth run's K stored at its error stride (K is bottom-blind)."""
+    config = ScenarioConfig(scenario="growth", epsilon=0.2, growth_kind="sinusoid",
+                            error_interval=0.12)
+    grid, tg = config.build_grid(), config.build_time_grid()
+    traj = run(config.build_kdv_problem(grid, tg), soliton_field(config.build_soliton(), grid),
+               stride=config.error_stride(tg))
+    return traj, config.build_coefficients()
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_STREAM_BOTTOMS))
+def test_streamed_series_equals_the_stored_diagnostic(stored_growth_run, kind, s):
+    # run_growth feeds U1's norms from K's per-step hook; growth_diagnostic
+    # reads the same steps from a stored trajectory: the same bits
+    traj, coeffs = stored_growth_run
+    bottom = _STREAM_BOTTOMS[kind]
+    streamed = run_growth(ScenarioConfig(scenario="growth", epsilon=0.2, growth_kind="sinusoid",
+                                         error_interval=0.12, bathymetry=bottom,
+                                         sobolev_order=s)).diagnostic
+    stored = growth_diagnostic(traj, None, bathymetry_from_config(bottom), coeffs, s=s)
+    assert len(stored.times) == 43
+    assert np.array_equal(streamed.times, stored.times)
+    assert np.array_equal(streamed.u1_norms, stored.u1_norms)
+    assert list(streamed.term_norms) == list(stored.term_norms) == list(TERM_NAMES)
+    for name in TERM_NAMES:
+        assert np.array_equal(streamed.term_norms[name], stored.term_norms[name])
+    assert (streamed.slope, streamed.intercept, streamed.r_squared) == \
+        (stored.slope, stored.intercept, stored.r_squared)
 
 
 class TestTransportResidual:

@@ -3,15 +3,17 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from longwave import cli, kdv, scenarios
+from longwave import cli, kdv, reconstruct, scenarios
 from longwave.cli import main
-from longwave.errors import ConfigurationError
+from longwave.errors import ConfigurationError, DiagnosticError
 from longwave.findiff import StepOperator
 from longwave.grid import Field, Grid1D, SolitonSpec, TimeGrid, soliton_field
 from longwave.scenarios import (
@@ -21,6 +23,7 @@ from longwave.scenarios import (
     relative_linf_error,
     run_growth,
     run_scenario,
+    write_convergence_outputs,
     write_growth_outputs,
     write_outputs,
 )
@@ -497,6 +500,110 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == expected.encode()
 
 
+class _SmallGrid(Grid1D):
+    """A grid that refuses to allocate more than 1e6 nodes, so a test of a
+    guard against huge grids fails, rather than allocates, when the guard
+    does not hold."""
+
+    def __init__(self, num_points, dx):
+        assert num_points <= 10**6, f"a grid of {num_points} nodes was built"
+        super().__init__(num_points, dx)
+
+
+def _spy(monkeypatch, name):
+    """Record the stride of each call to the stepper run ``name`` that
+    ``scenarios`` calls, and run it."""
+    calls, original = [], getattr(scenarios, name)
+
+    def spy(problem, *args, stride=1, on_step=None):
+        calls.append((problem.time_grid.num_steps, stride))
+        return original(problem, *args, stride=stride, on_step=on_step)
+
+    monkeypatch.setattr(scenarios, name, spy)
+    return calls
+
+
+class TestStreaming:
+    """Each command's per-snapshot work runs in the per-step hook of its last
+    stepper run, which then stores only its first and last steps."""
+
+    def test_growth_runs_k_once_and_stores_two_rows(self, monkeypatch, tmp_path):
+        calls = _spy(monkeypatch, "run")
+        config = ScenarioConfig(scenario="growth", epsilon=0.2, growth_kind="step",
+                                final_time=6.0, output_dir=str(tmp_path))
+        report = run_growth(config)
+        num_steps = config.build_time_grid().num_steps
+        assert calls == [(num_steps, num_steps)]
+        assert len(report.diagnostic.times) == num_steps + 1  # stride 1
+        assert report.stored_bytes == 8 * 2 * config.build_grid().num_points
+        write_growth_outputs(report, config)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["stored_bytes"] == report.stored_bytes
+
+    def test_simulate_runs_b_once_and_stores_two_rows_of_it(self, monkeypatch, tmp_path):
+        k_calls, b_calls = _spy(monkeypatch, "run"), _spy(monkeypatch, "run_boussinesq")
+        config = ScenarioConfig(scenario="step", epsilon=0.2, final_time=2.0,
+                                error_interval=0.2, output_dir=str(tmp_path))
+        report = run_scenario(config)
+        num_steps, n = config.build_time_grid().num_steps, config.build_grid().num_points
+        assert k_calls == [(num_steps, 4)] and b_calls == [(num_steps, num_steps)]
+        # K and K_topo's read-outs at the 11 error steps, B at steps 0 and N
+        assert len(report.error_times) == 11
+        assert report.stored_bytes == 8 * n * (11 + 11 + 2 * 2)
+        write_outputs(report, config)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["stored_bytes"] == report.stored_bytes
+
+    @pytest.mark.parametrize("command", ["simulate", "growth"])
+    def test_hook_time_is_not_stepper_time(self, monkeypatch, command):
+        # one 0.5 s pause in the per-snapshot work counts as reconstruction
+        # (simulate) or diagnostic (growth), not as time of a stepper run
+        if command == "simulate":
+            target, config = scenarios, ScenarioConfig(scenario="validate", epsilon=0.2,
+                                                       final_time=1.0)
+            name, runner, key, steppers = ("topo_modified_surfaces", run_scenario,
+                                           "reconstruction", ("kdv_solve", "boussinesq_solve"))
+        else:
+            target, config = reconstruct._CorrectorSeries, ScenarioConfig(
+                scenario="growth", epsilon=0.2, growth_kind="sinusoid", final_time=1.0)
+            name, runner, key, steppers = "record", run_growth, "diagnostic", ("kdv_solve",)
+        original, paused = getattr(target, name), []
+
+        def pausing(*args, **kwargs):
+            if not paused:
+                paused.append(time.sleep(0.5))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, pausing)
+        runtimes = runner(config).runtimes
+        assert paused and runtimes[key] >= 0.5
+        for stepper in steppers:
+            assert runtimes[stepper] < 0.5
+
+    def test_growth_peak_memory(self):
+        # growth sinusoid 0.05: n = 2000 and 101 error steps, which as a stored
+        # trajectory alone would hold 1.6 MB; the parent peaked at 3.72 MB
+        config = ScenarioConfig(scenario="growth", epsilon=0.05, growth_kind="sinusoid")
+        tracemalloc.start()
+        try:
+            run_growth(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6
+
+    def test_convergence_times_each_level(self, tmp_path):
+        config = ScenarioConfig(scenario="convergence", epsilon=0.2, final_time=0.4,
+                                domain_length=20.0, dx=0.1, shift=-10.0,
+                                output_dir=str(tmp_path))
+        report = convergence_study(config)
+        write_convergence_outputs(report, config)
+        runtimes = json.loads((tmp_path / "convergence.json").read_text())["runtimes_seconds"]
+        assert set(runtimes) == {"kdv_solve", "boussinesq_solve"}
+        for seconds in runtimes.values():
+            assert len(seconds) == len(report.deltas) and min(seconds) > 0.0
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -640,19 +747,58 @@ class TestCli:
         assert "node-steps" in capsys.readouterr().err
 
     def test_simulate_storage_guard_sums_the_command(self, tmp_path, monkeypatch, capsys):
-        # 1600 nodes x 30001 stored steps: K holds 0.36 GB and B 0.72 GB, each
-        # under the 1 GB guard of one run, but K + 2 x B + K_topo's read-outs
-        # hold 1.43 GB and are refused before any run
+        # 1600 nodes x 50001 stored steps: K alone holds 0.64 GB, under the
+        # 1 GB guard of one run, but K plus K_topo's read-outs hold 1.28 GB
+        # and are refused before any run (B stores no trajectory)
         def no_run(*args, **kwargs):
             raise AssertionError("a stepper ran")
 
         monkeypatch.setattr(scenarios, "run", no_run)
         monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "final_time": 1500.0,
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "final_time": 2500.0,
                                     "error_interval": 0.05}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "1 GB guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [{"domain_length": 1e15}, {"domain_length": 1e9},
+                                        {"domain_length": 1e300, "dx": 1e-10}])
+    def test_unallocatable_grid_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                       window):
+        # 2e16 and 2e10 nodes x 100 steps, and a node count past the largest
+        # float: refused by the node-step guard before the grid's nodes are
+        # allocated, not by a MemoryError or an OverflowError
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "Grid1D", _SmallGrid)
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "validate", "epsilon": 0.2, **window}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: run would take") and "node-steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["growth", "--scenario", "sinusoid", "--epsilon", "12"], None),
+        (None, {"scenario": "growth", "epsilon": 0.2, "growth_kind": "sinusoid",
+                "error_interval": 3.0}),
+    ])
+    def test_growth_snapshot_checks_run_before_the_k_run(self, tmp_path, monkeypatch, capsys,
+                                                         argv, cfg):
+        # both leave 3 snapshots, known from the plan before K starts
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        if argv is not None:
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+            assert "growth diagnostic needs >= 4 snapshots, got 3" in capsys.readouterr().err
+        else:
+            with pytest.raises(DiagnosticError, match=">= 4 snapshots, got 3"):
+                run_growth(ScenarioConfig(**cfg))
 
     @pytest.mark.parametrize("command,cfg,flags", [
         ("simulate", {"overtime": True, "final_time": 1.0}, []),
@@ -846,6 +992,17 @@ class TestCli:
             argv = ["--config", str(path), *argv]
         assert main(["convergence", *argv]) == 2
         assert message in capsys.readouterr().err
+
+    def test_convergence_levels_refused_before_their_grids_exist(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # 40 levels would end at 2000 x 2^39 nodes: the study is refused from
+        # its level sizes, before any level's nodes are allocated
+        monkeypatch.setattr(scenarios, "Grid1D", _SmallGrid)
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps({"scenario": "convergence", "epsilon": 0.1,
+                                    "refinement_levels": 40}))
+        assert main(["convergence", "--config", str(path)]) == 2
+        assert "convergence study would take" in capsys.readouterr().err
 
     def test_convergence_guard_exits_2(self, tmp_path):
         cfg = {"scenario": "convergence", "epsilon": 0.1, "refinement_levels": 1}
