@@ -12,7 +12,10 @@ instability, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigurationError, LongwaveError, SolverError
 from .scenarios import (
@@ -84,6 +87,23 @@ def _build_config(path: str | None, defaults: dict, **flags) -> ScenarioConfig:
     return ScenarioConfig.from_dict({**defaults, **given})
 
 
+def _check_output_dir(config: ScenarioConfig) -> None:
+    """Raise, before any run, the OSError that making config.output_dir would
+    raise: something not a directory at it or above it, or a directory this
+    process may not write into.  Nothing is created."""
+    if not config.output_dir:
+        return
+    out = Path(config.output_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(out))
+
+
 def _cmd_simulate(args) -> int:
     if args.config:
         _refuse_beside_config(args, "scenario", "epsilon", "overtime")
@@ -93,6 +113,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError("--epsilon is required without --config")
     config = _build_config(args.config, {"scenario": args.scenario, "epsilon": args.epsilon,
                                          "overtime": args.overtime}, output_dir=args.out)
+    _check_output_dir(config)
     report = run_scenario(config)
     if config.output_dir:
         paths = write_outputs(report, config)
@@ -114,6 +135,7 @@ def _cmd_convergence(args) -> int:
     epsilon = 0.1 if args.epsilon is None else args.epsilon
     config = _build_config(args.config, {"scenario": "convergence", "epsilon": epsilon},
                            output_dir=args.out, refinement_levels=args.levels)
+    _check_output_dir(config)
     report = convergence_study(config)
     print(f"deltas: {['%g' % d for d in report.deltas]}")
     print(f"scalar-stepper errors: {['%.3e' % e for e in report.kdv_errors]}")
@@ -131,6 +153,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_growth(args) -> int:
     config = _build_config(None, {"scenario": "growth", "epsilon": args.epsilon,
                                   "growth_kind": args.scenario}, output_dir=args.out)
+    _check_output_dir(config)
     report = run_growth(config)
     write_growth_outputs(report, config)
     diag = report.diagnostic

@@ -27,24 +27,20 @@ change: a ``StepOperator`` holds the constant part once and the few band
 entries the per-step part touches; its docstring and ``solve``'s state the
 slot, refinement and refactor rules.
 
-``dgbmv``, ``dtbsv`` and ``idamax`` come from scipy's compiled BLAS module
-``_fblas`` and ``dgbtrf`` from its compiled LAPACK module ``_flapack``, both
-in scipy's ``linalg`` directory, each loaded from its file: going through
-the public ``blas`` and ``lapack`` wrappers would run
-``scipy/linalg/__init__.py``, which imports all of scipy's linalg package
-(85 modules, about 0.4 s and 24 MB resident) for four routines.  They are
-the same function objects that those wrappers export.  A scipy without these two modules fails at
-import; the names were checked on scipy 1.17.1 only, older versions are
-unverified.
+``dgbmv``, ``dtbsv``, ``idamax`` and ``dgbtrf`` are called through ctypes in
+``scipy.libs/libscipy_openblas-*.so``, the OpenBLAS that scipy's wheel ships
+and its compiled wrappers call, so results are theirs bit for bit; no scipy
+module is imported.  The names and 32-bit integers were checked on scipy
+1.17.1 only; no such library, or more than one, fails at import.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
+import glob
 import importlib.util
 import os
-import sys
 
 import numpy as np
 
@@ -52,39 +48,10 @@ from .errors import GridMismatchError, SolverError
 from .grid import Grid1D, _padded
 
 
-def _scipy_linalg_extension(name: str):
-    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
-    without running ``scipy/linalg/__init__.py`` (nor ``scipy/__init__.py``).
-
-    It is registered in ``sys.modules`` under its own name, so importing
-    scipy's linalg package later reuses the same module object, and an entry
-    already there is returned as it is.
-    """
-    qualified = "scipy.linalg." + name
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ImportError("scipy is not installed", name=qualified)
-    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, name + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(qualified, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[qualified] = module
-            return module
-    raise ImportError(f"no compiled module {name!r} in {directory}", name=qualified)
-
-
-_fblas = _scipy_linalg_extension("_fblas")
-dgbmv, dtbsv, idamax = _fblas.dgbmv, _fblas.dtbsv, _fblas.idamax
-dgbtrf = _scipy_linalg_extension("_flapack").dgbtrf
-
 __all__ = [
     "CyclicBandedOperator",
     "StepOperator",
+    "blas_info",
     "make_d1",
     "make_d2",
     "make_d3",
@@ -105,13 +72,66 @@ _ORDER_TRIES = 3
 # two halves of the fold decays into subnormals, which slow every solve.
 _TINY = np.finfo(float).tiny
 _FLUSH_CHUNK = 1 << 13
+_OPENBLAS_FILES = "libscipy_openblas-*.so"
+_C_TYPES = {bytes: ctypes.c_char, float: ctypes.c_double, int: ctypes.c_int}
 
 
-def _peak(v: np.ndarray) -> float:
-    """max |v_i| by one BLAS call.  idamax skips NaN, so this sizes only the
-    rhs, x and the corrections: a NaN in any of them reaches the residual,
-    whose ``_norm`` every acceptance checks."""
-    return abs(v[idamax(v)])
+def _load_openblas(directory: str) -> ctypes.CDLL:
+    """The one OpenBLAS library of scipy's wheel in ``directory``."""
+    paths = glob.glob(os.path.join(directory, _OPENBLAS_FILES))
+    if len(paths) != 1:
+        raise ImportError(f"{len(paths)} files match {_OPENBLAS_FILES} in {directory}, not one")
+    return ctypes.CDLL(paths[0])
+
+
+_scipy = importlib.util.find_spec("scipy")  # locates the package without importing it
+if _scipy is None:
+    raise ImportError("scipy is not installed; findiff calls the OpenBLAS its wheel ships")
+_openblas = _load_openblas(
+    os.path.join(os.path.dirname(_scipy.submodule_search_locations[0]), "scipy.libs"))
+# No argtypes: they would convert on every call the pointers _by_reference builds once.
+_dgbmv, _dtbsv, _idamax, _dgbtrf = (getattr(_openblas, f"scipy_{name}_")
+                                   for name in ("dgbmv", "dtbsv", "idamax", "dgbtrf"))
+_dgbmv.restype = _dtbsv.restype = _dgbtrf.restype = None
+_openblas.scipy_openblas_get_config.restype = ctypes.c_char_p
+
+
+def _by_reference(*values) -> tuple:
+    """Fortran arguments: an array's data (the pointer holds the array), or a
+    new C char, double or 32-bit int holding a scalar."""
+    refs = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            if value.dtype not in (np.float64, np.intc) or not value.flags.f_contiguous:
+                raise ValueError(f"BLAS needs Fortran-ordered float64 or C int, not {value.dtype}")
+            refs.append(value.ctypes.data_as(ctypes.c_void_p))
+        elif isinstance(value, int) and not -2**31 <= value < 2**31:
+            raise OverflowError(f"{value} does not fit a 32-bit BLAS integer")
+        else:
+            refs.append(ctypes.pointer(_C_TYPES[type(value)](value)))
+    return tuple(refs)
+
+
+def _peak(v: np.ndarray, amax_args: tuple) -> float:
+    """max |v_i| by one idamax call over its arguments (n, v, 1).  idamax skips
+    NaN, so this sizes only the rhs, x and the corrections: a NaN in any of
+    them reaches the residual, whose ``_norm`` every acceptance checks."""
+    return abs(v[_idamax(*amax_args) - 1])
+
+
+def dgbtrf(ab: np.ndarray, kl: int, ku: int):
+    """LAPACK's banded LU of ``ab`` (dgbtrf's storage, kl rows of fill above
+    the band), in place: returns ab, the 0-based pivots and info."""
+    piv, info = np.empty(ab.shape[1], dtype=np.intc), ctypes.c_int()
+    _dgbtrf(*_by_reference(piv.size, piv.size, kl, ku, ab, ab.shape[0], piv), ctypes.byref(info))
+    return ab, piv - 1, info.value
+
+
+def blas_info() -> dict:
+    """The OpenBLAS library the solver calls: file name, build configuration, threads."""
+    return {"library": os.path.basename(_openblas._name),
+            "config": _openblas.scipy_openblas_get_config().decode(),
+            "threads": _openblas.scipy_openblas_get_num_threads()}
 
 
 class CyclicBandedOperator:
@@ -246,6 +266,11 @@ class StepOperator:
         self._residual_buffer = np.zeros(self._rows)
         # folded rhs, iterate and correction of a solve, and the norms' scratch
         self._b, self._x, self._correction, self._scratch = (np.empty(self.n) for _ in range(4))
+        self._gbmv_args = _by_reference(b"N", self._rows, self.n, self._k, self._k, -1.0,
+                                        self._work, 2 * self._k + 1, self._x, 1, 1.0,
+                                        self._residual_buffer, 1)
+        self._b_amax, self._x_amax, self._d_amax = (
+            _by_reference(self.n, v, 1) for v in (self._b, self._x, self._correction))
         self._half = (self.n + 1) // 2
         self._set_order(np.arange(self.n))
         self._kept = False
@@ -293,6 +318,9 @@ class StepOperator:
         self._lu = buffer[:size].reshape((-1, n), order="F")
         self._upper = buffer[kl:kl + size].reshape((-1, n), order="F")
         self._lower = buffer[kl + ku:kl + ku + size].reshape((-1, n), order="F")
+        self._lower_solve, self._upper_solve = (  # dtbsv's, in place in _correction
+            _by_reference(uplo, b"N", b"U", n, w, band, 2 * kl + ku + 1, self._correction, 1)
+            for uplo, w, band in ((b"L", kl, self._lower), (b"U", ku, self._upper)))
         # The rows of P A that P moves, as flat indices of (P A)[i, c] in the
         # LU buffer (c (2 kl + ku) + kl + ku + i) and of A[order[i], c] in the
         # work band (c 2k + k + order[i]): every c with |order[i] - c| <= k
@@ -370,19 +398,20 @@ class StepOperator:
         self._work_flat[self._indices] = self._values
         b, x = self._b, self._x
         self._fold(rhs, b)
-        scale = max(_peak(b), 1e-300)
+        scale = max(_peak(b, self._b_amax), 1e-300)
         bound = _SOLVE_RTOL * scale
         if guess is not None:
             self._fold(guess, x)
-            residual = self._residual(x, b)
+            residual = self._residual()
         if self._kept and guess is not None and not self._stale:
             last = None
             for count in range(1, _KEPT_LU_CORRECTIONS + 2):
                 d = self._apply_lu(residual)
                 x += d
-                residual = self._residual(x, b)
-                size = _peak(d)
-                if (last is not None and size * size <= _REFINE_RTOL * _peak(x) * last
+                residual = self._residual()
+                size = _peak(d, self._d_amax)
+                if (last is not None
+                        and size * size <= _REFINE_RTOL * _peak(x, self._x_amax) * last
                         and self._norm(residual) <= bound):
                     # a step that needed more than two corrections: refactor next time
                     self._stale = count > _KEPT_LU_CORRECTIONS
@@ -393,10 +422,10 @@ class StepOperator:
         self._factor()
         if guess is not None and self._norm(residual) < scale:
             x += self._apply_lu(residual)
-            if self._norm(self._residual(x, b)) <= bound:
+            if self._norm(self._residual()) <= bound:
                 return self._unfold(x)
         x[:] = self._apply_lu(b)
-        residual = self._norm(self._residual(x, b))
+        residual = self._norm(self._residual())
         if not np.isfinite(residual) or residual > bound:
             raise SolverError(
                 f"solver residual {residual:.3e} exceeds {_SOLVE_RTOL:.1e} * ||rhs||_inf"
@@ -430,7 +459,7 @@ class StepOperator:
         for _ in range(_ORDER_TRIES):
             kl, ku, lu = self._kl, self._ku, self._lu
             self._load(lu)
-            lu, piv, info = dgbtrf(lu, kl, ku, overwrite_ab=True)
+            lu, piv, info = dgbtrf(lu, kl, ku)
             self.factorizations += 1
             moved = np.flatnonzero(piv != np.arange(self.n, dtype=piv.dtype))
             if info != 0 or moved.size == 0:
@@ -484,15 +513,16 @@ class StepOperator:
             np.take(r, self._order, out=d, mode="clip")
         else:
             np.copyto(d, r)
-        d = dtbsv(self._kl, self._lower, d, lower=1, diag=1, overwrite_x=1)
+        _dtbsv(*self._lower_solve)
         d *= self._inverse_pivots
-        return dtbsv(self._ku, self._upper, d, diag=1, overwrite_x=1)
+        _dtbsv(*self._upper_solve)
+        return d
 
-    def _residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """b - A x in folded order, against the current work band, in the
-        operator's residual buffer: valid until the next call."""
+    def _residual(self) -> np.ndarray:
+        """b - A x in folded order for the solve's b and x, against the current
+        work band, in the operator's residual buffer: valid until the next call."""
         y = self._residual_buffer
-        y[:self.n] = b
+        y[:self.n] = self._b
         y[self.n:] = 0.0
-        return dgbmv(self._rows, self.n, self._k, self._k, -1.0, self._work, x,
-                     beta=1.0, y=y, overwrite_y=1)[:self.n]
+        _dgbmv(*self._gbmv_args)
+        return y[:self.n]

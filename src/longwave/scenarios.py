@@ -41,6 +41,7 @@ from .boussinesq import (
     run_boussinesq,
 )
 from .errors import ConfigurationError
+from .findiff import blas_info
 from .grid import (
     BathymetryProfile,
     Field,
@@ -735,6 +736,7 @@ def _meta_payload(config: ScenarioConfig, coeffs: ModelCoefficients,
         "config": config.to_dict(),
         "coefficients": dataclasses.asdict(coeffs),
         "runtimes_seconds": runtimes,
+        "blas": blas_info(),
     }
     payload.update(extra)
     return payload

@@ -1,7 +1,7 @@
+import ctypes
+
 import numpy as np
 import pytest
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf
 
 from longwave import findiff
 from longwave.boussinesq import (
@@ -391,17 +391,22 @@ def test_kept_factors_hold_no_subnormals(monkeypatch):
     k = operator._k
     plain = np.zeros((3 * k + 1, operator.n), order="F")
     plain[k:] = operator._work
-    plain, _, info = dgbtrf(plain, k, k, overwrite_ab=True)
+    plain, _, info = findiff.dgbtrf(plain, k, k)
     assert info == 0 and subnormals(plain) > 0
     assert operator.factorizations > 0
 
     applied = []
+    solve = findiff._dtbsv
 
-    def spy(k, a, x, **kwargs):
-        applied.append(a[:k + 1].copy())  # the rows a band solve of half-width k reads
-        return dtbsv(k, a, x, **kwargs)
+    def spy(*args):
+        # dtbsv's (uplo, trans, diag, n, k, a, lda, x, incx): its band a holds
+        # lda rows per column, of which a solve of half-width k reads k + 1
+        n, k, lda = (args[i].contents.value for i in (3, 4, 6))
+        data = ctypes.cast(args[5], ctypes.POINTER(ctypes.c_double))
+        applied.append(np.ctypeslib.as_array(data, shape=(n, lda))[:, :k + 1].copy())
+        solve(*args)
 
-    monkeypatch.setattr(findiff, "dtbsv", spy)
+    monkeypatch.setattr(findiff, "_dtbsv", spy)
     operator._apply_lu(np.ones(operator.n))
     assert len(applied) == 2
     assert all(subnormals(factor) == 0 for factor in applied)

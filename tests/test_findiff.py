@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import os
 import subprocess
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg import blas, lapack
 
 from longwave import findiff
 from longwave.errors import GridMismatchError, SolverError
@@ -282,10 +281,13 @@ class TestSolve:
         # a repeat call; this matrix pivots, so the first solve factors twice
         # (once to find the row order, once in it)
         in_place = []
+        factor = findiff.dgbtrf
 
-        def spy(ab, *args, **kwargs):
-            lu, piv, info = dgbtrf(ab, *args, **kwargs)
-            in_place.append(np.shares_memory(lu, ab))
+        def spy(ab, kl, ku):
+            copied, _, _ = lapack.dgbtrf(ab, kl, ku)  # factors a copy, leaves ab as it is
+            lu, piv, info = factor(ab, kl, ku)
+            # the factors overwrite the operator's own LU buffer
+            in_place.append(lu is ab is operator._lu and lu.tobytes() == copied.tobytes())
             return lu, piv, info
 
         monkeypatch.setattr(findiff, "dgbtrf", spy)
@@ -637,34 +639,92 @@ def _fresh_interpreter(code):
     return proc.stdout
 
 
-_SAME_ROUTINES = """
-import scipy.linalg.blas, scipy.linalg.lapack
-assert findiff.dgbmv is scipy.linalg.blas.dgbmv
-assert findiff.dtbsv is scipy.linalg.blas.dtbsv
-assert findiff.idamax is scipy.linalg.blas.idamax
-assert findiff.dgbtrf is scipy.linalg.lapack.dgbtrf
-"""
+def _filled(operator, seed):
+    """``operator`` with its work band, LU buffer and solve vectors drawn from
+    ``seed``: uniform entries of size at most 1/4, so the unit solves stay finite."""
+    rng = np.random.default_rng(seed)
+    for array in (operator._work, operator._lu.base, operator._b, operator._x):
+        array[...] = 0.25 * rng.uniform(-1.0, 1.0, array.shape)
+    return rng
 
 
-class TestScipyLoading:
-    """findiff loads scipy's two compiled modules, not all of scipy.linalg."""
+class TestOpenBlasBinding:
+    """findiff calls scipy's OpenBLAS through ctypes: each routine gives, bit for
+    bit, what scipy's compiled wrapper of it gives."""
 
-    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), blocks=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, blocks=2, seed=0)  # 2k + 1 = 11 rows over 6 columns
+    def test_dgbmv_residual(self, n, blocks, seed):
+        operator = StepOperator(blocks * n, blocks)
+        _filled(operator, seed)
+        rows, k = operator._rows, operator._k
+        y = np.zeros(rows)
+        y[:operator.n] = operator._b
+        expected = blas.dgbmv(rows, operator.n, k, k, -1.0, operator._work, operator._x,
+                              beta=1.0, y=y)
+        assert operator._residual().tobytes() == expected[:operator.n].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), blocks=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1),
+           reorder=st.booleans())
+    def test_dtbsv_unit_solves(self, n, blocks, seed, reorder):
+        operator = StepOperator(blocks * n, blocks)
+        if reorder:  # a new row order reallocates the LU buffer the solves read
+            operator._set_order(np.random.default_rng(seed).permutation(operator.n))
+        rng = _filled(operator, seed)
+        for args, k, band, lower in ((operator._lower_solve, operator._kl, operator._lower, 1),
+                                     (operator._upper_solve, operator._ku, operator._upper, 0)):
+            x = rng.standard_normal(operator.n)
+            operator._correction[:] = x
+            findiff._dtbsv(*args)
+            expected = blas.dtbsv(k, band, x, lower=lower, diag=1)
+            assert operator._correction.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                           max_size=30))
+    @example(values=[math.nan, 1.0, -2.0])
+    @example(values=[math.nan, math.nan])
+    def test_idamax_skips_nan_as_scipy_does(self, values):
+        operator = StepOperator(len(values))
+        for v, args in ((operator._b, operator._b_amax), (operator._x, operator._x_amax),
+                        (operator._correction, operator._d_amax)):
+            v[:] = values
+            assert findiff._idamax(*args) - 1 == blas.idamax(v)
+            assert np.array_equal(findiff._peak(v, args), abs(v[blas.idamax(v)]), equal_nan=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), kl=st.integers(0, 6), ku=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1), zero_column=st.none() | st.integers(0, 39))
+    @example(n=5, kl=2, ku=1, seed=0, zero_column=2)
+    def test_dgbtrf(self, n, kl, ku, seed, zero_column):
+        kl, ku = min(kl, n - 1), min(ku, n - 1)
+        rng = np.random.default_rng(seed)
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+        if zero_column is not None:
+            ab[:, zero_column % n] = 0.0  # singular: a zero pivot, info > 0
+        lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+        mine = ab.copy(order="F")
+        got = findiff.dgbtrf(mine, kl, ku)
+        assert got[0] is mine and got[0].tobytes() == lu.tobytes()
+        assert np.array_equal(got[1], piv) and got[2] == info
+        assert (info > 0) == (zero_column is not None)
+
+    def test_cli_import_loads_no_scipy_module(self):
         out = _fresh_interpreter(
             "import sys, longwave.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            "maps = open('/proc/self/maps').read()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+            "      '_fblas' in maps, '_flapack' in maps, 'libscipy_openblas' in maps)"
         )
-        assert out.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+        assert out.strip() == "[] False False True"
 
-    def test_same_routines_when_longwave_is_imported_first(self):
-        _fresh_interpreter("from longwave import findiff\n" + _SAME_ROUTINES)
-
-    def test_same_routines_when_scipy_linalg_is_imported_first(self):
-        _fresh_interpreter("import scipy.linalg\nfrom longwave import findiff\n"
-                           + _SAME_ROUTINES)
-
-    def test_missing_module_names_the_directory(self):
-        with pytest.raises(ImportError) as excinfo:
-            findiff._scipy_linalg_extension("_no_such_module")
-        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        assert os.path.join(scipy_dir, "linalg") in str(excinfo.value)
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_no_single_library_names_the_directory(self, tmp_path, copies):
+        for i in range(copies):
+            (tmp_path / f"libscipy_openblas-{i}.so").write_bytes(b"")
+        with pytest.raises(ImportError, match=f"{copies} files match") as excinfo:
+            findiff._load_openblas(str(tmp_path))
+        assert str(tmp_path) in str(excinfo.value)

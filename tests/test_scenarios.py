@@ -57,6 +57,16 @@ def _readme_default_rows() -> list[tuple]:
 README_ROWS = _readme_default_rows()
 
 
+def _assert_blas_entry(payload):
+    """The ``blas`` entry of a meta.json or convergence.json: the OpenBLAS
+    library the solver calls, its build string and its thread count."""
+    blas = payload["blas"]
+    assert set(blas) == {"library", "config", "threads"}
+    assert blas["library"].startswith("libscipy_openblas-") and blas["library"].endswith(".so")
+    assert blas["config"].startswith("OpenBLAS ")
+    assert isinstance(blas["threads"], int) and blas["threads"] >= 1
+
+
 @pytest.fixture(scope="module")
 def step_report():
     """Default step comparison at eps = 0.2 (module-shared: ~2 s)."""
@@ -377,6 +387,7 @@ class TestWriteOutputs:
         assert meta["coefficients"]["a1"] == pytest.approx(1 / 12, abs=1e-12)
         assert meta["config"]["scenario"] == "validate"
         assert "scheme_version" in meta
+        _assert_blas_entry(meta)
 
     def test_empty_snapshot_list(self, tmp_path):
         config = ScenarioConfig(
@@ -407,6 +418,7 @@ class TestWriteOutputs:
         assert {p.name for p in paths} == {"growth.csv", "meta.json"}
         meta = json.loads((tmp_path / "g" / "meta.json").read_text())
         assert "fit" in meta and "slope" in meta["fit"]
+        _assert_blas_entry(meta)
         with open(tmp_path / "g" / "growth.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["t", "u1_norm", "quadratic_difference", "dispersive_difference",
@@ -598,7 +610,9 @@ class TestStreaming:
                                 output_dir=str(tmp_path))
         report = convergence_study(config)
         write_convergence_outputs(report, config)
-        runtimes = json.loads((tmp_path / "convergence.json").read_text())["runtimes_seconds"]
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        _assert_blas_entry(payload)
+        runtimes = payload["runtimes_seconds"]
         assert set(runtimes) == {"kdv_solve", "boussinesq_solve"}
         for seconds in runtimes.values():
             assert len(seconds) == len(report.deltas) and min(seconds) > 0.0
@@ -1003,6 +1017,28 @@ class TestCli:
                                     "refinement_levels": 40}))
         assert main(["convergence", "--config", str(path)]) == 2
         assert "convergence study would take" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "step", "--epsilon", "0.1", "--overtime"],
+        ["growth", "--scenario", "step", "--epsilon", "0.2"],
+        ["convergence", "--epsilon", "0.1"],
+    ])
+    def test_unusable_out_exits_4_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                 argv, below):
+        # --out names a file, or a path below one: the command exits 4 with
+        # the error that making the directory raises, and runs no stepper
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x" if below else tmp_path / "file"
+        with pytest.raises(OSError) as made:
+            out.mkdir(parents=True, exist_ok=True)
+        assert main([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"I/O error: {made.value}\n"
 
     def test_convergence_guard_exits_2(self, tmp_path):
         cfg = {"scenario": "convergence", "epsilon": 0.1, "refinement_levels": 1}
