@@ -205,8 +205,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if self.alpha <= 0.0:
             raise ConfigurationError(f"soliton amplitude must be positive, got {self.alpha}")
-        if self.refinement_levels < 1:
-            raise ConfigurationError(f"refinement_levels {self.refinement_levels} < 1; a "
+        if self.refinement_levels < 3:
+            raise ConfigurationError(f"refinement_levels {self.refinement_levels} < 3; a "
                                      "convergence study needs at least 3 refinement levels")
         if self.overtime and self.final_time not in (None, self.epsilon ** -1.5):
             raise ConfigurationError(f"overtime sets final_time to epsilon^-1.5, not to the "
@@ -431,7 +431,6 @@ class ComparisonReport:
     h1eps_drift: np.ndarray
     snapshots: list[SnapshotRecord]
     runtimes: dict[str, float]
-    coefficients: ModelCoefficients
     validation_error: float | None
     wrap_contamination: float
     stored_bytes: int  # the trajectories and read-outs the run held
@@ -490,34 +489,42 @@ def _check_crest_path(config: ScenarioConfig, grid: Grid1D, time_grid: TimeGrid)
             f"[0, {grid.length:g})")
 
 
-class _Timed:
-    """A per-step hook that sums the seconds spent in it."""
+def _timed_run(runner, problem, *fields, stride: int, hook=None):
+    """``runner(problem, *fields)`` storing every ``stride``-th step, with
+    ``hook`` as its per-step hook; returns the trajectory, the stepper's
+    seconds without the hook's, and the hook's seconds."""
+    hook_seconds = 0.0
 
-    def __init__(self, hook):
-        self.hook, self.seconds = hook, 0.0
-
-    def __call__(self, m: int, z: np.ndarray) -> None:
+    def timed(m: int, z: np.ndarray) -> None:
+        nonlocal hook_seconds
         t0 = _time.perf_counter()
-        self.hook(m, z)
-        self.seconds += _time.perf_counter() - t0
+        hook(m, z)
+        hook_seconds += _time.perf_counter() - t0
+
+    t0 = _time.perf_counter()
+    traj = runner(problem, *fields, stride=stride, on_step=timed if hook else None)
+    return traj, _time.perf_counter() - t0 - hook_seconds, hook_seconds
+
+
+def _setup(config: ScenarioConfig, runner: str) -> tuple:
+    """Refuse a config another runner handles, then build the run's grid,
+    time grid, bottom, soliton, initial wave u0 and error stride."""
+    _check_runner(config, runner)
+    grid, time_grid = config.build_grid(), config.build_time_grid()
+    spec = config.build_soliton()
+    return (grid, time_grid, config.build_bathymetry(), spec, soliton_field(spec, grid),
+            config.error_stride(time_grid))
 
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """Run the three models of a comparison scenario and collect all metrics.
     K is stored at the error steps with K_topo's read-outs; B's per-step hook
     takes every metric and snapshot there, so B's (v, eta) are never stored."""
-    _check_runner(config, "run_scenario")
-    grid = config.build_grid()
-    time_grid = config.build_time_grid()
+    grid, time_grid, bottom, spec, u0, stride = _setup(config, "run_scenario")
     coeffs = config.build_coefficients()
-    bottom = config.build_bathymetry()
-    spec = config.build_soliton()
-    u0 = soliton_field(spec, grid)
     half = Field(u0.values / 2.0, grid)
     num_steps = time_grid.num_steps
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
-
-    stride = config.error_stride(time_grid)
     # K and K_topo's read-outs, n floats each per error step
     _check_storage("simulate storage at the error steps",
                    8 * 2 * grid.num_points * _stored_rows(num_steps, stride))
@@ -526,11 +533,9 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     # as K runs and read out at the error steps, the only steps K stores
     keep = set(_stored_steps(num_steps, stride).tolist())
     topo_sum = _RunningSum(bottom, grid, num_steps, keep)
-    feed = _Timed(topo_sum.record)
-    t0 = _time.perf_counter()
-    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=stride, on_step=feed)
+    u_traj, kdv_seconds, feed_seconds = _timed_run(
+        run, config.build_kdv_problem(grid, time_grid), u0, stride=stride, hook=topo_sum.record)
     topo_sum.attach(u_traj)
-    kdv_seconds = _time.perf_counter() - t0 - feed.seconds
 
     snapshot_steps = set(config.snapshot_steps(time_grid))
 
@@ -575,11 +580,9 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
                 t, grid.nodes.copy(), eta_b.values, np.array(eta_k_vals),
                 np.array(eta_kt_vals), v_b.values, -1.0 + bottom.sample(grid)))
 
-    hook = _Timed(metrics)
-    t0 = _time.perf_counter()
-    b_traj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
-                            stride=num_steps, on_step=hook)
-    boussinesq_seconds = _time.perf_counter() - t0 - hook.seconds
+    b_traj, boussinesq_seconds, metric_seconds = _timed_run(
+        run_boussinesq, config.build_boussinesq_problem(grid, time_grid), half, half,
+        stride=num_steps, hook=metrics)
 
     validation_error = None
     if bottom.is_flat():
@@ -603,9 +606,8 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         runtimes={
             "kdv_solve": kdv_seconds,
             "boussinesq_solve": boussinesq_seconds,
-            "reconstruction": feed.seconds + hook.seconds,
+            "reconstruction": feed_seconds + metric_seconds,
         },
-        coefficients=coeffs,
         validation_error=validation_error,
         wrap_contamination=max(seam_peaks),
         stored_bytes=(u_traj.data.nbytes + b_traj.v_data.nbytes + b_traj.eta_data.nbytes
@@ -616,14 +618,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
 def run_growth(config: ScenarioConfig) -> GrowthReport:
     """Right-going run plus corrector-norm series for a growth scenario.  The
     K run's per-step hook feeds the series, so K stores only steps 0 and N."""
-    _check_runner(config, "run_growth")
-    grid = config.build_grid()
-    time_grid = config.build_time_grid()
-    bottom = config.build_bathymetry()
-    spec = config.build_soliton()
-    u0 = soliton_field(spec, grid)
-
-    stride = config.error_stride(time_grid)
+    grid, time_grid, bottom, spec, u0, stride = _setup(config, "run_growth")
     _check_crest_path(config, grid, time_grid)
     crossing = fit_window = None
     if config.growth_kind == "step":
@@ -634,18 +629,17 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
     series = _CorrectorSeries(bottom, grid, config.sobolev_order,
                               _stored_steps(time_grid.num_steps, stride), fit_window)
 
-    hook = _Timed(series.record)
-    t0 = _time.perf_counter()
-    u_traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps,
-                 on_step=hook)
+    u_traj, kdv_seconds, hook_seconds = _timed_run(
+        run, config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps,
+        hook=series.record)
     t1 = _time.perf_counter()
     diag = series.diagnostic()
     return GrowthReport(
         config=config,
         diagnostic=diag,
         crossing_time=crossing,
-        runtimes={"kdv_solve": t1 - t0 - hook.seconds,
-                  "diagnostic": hook.seconds + _time.perf_counter() - t1},
+        runtimes={"kdv_solve": kdv_seconds,
+                  "diagnostic": hook_seconds + _time.perf_counter() - t1},
         stored_bytes=u_traj.data.nbytes,
     )
 
@@ -659,8 +653,6 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     more node-steps, over both steppers, than one run may take is refused
     before any level's grid is built."""
     _check_runner(config, "convergence_study")
-    if config.refinement_levels < 3:
-        raise ConfigurationError("convergence study needs at least 3 refinement levels")
     deltas = [config.dx / 2**k for k in range(config.refinement_levels)]
     # (nodes, steps) of each level, checked before any level's grid exists
     sizes = [(round(config.domain_length / config.dx) * 2**k,
@@ -675,17 +667,17 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     spec = config.build_soliton()
     for grid, time_grid in levels:
         u0 = soliton_field(spec, grid)
-        t0 = _time.perf_counter()
-        traj = run(config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps)
-        runtimes["kdv_solve"].append(_time.perf_counter() - t0)
+        traj, seconds, _ = _timed_run(run, config.build_kdv_problem(grid, time_grid), u0,
+                                      stride=time_grid.num_steps)
+        runtimes["kdv_solve"].append(seconds)
         exact = soliton_field(spec, grid, time_grid.final_time)
         kdv_errors.append(relative_linf_error(traj.at_step(time_grid.num_steps), exact.values))
 
         half = Field(u0.values / 2.0, grid)
-        t0 = _time.perf_counter()
-        btraj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
-                               stride=time_grid.num_steps)
-        runtimes["boussinesq_solve"].append(_time.perf_counter() - t0)
+        btraj, seconds, _ = _timed_run(run_boussinesq,
+                                       config.build_boussinesq_problem(grid, time_grid), half,
+                                       half, stride=time_grid.num_steps)
+        runtimes["boussinesq_solve"].append(seconds)
         _, eta = btraj.at_step(time_grid.num_steps)
         eta_fields.append(eta)
 
@@ -729,39 +721,28 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
-def _meta_payload(config: ScenarioConfig, coeffs: ModelCoefficients,
-                  runtimes: dict, extra: dict) -> dict:
-    payload = {
-        "scheme_version": SCHEME_VERSION,
-        "config": config.to_dict(),
-        "coefficients": dataclasses.asdict(coeffs),
-        "runtimes_seconds": runtimes,
-        "blas": blas_info(),
-    }
-    payload.update(extra)
-    return payload
-
-
-def _write_files(config: ScenarioConfig, tables: dict[str, tuple[list[str], list]],
-                 json_name: str, payload: dict) -> list[Path]:
-    """Write CSV tables {file name: (header, columns)} then one JSON file into
-    config.output_dir (created if missing); returns the paths in that order."""
+def _write_files(report, tables: dict[str, tuple[list[str], list]], json_name: str,
+                 extra: dict) -> list[Path]:
+    """Write CSV tables {file name: (header, columns)}, then the run's config,
+    coefficients, runtimes, BLAS and ``extra`` as one JSON file, into
+    report.config.output_dir (created if missing); returns the paths in order."""
+    config = report.config
     if config.output_dir is None:
         raise ConfigurationError("config.output_dir is required to write outputs")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, (header, columns) in tables.items():
         _write_csv(out / name, header, columns)
-        written.append(out / name)
     with open(out / json_name, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"scheme_version": SCHEME_VERSION, "config": config.to_dict(),
+                   "coefficients": dataclasses.asdict(config.build_coefficients()),
+                   "runtimes_seconds": report.runtimes, "blas": blas_info(), **extra},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(out / json_name)
-    return written
+    return [out / name for name in (*tables, json_name)]
 
 
-def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path]:
+def write_outputs(report: ComparisonReport) -> list[Path]:
     """Write snapshot CSVs, the error time series, and meta.json."""
     tables = {
         _snapshot_name(snap.time): (
@@ -779,21 +760,20 @@ def write_outputs(report: ComparisonReport, config: ScenarioConfig) -> list[Path
          report.refl_boussinesq, report.refl_kdv, report.refl_topo,
          report.l2_drift, report.h1eps_drift],
     )
-    meta = _meta_payload(config, report.coefficients, report.runtimes, {
+    return _write_files(report, tables, "meta.json", {
         "realized_final_time": report.realized_final_time,
         "validation_error": report.validation_error,
         "wrap_contamination": report.wrap_contamination,
         "stored_bytes": report.stored_bytes,
     })
-    return _write_files(config, tables, "meta.json", meta)
 
 
-def write_growth_outputs(report: GrowthReport, config: ScenarioConfig) -> list[Path]:
+def write_growth_outputs(report: GrowthReport) -> list[Path]:
     """Write the corrector norm series (growth.csv) and meta.json."""
     diag = report.diagnostic
     header = ["t", "u1_norm"] + list(diag.term_norms)
     cols = [diag.times, diag.u1_norms] + [diag.term_norms[k] for k in diag.term_norms]
-    meta = _meta_payload(config, config.build_coefficients(), report.runtimes, {
+    return _write_files(report, {"growth.csv": (header, cols)}, "meta.json", {
         "sobolev_order": diag.sobolev_order,
         "fit": {
             "slope": diag.slope,
@@ -804,12 +784,11 @@ def write_growth_outputs(report: GrowthReport, config: ScenarioConfig) -> list[P
         "crossing_time": report.crossing_time,
         "stored_bytes": report.stored_bytes,
     })
-    return _write_files(config, {"growth.csv": (header, cols)}, "meta.json", meta)
 
 
-def write_convergence_outputs(report: ConvergenceReport,
-                              config: ScenarioConfig) -> list[Path]:
-    payload = _meta_payload(config, config.build_coefficients(), report.runtimes, {
+def write_convergence_outputs(report: ConvergenceReport) -> list[Path]:
+    """Write convergence.json: the orders and errors of every level."""
+    return _write_files(report, {}, "convergence.json", {
         "deltas": report.deltas,
         "kdv_errors": report.kdv_errors,
         "kdv_orders": report.kdv_orders,
@@ -817,4 +796,3 @@ def write_convergence_outputs(report: ConvergenceReport,
         "boussinesq_orders": report.boussinesq_orders,
         "monotone": report.monotone,
     })
-    return _write_files(config, {}, "convergence.json", payload)

@@ -56,6 +56,38 @@ def _readme_default_rows() -> list[tuple]:
 
 README_ROWS = _readme_default_rows()
 
+_SMALL_VALIDATE = {"scenario": "validate", "epsilon": 0.2, "final_time": 1.0,
+                   "snapshot_times": [1.0]}
+_SIMULATE_STDOUT = """\
+scenario=validate epsilon=0.2 T=1
+  final err(K vs B)      = 5.081760e-03
+  final err(K_topo vs B) = 5.081760e-03
+  err vs analytic wave   = 2.031842e-04
+  L2 drift max           = 2.346e-10
+  H1_eps drift max       = 1.787e-15
+"""
+# each command's stdout on a cheap config, as the commands printed it when
+# each had its own body in cli.py (commit d079877); OUT is the output directory
+PINNED_STDOUT = {
+    "simulate": (["simulate", "--config", "CFG", "--out", "OUT"], _SMALL_VALIDATE,
+                 "wrote 3 files to OUT\n" + _SIMULATE_STDOUT),
+    "simulate-without-out": (["simulate", "--config", "CFG"], _SMALL_VALIDATE,
+                             _SIMULATE_STDOUT),
+    "growth": (["growth", "--scenario", "sinusoid", "--epsilon", "0.2", "--out", "OUT"], None,
+               "growth[sinusoid] epsilon=0.2: slope=2.7380 intercept=2.1337 R^2=0.9575\n"
+               "max corrector norm: 14.8318\n"
+               "wrote growth.csv to OUT\n"),
+    "convergence": (["convergence", "--config", "CFG", "--out", "OUT"],
+                    {"scenario": "convergence", "epsilon": 0.2, "final_time": 0.4,
+                     "domain_length": 20.0, "dx": 0.1, "shift": -10.0},
+                    "deltas: ['0.1', '0.05', '0.025']\n"
+                    "scalar-stepper errors: ['4.243e-04', '4.135e-04', '4.104e-04']\n"
+                    "scalar-stepper orders: ['0.04', '0.01']\n"
+                    "coupled-stepper diffs: ['6.014e-05', '1.509e-05']\n"
+                    "coupled-stepper orders: ['1.99']\n"
+                    "wrote convergence.json to OUT\n"),
+}
+
 
 def _assert_blas_entry(payload):
     """The ``blas`` entry of a meta.json or convergence.json: the OpenBLAS
@@ -362,7 +394,7 @@ class TestWriteOutputs:
             snapshot_times=[0.5, 1.0], output_dir=str(tmp_path / "out"),
         )
         report = run_scenario(config)
-        paths = write_outputs(report, config)
+        paths = write_outputs(report)
         names = {p.name for p in paths}
         assert names == {"snapshot_t0.5.csv", "snapshot_t1.csv", "errors.csv",
                          "meta.json"}
@@ -395,7 +427,7 @@ class TestWriteOutputs:
             snapshot_times=[], output_dir=str(tmp_path / "out"),
         )
         report = run_scenario(config)
-        paths = write_outputs(report, config)
+        paths = write_outputs(report)
         assert {p.name for p in paths} == {"errors.csv", "meta.json"}
 
     def test_deterministic_outputs(self, tmp_path):
@@ -406,7 +438,7 @@ class TestWriteOutputs:
                 snapshot_times=[2.0], output_dir=str(tmp_path / sub),
             )
             report = run_scenario(config)
-            write_outputs(report, config)
+            write_outputs(report)
             blobs.append((tmp_path / sub / "snapshot_t2.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -414,7 +446,7 @@ class TestWriteOutputs:
         config = ScenarioConfig(scenario="growth", epsilon=0.2, growth_kind="step",
                                 final_time=6.0, output_dir=str(tmp_path / "g"))
         report = run_growth(config)
-        paths = write_growth_outputs(report, config)
+        paths = write_growth_outputs(report)
         assert {p.name for p in paths} == {"growth.csv", "meta.json"}
         meta = json.loads((tmp_path / "g" / "meta.json").read_text())
         assert "fit" in meta and "slope" in meta["fit"]
@@ -435,15 +467,13 @@ class TestWriteOutputs:
         config = ScenarioConfig(scenario="validate", epsilon=0.2, final_time=1.0)
         report = run_scenario(config)
         with pytest.raises(ConfigurationError):
-            write_outputs(report, config)
+            write_outputs(report)
 
 
 class TestConvergenceStudy:
     def test_too_few_levels_rejected(self):
-        config = ScenarioConfig(scenario="convergence", epsilon=0.1,
-                                refinement_levels=2)
-        with pytest.raises(ConfigurationError):
-            convergence_study(config)
+        with pytest.raises(ConfigurationError, match="at least 3 refinement levels"):
+            ScenarioConfig(scenario="convergence", epsilon=0.1, refinement_levels=2)
 
     def test_small_study_orders_near_two(self):
         # coarse, fast variant of the full study: shorter time, smaller domain
@@ -548,7 +578,7 @@ class TestStreaming:
         assert calls == [(num_steps, num_steps)]
         assert len(report.diagnostic.times) == num_steps + 1  # stride 1
         assert report.stored_bytes == 8 * 2 * config.build_grid().num_points
-        write_growth_outputs(report, config)
+        write_growth_outputs(report)
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["stored_bytes"] == report.stored_bytes
 
@@ -562,7 +592,7 @@ class TestStreaming:
         # K and K_topo's read-outs at the 11 error steps, B at steps 0 and N
         assert len(report.error_times) == 11
         assert report.stored_bytes == 8 * n * (11 + 11 + 2 * 2)
-        write_outputs(report, config)
+        write_outputs(report)
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["stored_bytes"] == report.stored_bytes
 
@@ -609,7 +639,7 @@ class TestStreaming:
                                 domain_length=20.0, dx=0.1, shift=-10.0,
                                 output_dir=str(tmp_path))
         report = convergence_study(config)
-        write_convergence_outputs(report, config)
+        write_convergence_outputs(report)
         payload = json.loads((tmp_path / "convergence.json").read_text())
         _assert_blas_entry(payload)
         runtimes = payload["runtimes_seconds"]
@@ -820,6 +850,8 @@ class TestCli:
         ("simulate", {}, ["--epsilon", "0"]),
         ("simulate", {}, ["--overtime"]),
         ("convergence", {}, ["--epsilon", "0.1"]),
+        ("growth", {}, ["--scenario", "sinusoid"]),
+        ("growth", {}, ["--epsilon", "0.1"]),
     ])
     def test_ignored_setting_exits_2_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                     command, cfg, flags):
@@ -830,9 +862,11 @@ class TestCli:
 
         monkeypatch.setattr(scenarios, "run", no_run)
         monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
-        scenario = "convergence" if command == "convergence" else "validate"
+        scenario = {"simulate": {"scenario": "validate"},
+                    "convergence": {"scenario": "convergence"},
+                    "growth": {"scenario": "growth", "growth_kind": "step"}}[command]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2, **cfg}))
+        path.write_text(json.dumps({**scenario, "epsilon": 0.2, **cfg}))
         assert main([command, "--config", str(path), *flags]) == 2
         err = capsys.readouterr().err
         if flags:
@@ -941,7 +975,9 @@ class TestCli:
         (["convergence", "--config", "CFG", "--out", "o", "--levels", "4"], "convergence"),
         (["convergence", "--epsilon", "0.2", "--out", "o", "--levels", "4"], None),
         (["growth", "--scenario", "step", "--epsilon", "0.2", "--out", "o"], None),
-    ], ids=["simulate-config", "simulate", "convergence-config", "convergence", "growth"])
+        (["growth", "--config", "CFG", "--out", "o"], "growth"),
+    ], ids=["simulate-config", "simulate", "convergence-config", "convergence", "growth",
+            "growth-config"])
     def test_flags_are_validated_with_the_config(self, tmp_path, monkeypatch, capsys,
                                                  argv, scenario):
         # each command builds one config, with its flags in it before validation
@@ -960,7 +996,8 @@ class TestCli:
         for name in ("run_scenario", "convergence_study", "run_growth"):
             monkeypatch.setattr(cli, name, runner)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2}))
+        kind = {"growth_kind": "step"} if scenario == "growth" else {}
+        path.write_text(json.dumps({"scenario": scenario, "epsilon": 0.2, **kind}))
         assert main([str(path) if arg == "CFG" else arg for arg in argv]) == 2
         assert "stop before the run" in capsys.readouterr().err
         assert validated == ran and ran[0]["output_dir"] == "o"
@@ -1023,6 +1060,7 @@ class TestCli:
         ["simulate", "--scenario", "step", "--epsilon", "0.1", "--overtime"],
         ["growth", "--scenario", "step", "--epsilon", "0.2"],
         ["convergence", "--epsilon", "0.1"],
+        ["growth", "--config"],
     ])
     def test_unusable_out_exits_4_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                  argv, below):
@@ -1037,7 +1075,14 @@ class TestCli:
         out = tmp_path / "file" / "x" if below else tmp_path / "file"
         with pytest.raises(OSError) as made:
             out.mkdir(parents=True, exist_ok=True)
-        assert main([*argv, "--out", str(out)]) == 4
+        if argv[-1] == "--config":  # output_dir given in the file, not by --out
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": "growth", "epsilon": 0.2,
+                                        "growth_kind": "step", "output_dir": str(out)}))
+            argv = [*argv, str(path)]
+        else:
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 4
         assert capsys.readouterr().err == f"I/O error: {made.value}\n"
 
     def test_convergence_guard_exits_2(self, tmp_path):
@@ -1046,3 +1091,48 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         proc = self._run("convergence", "--config", str(path))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("name", list(PINNED_STDOUT))
+    def test_stdout_is_pinned(self, tmp_path, capsys, name):
+        argv, cfg, expected = PINNED_STDOUT[name]
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        if cfg is not None:
+            path.write_text(json.dumps(cfg))
+        assert main([str(path) if arg == "CFG" else str(out) if arg == "OUT" else arg
+                     for arg in argv]) == 0
+        assert capsys.readouterr().out.replace(str(out), "OUT") == expected
+
+    def test_growth_config_sets_sobolev_order(self, tmp_path):
+        # sobolev_order is read by the growth run only; through --config the
+        # command writes the library's growth.csv byte for byte
+        fields = {"scenario": "growth", "epsilon": 0.2, "growth_kind": "sinusoid",
+                  "final_time": 2.0, "sobolev_order": 3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**fields, "output_dir": str(tmp_path / "cli")}))
+        assert main(["growth", "--config", str(path)]) == 0
+        report = run_growth(ScenarioConfig(**fields, output_dir=str(tmp_path / "lib")))
+        assert report.diagnostic.sobolev_order == 3
+        write_growth_outputs(report)
+        cli_meta = json.loads((tmp_path / "cli" / "meta.json").read_text())
+        assert cli_meta["sobolev_order"] == 3
+        assert ((tmp_path / "cli" / "growth.csv").read_bytes()
+                == (tmp_path / "lib" / "growth.csv").read_bytes())
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_growth_without_output_dir_exits_2_before_any_run(self, tmp_path, monkeypatch,
+                                                              capsys, config):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        argv = ["growth", "--scenario", "step", "--epsilon", "0.2"]
+        if config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": "growth", "epsilon": 0.2,
+                                        "growth_kind": "step"}))
+            argv = ["growth", "--config", str(path)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("configuration error: growth needs --out or "
+                                           "output_dir in the config\n")
+        assert sorted(tmp_path.rglob("*")) == before
