@@ -176,10 +176,18 @@ def _check_output_dir(config: ScenarioConfig) -> None:
 
 
 def _run(args) -> int:
-    """Build the command's config, check its output directory, run, write
-    when there is an output directory, and print the summary."""
+    """Build the command's config, refuse a scenario another command runs,
+    check its output directory, run, write when there is an output
+    directory, and print the summary."""
     command = _COMMANDS[args.command]
     config = _config(args, command)
+    own = SCENARIOS[config.scenario, config.growth_kind].runner
+    if own != command.runner:
+        handled = dict.fromkeys(key[0] for key, record in SCENARIOS.items()
+                                if record.runner == command.runner)
+        other = next(name for name, row in _COMMANDS.items() if row.runner == own)
+        raise ConfigurationError(f"{args.command} needs a {'/'.join(handled)} scenario, got "
+                                 f"{config.scenario!r}; use longwave {other} instead")
     if command.needs_out and not config.output_dir:
         raise ConfigurationError(f"{args.command} needs --out or output_dir in the config")
     _check_output_dir(config)

@@ -190,26 +190,24 @@ def make_d3(grid: Grid1D) -> CyclicBandedOperator:
 
 @functools.lru_cache(maxsize=32)
 def _fold_layout(n: int, reach: int):
-    """Folded positions, half-bandwidth k and band-storage scatter indices.
+    """Folded positions and half-bandwidth k.
 
     Node i sits at folded position pos[i]; an entry at cyclic offset
-    |o| <= reach keeps |pos[i] - pos[j]| <= 2 reach.  Band storage, shape
-    (2k + 1, n) in Fortran order, holds folded A[r, c] at [k + r - c, c];
-    ``scatter[o + reach]`` is the flat index in it of A[i, (i + o) mod n] for
-    every row i.  The arrays are read-only because every call with the same
-    (n, reach) shares them.
+    |o| <= reach keeps |pos[i] - pos[j]| <= 2 reach.  The array is read-only
+    because every call with the same (n, reach) shares it.
     """
     nodes = np.arange(n)
     pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
-    k = min(2 * reach, n - 1)
-    scatter = []
-    for off in range(-reach, reach + 1):
-        cols = np.roll(pos, -off)  # folded column of A[i, (i + off) mod n]
-        idx = k + pos - cols + cols * (2 * k + 1)
-        idx.flags.writeable = False
-        scatter.append(idx)
     pos.flags.writeable = False
-    return pos, k, tuple(scatter)
+    return pos, min(2 * reach, n - 1)
+
+
+def _band_indices(pos: np.ndarray, k: int, offset: int, row: int, blocks: int) -> np.ndarray:
+    """Flat indices of A[u, (u + offset) mod n] over the rows u = row mod
+    blocks in band storage, shape (2k + 1, n) in Fortran order, which holds
+    folded A[r, c] at [k + r - c, c]."""
+    u = np.arange(row, pos.size, blocks)
+    return k + pos[u] + 2 * k * pos[(u + offset) % pos.size]
 
 
 class StepOperator:
@@ -252,7 +250,7 @@ class StepOperator:
     def __init__(self, n: int, blocks: int = 1, constant_terms=None):
         self.n, self.blocks = int(n), int(blocks)
         self._reach = 3 * self.blocks - 1
-        self._pos, self._k, self._scatter = _fold_layout(self.n, self._reach)
+        self._pos, self._k = _fold_layout(self.n, self._reach)
         # dgbmv needs at least 2k + 1 rows; rows past n meet only zero storage
         self._rows = max(self.n, 2 * self._k + 1)
         self._work = np.zeros((2 * self._k + 1, self.n), order="F")
@@ -366,7 +364,7 @@ class StepOperator:
         """Append the slot of A[u, (u + offset) mod n] over the rows u = row
         mod blocks, holding the band's values of those entries; returns its
         start."""
-        indices = self._scatter[offset + self._reach][row::self.blocks]
+        indices = _band_indices(self._pos, self._k, offset, row, self.blocks)
         start = self._values.size
         self._slots[(offset % self.n, row)] = start
         constants = self._work_flat[indices]

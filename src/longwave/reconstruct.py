@@ -41,19 +41,20 @@ integrand at step j sits at lattice point y = c - j, so the sum over steps
 
     A_m(c) = A_{m-1}(c) + F_m(c - m),
 
-kept on the extended lattice of n + M feet (M the last stored step) and fed
-one snapshot at a time; the trapezoid end weights -F_0/2 and -F_m/2 are
-applied when the sum is read out.  The trajectory owns its sum
-(``Trajectory.topo_sum``), so it goes when the trajectory goes.  A call at
-step m' >= m feeds only the snapshots m+1..m', at cost O((m' - m) (n + M));
-a call at an earlier step, or with a bottom whose b' differs on the extended
-lattice (b' is evaluated on the kept sum's lattice and compared), starts
-again from step 0.  A bottom with b' = 0 takes the same path, and its sum
-reads out zeros.  The sum can also be fed by ``kdv.run``'s per-step hook
-(``record``) and keep its read-outs at the stored steps, so a run stored at
-a coarser stride serves K_topo once the sum is attached to it.
-A trajectory's data is frozen at construction and cannot be replaced, so a
-sum cannot go stale.
+kept on the extended lattice of n + M feet (M the last step it may reach) and
+fed one snapshot at a time; the trapezoid end weights -F_0/2 and -F_m/2 are
+applied when the sum is read out.  A run can feed the sum from its per-step
+hook and read it at any step in hand: ``_surfaces`` then builds K_topo from
+that step's snapshot, lattice and read-out, with no trajectory stored at
+stride 1 (``scenarios.run_scenario`` does this).  Over a stored trajectory,
+``topo_modified_surfaces`` builds the same surfaces through the
+trajectory's own sum (``Trajectory.topo_sum``), so it goes when the
+trajectory goes.  A call at step m' >= m feeds only the snapshots
+m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step, or with a
+bottom whose b' differs on the extended lattice (b' is evaluated on the kept
+sum's lattice and compared), starts again from step 0.  A bottom with b' = 0
+takes the same path, and its sum reads out zeros.  A trajectory's data is
+frozen at construction and cannot be replaced, so a sum cannot go stale.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ __all__ = [
     "CorrectorBreakdown",
     "SurfaceReconstruction",
     "GrowthDiagnostic",
-    "bottom_shift_integral",
     "corrector_fields",
     "topo_modified_surfaces",
     "growth_diagnostic",
@@ -139,12 +139,6 @@ def _check_alignment(traj: Trajectory) -> None:
         )
 
 
-def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
-    w = np.full(m + 1, dt)
-    w[0] = w[-1] = dt / 2.0
-    return w
-
-
 class _BottomLattice:
     """b on the lattice x_j = j dx, j in [-M, n), with its prefix sums and
     the grid's D1: U1's bottom terms at any step m <= M from one evaluation of
@@ -180,12 +174,12 @@ class _RunningSum:
     ``acc[q]`` holds sum_{j <= step} F_j over the characteristic with foot q,
     where F_j is b' times the snapshot j on the extended lattice of n + M
     points.  ``feed`` adds the next snapshot, ``read`` sums up to the last
-    one fed.  ``attach`` gives the sum to a trajectory, whose snapshots
-    ``advance(m)`` then feeds up to m; ``record``, a ``kdv.run`` hook, feeds a
-    run as it goes and keeps the read-outs at the steps in ``keep``.
+    one fed.  ``feed`` can be a ``kdv.run`` hook's, fed as the run goes;
+    ``attach`` gives the sum to a trajectory, whose snapshots ``advance(m)``
+    then feeds up to m.
     """
 
-    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int, keep=()):
+    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
         self.n, self.dx = grid.num_points, grid.dx
         lattice = np.arange(0, self.n + big_m)
         self.x = lattice * grid.dx
@@ -194,8 +188,6 @@ class _RunningSum:
         self.wrap = lattice % self.n
         self.acc = np.zeros(len(lattice))
         self.step = -1
-        self.keep = frozenset(keep)
-        self.readouts = {}
 
     def matches(self, b: BathymetryProfile) -> bool:
         """Whether b' on this sum's lattice is the one it sums with."""
@@ -222,12 +214,6 @@ class _RunningSum:
         last = self.last * self.w_ext[:n]
         return self.dx * (self.acc[m:m + n] - 0.5 * first - 0.5 * last)
 
-    def record(self, m: int, values: np.ndarray) -> None:
-        self.feed(values)
-        if m in self.keep:
-            self.readouts[m] = self.read()
-            self.readouts[m].flags.writeable = False
-
     def attach(self, traj: Trajectory) -> None:
         """Keep this sum in ``traj.topo_sum``, where quadratures over ``traj`` find it."""
         self.data = traj.data
@@ -246,22 +232,19 @@ def _cross_integral_nodes(b: BathymetryProfile, counter: Trajectory, m: int) -> 
 
     N1's integrand b'(x+t-s) U0(x+t-2s) collapses to y once the snapshot
     time matches s.  b' is evaluated unwrapped, the snapshots wrap
-    periodically.  The sum is the trajectory's own, recorded during its run
-    or advanced over its snapshots (module docstring).
+    periodically.  The sum is the trajectory's own, advanced over its
+    snapshots (module docstring).
     """
     grid = counter.grid
     if m == 0:
         return np.zeros(grid.num_points)
     with _SUMS_LOCK:
-        state = counter.topo_sum
-        valid = state is not None and state.matches(b)
-        if valid and m in state.readouts:
-            return state.readouts[m]
         if not counter.has_every_step_upto(m):
             raise ConfigurationError(
                 f"the right-going trajectory must be stored at every step up to {m} "
                 "(stride 1) to resolve the characteristic quadrature")
-        if not valid or state.step > m:
+        state = counter.topo_sum
+        if state is None or not state.matches(b) or state.step > m:
             # M, the last stored step, bounds every m the trajectory can resolve.
             state = _RunningSum(b, grid, int(counter.step_indices[-1]))
             state.attach(counter)
@@ -269,29 +252,9 @@ def _cross_integral_nodes(b: BathymetryProfile, counter: Trajectory, m: int) -> 
         return state.read()
 
 
-def bottom_shift_integral(b: BathymetryProfile, t: float, x: float,
-                          direction: str, dt: float) -> float:
-    """Int_0^t b(x - t + s) ds ('right') or Int_0^t b(x + t - s) ds ('left'),
-    composite trapezoid with step dt; works for any real x."""
-    m = int(round(t / dt))
-    if abs(m * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ConfigurationError(f"t={t} is not a multiple of the quadrature step {dt}")
-    if m == 0:
-        return 0.0
-    s = np.arange(m + 1) * dt
-    if direction == "right":
-        pts = x - t + s
-    elif direction == "left":
-        pts = x + t - s
-    else:
-        raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
-    vals = np.asarray(b.value(pts), dtype=float)
-    return float(np.dot(_trapezoid_weights(m, dt), vals))
-
-
 def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
                      t: float) -> CorrectorBreakdown:
-    """U1's two bottom terms at time t, per node (``_u1_bottom_terms``).
+    """U1's two bottom terms at time t, per node (``_BottomLattice.u1_terms``).
 
     ``n_traj`` must be None (N0 = 0).  U1 needs only the snapshot at t, so
     ``u_traj`` may be stored at any stride."""
@@ -320,17 +283,24 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfil
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
     u = u_traj.at_step(m)
-    jump, integral = _BottomLattice(b, u_traj.grid, m).u1_terms(u, m)
-    n1_b = -_cross_integral_nodes(b, u_traj, m) / 4.0
+    n1 = _cross_integral_nodes(b, u_traj, m)
+    v, eta = _surfaces(u, m, b, u_traj.grid, n1, coeffs, eta_bracket)
+    return SurfaceReconstruction(v=Field(v, u_traj.grid), eta=Field(eta, u_traj.grid))
+
+
+def _surfaces(u: np.ndarray, m: int, b: BathymetryProfile, grid: Grid1D, n1: np.ndarray,
+              coeffs: ModelCoefficients, bracket: str) -> tuple[np.ndarray, np.ndarray]:
+    """K_topo's (v, eta) values at step m from the snapshot u there: U1's
+    bottom terms from b over the m steps back, N1_b from ``n1``, the
+    characteristic sum Int_0^t b'(x+t-s) u(s, x+t-2s) ds at the nodes, and
+    the eta bracket's sign (``topo_modified_surfaces``)."""
+    jump, integral = _BottomLattice(b, grid, m).u1_terms(u, m)
+    n1_b = -n1 / 4.0
     half = u / 2.0
     half_eps = coeffs.epsilon / 2.0
     u1 = jump + integral
-    eta_sign = 1.0 if eta_bracket == "identical" else -1.0
-    v_vals = half + half_eps * (u1 + n1_b)
-    eta_vals = half + half_eps * (u1 + eta_sign * n1_b)
-    return SurfaceReconstruction(
-        v=Field(v_vals, u_traj.grid), eta=Field(eta_vals, u_traj.grid),
-    )
+    eta_sign = 1.0 if bracket == "identical" else -1.0
+    return half + half_eps * (u1 + n1_b), half + half_eps * (u1 + eta_sign * n1_b)
 
 
 @dataclass

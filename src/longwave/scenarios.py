@@ -68,7 +68,7 @@ from .reconstruct import (
     GrowthDiagnostic,
     _CorrectorSeries,
     _RunningSum,
-    topo_modified_surfaces,
+    _surfaces,
 )
 
 __all__ = [
@@ -433,7 +433,7 @@ class ComparisonReport:
     runtimes: dict[str, float]
     validation_error: float | None
     wrap_contamination: float
-    stored_bytes: int  # the trajectories and read-outs the run held
+    stored_bytes: int  # the trajectories and B's eta rows the run held
 
     def error_at(self, t: float, which: str = "kdv") -> float:
         series = self.err_kdv if which == "kdv" else self.err_kdv_topo
@@ -518,71 +518,82 @@ def _setup(config: ScenarioConfig, runner: str) -> tuple:
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """Run the three models of a comparison scenario and collect all metrics.
-    K is stored at the error steps with K_topo's read-outs; B's per-step hook
-    takes every metric and snapshot there, so B's (v, eta) are never stored."""
+    B runs first: its per-step hook takes B's own metrics and keeps its eta
+    at the error steps, one row each, and its v at the snapshot steps.  K
+    then runs, and its hook feeds K_topo's characteristic sum at every step
+    and, at each error step, builds K's and K_topo's eta from the snapshot
+    in hand and compares them with B's row.  Neither run is stored beyond
+    its first and last steps."""
     grid, time_grid, bottom, spec, u0, stride = _setup(config, "run_scenario")
     coeffs = config.build_coefficients()
     half = Field(u0.values / 2.0, grid)
     num_steps = time_grid.num_steps
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
-    # K and K_topo's read-outs, n floats each per error step
+    # B's eta, n floats per error step
     _check_storage("simulate storage at the error steps",
-                   8 * 2 * grid.num_points * _stored_rows(num_steps, stride))
+                   8 * grid.num_points * _stored_rows(num_steps, stride))
     _check_crest_path(config, grid, time_grid)
-    # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, is fed
-    # as K runs and read out at the error steps, the only steps K stores
-    keep = set(_stored_steps(num_steps, stride).tolist())
-    topo_sum = _RunningSum(bottom, grid, num_steps, keep)
-    u_traj, kdv_seconds, feed_seconds = _timed_run(
-        run, config.build_kdv_problem(grid, time_grid), u0, stride=stride, hook=topo_sum.record)
-    topo_sum.attach(u_traj)
-
+    error_steps = _stored_steps(num_steps, stride)
+    row_of = {m: row for row, m in enumerate(error_steps.tolist())}
     snapshot_steps = set(config.snapshot_steps(time_grid))
-
-    l2_ref = discrete_l2(u0)
-    h1_ref = discrete_h1_eps(half, half, coeffs)
-    k = spec.width_param
-    mult = config.refl_width_multiplier
-
-    times, err_k, err_kt = [], [], []
-    refl_b, refl_k, refl_kt = [], [], []
-    l2_drift, h1_drift = [], []
-    snapshots: list[SnapshotRecord] = []
-    seam_peaks = []
+    size = len(error_steps)
+    err_k, err_kt, refl_b, refl_k, refl_kt, l2_drift, h1_drift, seam_peaks = (
+        np.empty(size) for _ in range(8))
+    eta_rows = np.empty((size, grid.num_points))
+    v_snapshots = {}
     seam = np.r_[np.arange(grid.num_points - 5, grid.num_points), np.arange(0, 5)]
+    k, mult = spec.width_param, config.refl_width_multiplier
 
-    def metrics(m: int, z: np.ndarray) -> None:
-        if m not in keep:
+    def refl(eta: np.ndarray) -> float:
+        return reflected_wave_metric(Field(eta, grid), _main_crest_position(eta, grid), k, mult)
+
+    h1_ref = discrete_h1_eps(half, half, coeffs)
+
+    def b_metrics(m: int, z: np.ndarray) -> None:
+        row = row_of.get(m)
+        if row is None:
             return
-        t = m * time_grid.dt
-        u_now = Field(u_traj.at_step(m), grid)
         # contiguous copies of B's fields, as a stored trajectory holds them
-        v_b, eta_b = Field(z[0::2].copy(), grid), Field(z[1::2].copy(), grid)
-        eta_k_vals = u_now.values / 2.0
-        eta_kt_vals = topo_modified_surfaces(u_traj, None, bottom, coeffs, t,
-                                             eta_bracket=config.topo_eta_bracket).eta.values
-
-        times.append(t)
-        err_k.append(relative_linf_error(eta_k_vals, eta_b.values))
-        err_kt.append(relative_linf_error(eta_kt_vals, eta_b.values))
-        refl_b.append(reflected_wave_metric(
-            eta_b, _main_crest_position(eta_b.values, grid), k, mult))
-        refl_k.append(reflected_wave_metric(
-            Field(eta_k_vals, grid), _main_crest_position(eta_k_vals, grid), k, mult))
-        refl_kt.append(reflected_wave_metric(
-            Field(eta_kt_vals, grid), _main_crest_position(eta_kt_vals, grid), k, mult))
-        l2_drift.append(abs(discrete_l2(u_now) - l2_ref) / l2_ref)
-        h1_drift.append(abs(discrete_h1_eps(v_b, eta_b, coeffs) - h1_ref) / h1_ref)
-        seam_peaks.append(float(np.max(np.abs(eta_b.values[seam]))) / config.alpha)
-
+        eta_b = eta_rows[row]
+        eta_b[:] = z[1::2]
+        v_b = z[0::2].copy()
+        refl_b[row] = refl(eta_b)
+        h1_drift[row] = abs(discrete_h1_eps(Field(v_b, grid), Field(eta_b, grid), coeffs)
+                            - h1_ref) / h1_ref
+        seam_peaks[row] = float(np.max(np.abs(eta_b[seam]))) / config.alpha
         if m in snapshot_steps:
-            snapshots.append(SnapshotRecord(
-                t, grid.nodes.copy(), eta_b.values, np.array(eta_k_vals),
-                np.array(eta_kt_vals), v_b.values, -1.0 + bottom.sample(grid)))
+            v_snapshots[m] = v_b
 
-    b_traj, boussinesq_seconds, metric_seconds = _timed_run(
+    b_traj, boussinesq_seconds, b_hook_seconds = _timed_run(
         run_boussinesq, config.build_boussinesq_problem(grid, time_grid), half, half,
-        stride=num_steps, hook=metrics)
+        stride=num_steps, hook=b_metrics)
+
+    # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, fed as K runs
+    topo_sum = _RunningSum(bottom, grid, num_steps)
+    l2_ref = discrete_l2(u0)
+    snapshots: list[SnapshotRecord] = []
+
+    def k_metrics(m: int, u: np.ndarray) -> None:
+        topo_sum.feed(u)
+        row = row_of.get(m)
+        if row is None:
+            return
+        eta_b = eta_rows[row]
+        eta_k = u / 2.0
+        _, eta_kt = _surfaces(u, m, bottom, grid, topo_sum.read(), coeffs,
+                              config.topo_eta_bracket)
+        err_k[row] = relative_linf_error(eta_k, eta_b)
+        err_kt[row] = relative_linf_error(eta_kt, eta_b)
+        refl_k[row] = refl(eta_k)
+        refl_kt[row] = refl(eta_kt)
+        l2_drift[row] = abs(discrete_l2(Field(u, grid)) - l2_ref) / l2_ref
+        if m in snapshot_steps:
+            snapshots.append(SnapshotRecord(m * time_grid.dt, grid.nodes.copy(), eta_b.copy(),
+                                            eta_k, eta_kt, v_snapshots.pop(m),
+                                            -1.0 + bottom.sample(grid)))
+
+    u_traj, kdv_seconds, k_hook_seconds = _timed_run(
+        run, config.build_kdv_problem(grid, time_grid), u0, stride=num_steps, hook=k_metrics)
 
     validation_error = None
     if bottom.is_flat():
@@ -594,24 +605,24 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     return ComparisonReport(
         config=config,
         realized_final_time=time_grid.final_time,
-        error_times=np.asarray(times),
-        err_kdv=np.asarray(err_k),
-        err_kdv_topo=np.asarray(err_kt),
-        refl_boussinesq=np.asarray(refl_b),
-        refl_kdv=np.asarray(refl_k),
-        refl_topo=np.asarray(refl_kt),
-        l2_drift=np.asarray(l2_drift),
-        h1eps_drift=np.asarray(h1_drift),
+        error_times=error_steps * time_grid.dt,
+        err_kdv=err_k,
+        err_kdv_topo=err_kt,
+        refl_boussinesq=refl_b,
+        refl_kdv=refl_k,
+        refl_topo=refl_kt,
+        l2_drift=l2_drift,
+        h1eps_drift=h1_drift,
         snapshots=snapshots,
         runtimes={
             "kdv_solve": kdv_seconds,
             "boussinesq_solve": boussinesq_seconds,
-            "reconstruction": feed_seconds + metric_seconds,
+            "reconstruction": k_hook_seconds + b_hook_seconds,
         },
         validation_error=validation_error,
-        wrap_contamination=max(seam_peaks),
-        stored_bytes=(u_traj.data.nbytes + b_traj.v_data.nbytes + b_traj.eta_data.nbytes
-                      + sum(r.nbytes for r in topo_sum.readouts.values())),
+        wrap_contamination=float(seam_peaks.max()),
+        stored_bytes=u_traj.data.nbytes + b_traj.v_data.nbytes + b_traj.eta_data.nbytes
+        + eta_rows.nbytes,
     )
 
 

@@ -59,9 +59,33 @@ def characteristic_cross_integral(b, traj, t: float, x: float) -> float:
     steps = np.arange(m + 1)
     y = i + m - steps
     vals = traj.data[steps, y % n] * np.asarray(b.derivative(y * dt), dtype=float)
+    return float(np.dot(_trapezoid_weights(m, dt), vals))
+
+
+def bottom_shift_integral(b, t: float, x: float, direction: str, dt: float) -> float:
+    """Int_0^t b(x - t + s) ds ('right') or Int_0^t b(x + t - s) ds ('left'),
+    composite trapezoid with step dt; works for any real x.  A direct sum at
+    one point, kept as the reference for U1's prefix sums in ``reconstruct``."""
+    m = int(round(t / dt))
+    if abs(m * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigurationError(f"t={t} is not a multiple of the quadrature step {dt}")
+    if m == 0:
+        return 0.0
+    s = np.arange(m + 1) * dt
+    if direction == "right":
+        pts = x - t + s
+    elif direction == "left":
+        pts = x + t - s
+    else:
+        raise ConfigurationError(f"direction must be 'right' or 'left', got {direction!r}")
+    vals = np.asarray(b.value(pts), dtype=float)
+    return float(np.dot(_trapezoid_weights(m, dt), vals))
+
+
+def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
     weights = np.full(m + 1, dt)
     weights[0] = weights[-1] = dt / 2.0
-    return float(np.dot(weights, vals))
+    return weights
 
 
 class DenseRecorder:

@@ -7,6 +7,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 import numpy as np
 import pytest
+from conftest import bottom_shift_integral
 
 from longwave.grid import (
     Grid1D,
@@ -19,7 +20,7 @@ from longwave.grid import (
 )
 from longwave.findiff import make_d1
 from longwave.kdv import KdvProblem, run
-from longwave.reconstruct import bottom_shift_integral, growth_diagnostic
+from longwave.reconstruct import growth_diagnostic
 from longwave.scenarios import ScenarioConfig, convergence_study, run_growth, run_scenario
 
 PAPER_VALIDATION_ERRORS = {0.05: 1.5546e-3, 0.1: 1.3717e-3, 0.2: 1.0534e-3}

@@ -344,8 +344,7 @@ class _ScatterBand:
     def __init__(self, constant: StepOperator):
         self.n, self.blocks = constant.n, constant.blocks
         self.band = constant._work.copy(order="F")
-        self._reach = 3 * self.blocks - 1
-        _, _, self._scatter = findiff._fold_layout(self.n, self._reach)
+        self._pos, self._k = findiff._fold_layout(self.n, 3 * self.blocks - 1)
 
     def add_shift(self, values, offset, block=(0, 0), sign=1) -> None:
         row, col = block
@@ -366,7 +365,7 @@ class _ScatterBand:
 
     def _add(self, offset, row, values) -> None:
         flat = self.band.reshape(-1, order="F")
-        flat[self._scatter[offset + self._reach][row::self.blocks]] += values
+        flat[findiff._band_indices(self._pos, self._k, offset, row, self.blocks)] += values
 
 
 def test_kept_factors_hold_no_subnormals(monkeypatch):

@@ -1,0 +1,70 @@
+"""The output gate's comparison (tools/compare_outputs.py) on hand-made
+output directories; no command is run."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def _write(directory: Path, files: dict) -> Path:
+    directory.mkdir()
+    for name, content in files.items():
+        text = json.dumps(content) if name.endswith(".json") else content
+        (directory / name).write_text(text)
+    return directory
+
+
+def _meta(stored_bytes, seconds, out, eps=0.2):
+    return {"config": {"epsilon": eps, "output_dir": out}, "runtimes_seconds": {"kdv": seconds},
+            "blas": {"threads": 2}, "stored_bytes": stored_bytes, "validation_error": math.nan}
+
+
+@pytest.fixture
+def two_dirs(tmp_path):
+    same = "t,err\n0,0\n0.5,0.25\n"
+    a = _write(tmp_path / "a", {"errors.csv": same,
+                                "snapshot_t1.csv": "x,eta\n0,1\n1,0.5\n",
+                                "meta.json": _meta(800, 1.0, "a")})
+    b = _write(tmp_path / "b", {"errors.csv": same,
+                                "snapshot_t1.csv": "x,eta\n0,1\n1,0.50000000000000011\n",
+                                "meta.json": _meta(400, 2.0, "b"),
+                                "extra.csv": same})
+    return a, b
+
+
+def test_files_are_compared_by_kind(two_dirs):
+    files = compare_outputs.compare_dirs(*two_dirs)
+    assert files["errors.csv"] == {"cmp": True, "max_abs_diff": {"t": 0.0, "err": 0.0}}
+    snapshot = files["snapshot_t1.csv"]
+    assert snapshot["cmp"] is False
+    assert snapshot["max_abs_diff"] == {"x": 0.0, "eta": pytest.approx(1.1e-16, rel=0.01)}
+    # runtimes, BLAS and output directory left out; NaN equals NaN
+    assert files["meta.json"] == {"differing_keys": ["stored_bytes"]}
+    assert files["extra.csv"] == {"missing_in": "parent"}
+
+
+def test_nested_and_one_sided_keys_are_named():
+    a = {"config": {"epsilon": 0.2, "dx": 0.05}, "fit": {"window": [1, 2]}}
+    b = {"config": {"epsilon": 0.1}, "fit": {"window": [1, 3]}, "new": 1}
+    assert compare_outputs.differing_keys(a, b) == ["config.dx", "config.epsilon",
+                                                    "fit.window", "new"]
+
+
+def test_verdict(two_dirs):
+    files = compare_outputs.compare_dirs(*two_dirs)
+    identical = {"errors.csv": files["errors.csv"], "meta.json": files["meta.json"]}
+    command = {"argv": ["simulate"], "exit": [0, 0], "stdout_same": True, "files": identical}
+    summary = compare_outputs.verdict([command], {"stored_bytes"})
+    assert summary["ok"] and summary["csv_files"] == summary["csv_identical"] == 1
+    assert summary["json_differing_keys"] == ["stored_bytes"]
+    assert not compare_outputs.verdict([command], set())["ok"]
+    for broken in ({"exit": [0, 2]}, {"stdout_same": False}, {"files": files}):
+        assert not compare_outputs.verdict([{**command, **broken}], {"stored_bytes"})["ok"]

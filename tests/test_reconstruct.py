@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import characteristic_cross_integral
+from conftest import bottom_shift_integral, characteristic_cross_integral
 from hypothesis import given, settings, strategies as st
 
 from longwave.errors import ConfigurationError, DiagnosticError, MissingSnapshotError
@@ -28,7 +28,7 @@ from longwave.reconstruct import (
     TERM_NAMES,
     _RunningSum,
     _cross_integral_nodes,
-    bottom_shift_integral,
+    _surfaces,
     corrector_fields,
     growth_diagnostic,
     topo_modified_surfaces,
@@ -461,16 +461,23 @@ class TestStreamedTopoSum:
             with pytest.raises(ConfigurationError):
                 topo_modified_surfaces(sparse, None, bottom, coeffs,
                                        sparse.times[1], eta_bracket=eta_bracket)
-        topo_sum = _RunningSum(bottom, grid, steps, keep=set(sparse.step_indices))
-        streamed = run(problem, u0, stride=stride, on_step=topo_sum.record)
-        topo_sum.attach(streamed)
-        assert np.array_equal(streamed.data, sparse.data)
-        for t in streamed.times:
-            got, want = (topo_modified_surfaces(traj, None, bottom, coeffs, float(t),
-                                                eta_bracket=eta_bracket)
-                         for traj in (streamed, full))
-            assert np.array_equal(got.v.values, want.v.values)
-            assert np.array_equal(got.eta.values, want.eta.values)
+        # the sum fed by the run's hook, K_topo built from the snapshot in hand
+        topo_sum = _RunningSum(bottom, grid, steps)
+        streamed = {}
+
+        def hook(m, u):
+            topo_sum.feed(u)
+            if m in sparse.step_indices:
+                streamed[m] = _surfaces(u, m, bottom, grid, topo_sum.read(), coeffs,
+                                        eta_bracket)
+
+        assert np.array_equal(run(problem, u0, stride=stride, on_step=hook).data, sparse.data)
+        assert sorted(streamed) == sparse.step_indices.tolist()
+        for m, (v, eta) in streamed.items():
+            want = topo_modified_surfaces(full, None, bottom, coeffs, m * dx,
+                                          eta_bracket=eta_bracket)
+            assert np.array_equal(v, want.v.values)
+            assert np.array_equal(eta, want.eta.values)
 
 
 class TestGrowthDiagnostic:

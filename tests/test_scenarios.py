@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from longwave import cli, kdv, reconstruct, scenarios
+from longwave.boussinesq import run_boussinesq
 from longwave.cli import main
 from longwave.errors import ConfigurationError, DiagnosticError
 from longwave.findiff import StepOperator
 from longwave.grid import Field, Grid1D, SolitonSpec, TimeGrid, soliton_field
+from longwave.reconstruct import topo_modified_surfaces
 from longwave.scenarios import (
     ScenarioConfig,
     convergence_study,
@@ -346,9 +348,9 @@ class TestRunScenario:
         assert report.wrap_contamination < 1e-8
 
 
-    def test_k_stored_at_error_stride_only(self, monkeypatch):
-        # K_topo's characteristic sum is fed during the K run, so run_scenario
-        # never asks for a stride-1 K trajectory
+    def test_k_stored_at_first_and_last_steps_only(self, monkeypatch):
+        # K_topo's characteristic sum is fed and read during the K run, so
+        # run_scenario asks for no K snapshot but the first and the last
         calls = []
 
         def spy(problem, u0, stride=1, **kwargs):
@@ -361,10 +363,14 @@ class TestRunScenario:
         config = ScenarioConfig(scenario="step", epsilon=0.2, final_time=3.0, error_interval=0.5)
         report = run_scenario(config)
         (stride, traj), = calls
-        error_stride = config.error_stride(config.build_time_grid())
-        assert stride == error_stride > 1
-        assert np.allclose(traj.times, report.error_times)
-        assert len(traj.step_indices) == len(report.error_times)
+        time_grid = config.build_time_grid()
+        assert stride == time_grid.num_steps
+        assert traj.step_indices.tolist() == [0, time_grid.num_steps]
+        error_stride = config.error_stride(time_grid)
+        assert error_stride > 1
+        assert np.allclose(report.error_times,
+                           np.append(np.arange(0, time_grid.num_steps, error_stride),
+                                     time_grid.num_steps) * config.dt)
 
     def test_solver_work_on_step(self, monkeypatch):
         # simulate --scenario step --epsilon 0.2: 240 steps of each model, one
@@ -379,12 +385,45 @@ class TestRunScenario:
 
         monkeypatch.setattr(kdv, "StepOperator", Recording)
         run_scenario(ScenarioConfig(scenario="step", epsilon=0.2))
-        k_operator, b_operator = operators
-        assert (k_operator.blocks, b_operator.blocks) == (1, 2)
+        by_blocks = {operator.blocks: operator for operator in operators}
+        assert len(operators) == 2 and sorted(by_blocks) == [1, 2]
+        k_operator, b_operator = by_blocks[1], by_blocks[2]
         assert k_operator.factorizations <= 8
         assert b_operator.factorizations <= 18
         for operator in operators:
             assert operator.corrections <= 2.0 * 240
+
+    @pytest.mark.parametrize("eta_bracket", ["sign_split", "identical"])
+    @pytest.mark.parametrize("scenario", ["step", "sinusoid"])
+    def test_topo_columns_match_stored_trajectory_path(self, scenario, eta_bracket):
+        # K_topo built in K's hook from the snapshot in hand equals, to the
+        # bit, K_topo from a stride-1 K trajectory through the public
+        # topo_modified_surfaces, compared against B stored at the error steps
+        config = ScenarioConfig(scenario=scenario, epsilon=0.2, final_time=2.0,
+                                error_interval=0.2, topo_eta_bracket=eta_bracket)
+        report = run_scenario(config)
+        grid, time_grid = config.build_grid(), config.build_time_grid()
+        coeffs, bottom = config.build_coefficients(), config.build_bathymetry()
+        u0 = soliton_field(config.build_soliton(), grid)
+        half = Field(u0.values / 2.0, grid)
+        u_traj = kdv.run(config.build_kdv_problem(grid, time_grid), u0, stride=1)
+        b_traj = run_boussinesq(config.build_boussinesq_problem(grid, time_grid), half, half,
+                                stride=config.error_stride(time_grid))
+        width = config.build_soliton().width_param
+        err, refl, eta_by_step = [], [], {}
+        for m in b_traj.step_indices.tolist():
+            eta = topo_modified_surfaces(u_traj, None, bottom, coeffs, m * config.dt,
+                                         eta_bracket=eta_bracket).eta
+            eta_by_step[m] = eta.values
+            err.append(relative_linf_error(eta.values, b_traj.at_step(m)[1]))
+            crest = grid.nodes[int(np.argmax(eta.values))]
+            refl.append(reflected_wave_metric(eta, crest, width, config.refl_width_multiplier))
+        assert np.array_equal(report.err_kdv_topo, err)
+        assert np.array_equal(report.refl_topo, refl)
+        assert len(report.snapshots) == len(config.snapshot_steps(time_grid)) > 1
+        for snap in report.snapshots:
+            m = int(round(snap.time / config.dt))
+            assert np.array_equal(snap.eta_kdv_topo, eta_by_step[m])
 
 
 class TestWriteOutputs:
@@ -566,8 +605,8 @@ def _spy(monkeypatch, name):
 
 
 class TestStreaming:
-    """Each command's per-snapshot work runs in the per-step hook of its last
-    stepper run, which then stores only its first and last steps."""
+    """Each command's per-snapshot work runs in the per-step hooks of its
+    stepper runs, which then store only their first and last steps."""
 
     def test_growth_runs_k_once_and_stores_two_rows(self, monkeypatch, tmp_path):
         calls = _spy(monkeypatch, "run")
@@ -588,10 +627,10 @@ class TestStreaming:
                                 error_interval=0.2, output_dir=str(tmp_path))
         report = run_scenario(config)
         num_steps, n = config.build_time_grid().num_steps, config.build_grid().num_points
-        assert k_calls == [(num_steps, 4)] and b_calls == [(num_steps, num_steps)]
-        # K and K_topo's read-outs at the 11 error steps, B at steps 0 and N
+        assert k_calls == [(num_steps, num_steps)] and b_calls == [(num_steps, num_steps)]
+        # B's eta at the 11 error steps, K at steps 0 and N, B's (v, eta) at steps 0 and N
         assert len(report.error_times) == 11
-        assert report.stored_bytes == 8 * n * (11 + 11 + 2 * 2)
+        assert report.stored_bytes == 8 * n * (11 + 2 + 2 * 2)
         write_outputs(report)
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["stored_bytes"] == report.stored_bytes
@@ -603,7 +642,7 @@ class TestStreaming:
         if command == "simulate":
             target, config = scenarios, ScenarioConfig(scenario="validate", epsilon=0.2,
                                                        final_time=1.0)
-            name, runner, key, steppers = ("topo_modified_surfaces", run_scenario,
+            name, runner, key, steppers = ("_surfaces", run_scenario,
                                            "reconstruction", ("kdv_solve", "boussinesq_solve"))
         else:
             target, config = reconstruct._CorrectorSeries, ScenarioConfig(
@@ -791,16 +830,16 @@ class TestCli:
         assert "node-steps" in capsys.readouterr().err
 
     def test_simulate_storage_guard_sums_the_command(self, tmp_path, monkeypatch, capsys):
-        # 1600 nodes x 50001 stored steps: K alone holds 0.64 GB, under the
-        # 1 GB guard of one run, but K plus K_topo's read-outs hold 1.28 GB
-        # and are refused before any run (B stores no trajectory)
+        # 1600 nodes x 100001 error steps: B's eta rows hold 1.28 GB, over the
+        # 1 GB guard, and are refused before any run (neither run stores more
+        # than two rows)
         def no_run(*args, **kwargs):
             raise AssertionError("a stepper ran")
 
         monkeypatch.setattr(scenarios, "run", no_run)
         monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "final_time": 2500.0,
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2, "final_time": 5000.0,
                                     "error_interval": 0.05}))
         assert main(["simulate", "--config", str(path)]) == 2
         assert "1 GB guard" in capsys.readouterr().err
@@ -1014,6 +1053,20 @@ class TestCli:
                          "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "growth.csv").exists()
+
+    def test_growth_config_of_a_simulate_scenario_names_simulate(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # a step config is simulate's: growth refuses it before any run and
+        # names the command a CLI user needs
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2}))
+        assert main(["growth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "use longwave simulate instead" in capsys.readouterr().err
 
     def test_growth_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
         # eps = 12 leaves 3 snapshots, too few for the growth fit: a
