@@ -22,7 +22,9 @@ discretization of the continuum L2 norm.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,17 +285,28 @@ def bathymetry_from_config(cfg: dict) -> BathymetryProfile:
         raise ConfigurationError("bathymetry config must be a dict with a 'kind' key")
     kind = cfg["kind"]
     params = {k: v for k, v in cfg.items() if k != "kind"}
-    builders = {
+    profiles = {
         "flat": FlatBottom,
         "step": StepBottom,
         "sinusoid": SinusoidBottom,
         "slow_sinusoid": SlowSinusoidBottom,
         "sampled": SampledBottom,
     }
-    if kind not in builders:
+    if kind not in profiles:
         raise ConfigurationError(f"unknown bathymetry kind {kind!r}")
+    # every parameter is a real number, or for ``sampled`` a list of them;
+    # a bool or a string is refused, not converted by float()
+    # (an unknown name is left to the profile class's TypeError below)
+    accepted, sampled = inspect.signature(profiles[kind]).parameters, kind == "sampled"
+    for name, value in params.items():
+        entries = value if sampled and isinstance(value, (list, tuple, np.ndarray)) else [value]
+        if name in accepted and not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                        for v in entries):
+            raise ConfigurationError(f"bathymetry {kind!r} parameter {name!r} must be "
+                                     f"{'real numbers' if sampled else 'a real number'}, "
+                                     f"got {value!r}")
     try:
-        return builders[kind](**params)
+        return profiles[kind](**params)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for bathymetry {kind!r}: {exc}") from exc
 

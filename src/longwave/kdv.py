@@ -133,14 +133,12 @@ def _frozen(a) -> np.ndarray:
 
 class Trajectory(_TrajectoryBase):
     """Scalar-field trajectory from one solver run.  ``data`` is frozen at
-    construction (``_frozen``) and has no setter, so the characteristic sum
-    in ``topo_sum``, written only by ``reconstruct._RunningSum.attach``, stays
-    valid."""
+    construction (``_frozen``) and has no setter, so anything computed from
+    it once stays valid for the trajectory's life."""
 
     def __init__(self, grid, dt, step_indices, data: np.ndarray):
         super().__init__(grid, dt, step_indices)
         self._data = _frozen(data)
-        self.topo_sum = None
 
     @property
     def data(self) -> np.ndarray:

@@ -27,13 +27,13 @@ K_topo is u/2, the flat-bottom KdV approximation K.
 
 All time integrals use the composite trapezoid rule with step dt = dx, which
 puts every characteristic shift on a node; the bottom profile is sampled on
-the whole real line (no wrap) and the snapshots with periodic wrap.  U1's
-integral at step m is a difference of prefix sums of b on the lattice
-[-M, n), sampled once for all the steps m <= M of one diagnostic, which
-takes one snapshot at a time (``_CorrectorSeries.record``, also a
-``kdv.run`` hook).  The abscissa x + t - 2s of N1's integrand is read from
-the snapshot at time s, where it sits at y = x + t - s, so that sum needs u
-at every step: stored (stride 1), or fed during the run (below).
+the whole real line (no wrap) and the snapshots with periodic wrap.  One
+``_Characteristics`` object per run samples the bottom once on the run's
+lattice x_j = j dx, for M the last step the run reaches: b on j in [-M, n),
+whose prefix sums give U1's integral at any step m <= M as a difference, and
+b' on j in [0, n + M), for N1.  The abscissa x + t - 2s of N1's integrand is
+read from the snapshot at time s, where it sits at y = x + t - s, so that sum
+needs u at every step: stored (stride 1), or fed during the run (below).
 
 N1's quadrature is a running sum.  Along the characteristic with foot c the
 integrand at step j sits at lattice point y = c - j, so the sum over steps
@@ -41,25 +41,37 @@ integrand at step j sits at lattice point y = c - j, so the sum over steps
 
     A_m(c) = A_{m-1}(c) + F_m(c - m),
 
-kept on the extended lattice of n + M feet (M the last step it may reach) and
-fed one snapshot at a time; the trapezoid end weights -F_0/2 and -F_m/2 are
-applied when the sum is read out.  A run can feed the sum from its per-step
-hook and read it at any step in hand: ``_surfaces`` then builds K_topo from
-that step's snapshot, lattice and read-out, with no trajectory stored at
-stride 1 (``scenarios.run_scenario`` does this).  Over a stored trajectory,
-``topo_modified_surfaces`` builds the same surfaces through the
-trajectory's own sum (``Trajectory.topo_sum``), so it goes when the
-trajectory goes.  A call at step m' >= m feeds only the snapshots
-m+1..m', at cost O((m' - m) (n + M)); a call at an earlier step, or with a
-bottom whose b' differs on the extended lattice (b' is evaluated on the kept
-sum's lattice and compared), starts again from step 0.  A bottom with b' = 0
-takes the same path, and its sum reads out zeros.  A trajectory's data is
-frozen at construction and cannot be replaced, so a sum cannot go stale.
+kept on the extended lattice of n + M feet and fed one snapshot at a time;
+the trapezoid end weights -F_0/2 and -F_m/2 are applied when the sum is read
+out.  Each runner holds its own object:
+
+* ``scenarios.run_scenario`` builds one (M = N) before K runs; K's per-step
+  hook feeds it, and at each error step builds K_topo from the snapshot in
+  hand (``_Characteristics.surfaces``), with no trajectory stored at stride 1;
+* ``_CorrectorSeries`` (``growth_diagnostic`` and ``run_growth``) and
+  ``corrector_fields`` build one over the last stored step for U1 alone; it
+  never feeds N1, so b' is not evaluated;
+* over a stored trajectory, ``topo_modified_surfaces`` uses the
+  trajectory's own object (M its last stored step), which this module keeps
+  in a weak-keyed table under ``_SUMS_LOCK``, so it goes when the trajectory
+  goes.  A call at step m' >= m feeds only the snapshots m+1..m', at cost
+  O((m' - m) (n + M)); a call at an earlier step starts N1's sum again from
+  step 0, and a bottom whose b or b' differs on the lattice (both are
+  evaluated and compared) gets a new object.  A bottom with b' = 0 takes the
+  same path, and its sum reads out zeros.  A trajectory's data is frozen at
+  construction and cannot be replaced, so a sum cannot go stale.
+
+U1 at step m therefore depends on M only through the rounding of the prefix
+sums, and every runner over the same trajectory uses the same M:
+``corrector_fields`` and ``growth_diagnostic`` agree bit for bit, as do the
+streamed K_topo of ``run_scenario`` and ``topo_modified_surfaces`` over a
+stride-1 trajectory of the same run.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,90 +151,83 @@ def _check_alignment(traj: Trajectory) -> None:
         )
 
 
-class _BottomLattice:
-    """b on the lattice x_j = j dx, j in [-M, n), with its prefix sums and
-    the grid's D1: U1's bottom terms at any step m <= M from one evaluation of
-    b.  The profile is evaluated on the real line (no periodic wrap)."""
+class _Characteristics:
+    """The bottom on one run's lattice x_j = j dx, sampled once, and the
+    grid's D1 (module docstring): b on [-M, n) with its prefix sums, for U1's
+    two terms at any step m <= M, and, unless ``with_n1`` is False, b' on
+    [0, n + M) for N1's running sum, fed one snapshot at a time (``feed``,
+    ``read``).  ``surfaces`` combines them into K_topo at step m."""
 
-    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
-        self.grid, self.big_m = grid, big_m
-        self.values = np.asarray(b.value(np.arange(-big_m, grid.num_points) * grid.dx),
-                                 dtype=float)
+    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int, with_n1: bool = True):
+        self.grid, self.big_m, self.with_n1 = grid, big_m, with_n1
+        self.values, self.slopes = self._sample(b)
         self.sums = np.concatenate(([0.0], np.cumsum(self.values)))
         self.d1 = make_d1(grid)
+        self.step = -1  # the last snapshot fed to N1's sum
+
+    def _sample(self, b: BathymetryProfile) -> tuple[np.ndarray, np.ndarray | None]:
+        """b on [-M, n) and, for N1 only, b' on [0, n + M)."""
+        n, big_m, dx = self.grid.num_points, self.big_m, self.grid.dx
+        slopes = (np.asarray(b.derivative(np.arange(0, n + big_m) * dx), dtype=float)
+                  if self.with_n1 else None)
+        return np.asarray(b.value(np.arange(-big_m, n) * dx), dtype=float), slopes
+
+    def matches(self, b: BathymetryProfile) -> bool:
+        """Whether b and b' on this object's lattice are the ones it holds."""
+        values, slopes = self._sample(b)
+        return np.array_equal(values, self.values) and np.array_equal(slopes, self.slopes)
 
     def u1_terms(self, u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """U1's ``bottom_jump`` and ``bottom_integral`` at step m from the
         snapshot u there: b(x_i) and b(x_i - t) are lattice values, and the
         trapezoid of Int_0^t b(x_i - t + s) ds over lattice [i-m .. i] a
         difference of prefix sums."""
-        grid, n, big_m = self.grid, self.grid.num_points, self.big_m
-        d_u = self.d1.apply_values(u)
-        here = self.values[big_m:]
-        back = self.values[big_m - m:big_m - m + n]
-        if m == 0:
-            integral = np.zeros(n)
-        else:
-            sums = self.sums[big_m + 1:] - self.sums[big_m - m:big_m - m + n]
-            integral = grid.dx * (sums - 0.5 * back - 0.5 * here)
-        return u * (here - back) / 4.0, d_u * integral / 2.0
-
-
-class _RunningSum:
-    """Trapezoid sums of b' times one field along the left characteristics.
-
-    ``acc[q]`` holds sum_{j <= step} F_j over the characteristic with foot q,
-    where F_j is b' times the snapshot j on the extended lattice of n + M
-    points.  ``feed`` adds the next snapshot, ``read`` sums up to the last
-    one fed.  ``feed`` can be a ``kdv.run`` hook's, fed as the run goes;
-    ``attach`` gives the sum to a trajectory, whose snapshots ``advance(m)``
-    then feeds up to m.
-    """
-
-    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
-        self.n, self.dx = grid.num_points, grid.dx
-        lattice = np.arange(0, self.n + big_m)
-        self.x = lattice * grid.dx
-        self.w_ext = np.asarray(b.derivative(self.x), dtype=float)
-        self.data = None
-        self.wrap = lattice % self.n
-        self.acc = np.zeros(len(lattice))
-        self.step = -1
-
-    def matches(self, b: BathymetryProfile) -> bool:
-        """Whether b' on this sum's lattice is the one it sums with."""
-        return np.array_equal(np.asarray(b.derivative(self.x), dtype=float), self.w_ext)
-
-    def _integrand(self, values: np.ndarray, lattice: slice) -> np.ndarray:
-        return values[self.wrap[lattice]] * self.w_ext[lattice]
+        n, big_m = self.grid.num_points, self.big_m
+        here, back = self.values[big_m:], self.values[big_m - m:big_m - m + n]
+        sums = self.sums[big_m + 1:] - self.sums[big_m - m:big_m - m + n]
+        integral = self.grid.dx * (sums - 0.5 * back - 0.5 * here) if m else np.zeros(n)
+        return u * (here - back) / 4.0, self.d1.apply_values(u) * integral / 2.0
 
     def feed(self, values: np.ndarray) -> None:
+        """Add the next snapshot to N1's sum; after ``step = -1`` it starts
+        again from step 0.  ``acc[q]`` holds sum_{j <= step} F_j over the
+        characteristic with foot q, F_j being b' times snapshot j, which
+        wraps periodically over the lattice (``np.resize`` repeats it)."""
         j = self.step + 1
-        self.acc[j:] += self._integrand(values, slice(0, len(self.acc) - j))
         if j == 0:
+            self.acc = np.zeros(len(self.slopes))
             self.first = values.copy()
+        size = len(self.acc) - j
+        self.acc[j:] += np.resize(values, size) * self.slopes[:size]
         self.last = values
         self.step = j
 
-    def advance(self, m: int) -> None:
-        for j in range(self.step + 1, m + 1):
-            self.feed(self.data[j])
-
     def read(self) -> np.ndarray:
-        m, n = self.step, self.n
-        first = self._integrand(self.first, slice(m, m + n))
-        last = self.last * self.w_ext[:n]
-        return self.dx * (self.acc[m:m + n] - 0.5 * first - 0.5 * last)
+        """N1's trapezoid sum up to the last snapshot fed, at the nodes."""
+        m, n = self.step, self.grid.num_points
+        first = np.roll(self.first, -m) * self.slopes[m:m + n]  # F_0 at lattice m..m+n-1
+        last = self.last * self.slopes[:n]
+        return self.grid.dx * (self.acc[m:m + n] - 0.5 * first - 0.5 * last)
 
-    def attach(self, traj: Trajectory) -> None:
-        """Keep this sum in ``traj.topo_sum``, where quadratures over ``traj`` find it."""
-        self.data = traj.data
-        with _SUMS_LOCK:
-            traj.topo_sum = self
+    def surfaces(self, u: np.ndarray, m: int, n1: np.ndarray, coeffs: ModelCoefficients,
+                 bracket: str) -> tuple[np.ndarray, np.ndarray]:
+        """K_topo's (v, eta) values at step m from the snapshot u there: U1's
+        bottom terms, N1_b from ``n1``, the characteristic sum
+        Int_0^t b'(x+t-s) u(s, x+t-2s) ds at the nodes, and the eta bracket's
+        sign (``topo_modified_surfaces``)."""
+        jump, integral = self.u1_terms(u, m)
+        n1_b = -n1 / 4.0
+        half = u / 2.0
+        half_eps = coeffs.epsilon / 2.0
+        u1 = jump + integral
+        eta_sign = 1.0 if bracket == "identical" else -1.0
+        return half + half_eps * (u1 + n1_b), half + half_eps * (u1 + eta_sign * n1_b)
 
 
-# Guards every trajectory's ``topo_sum``; reentrant, as a quadrature attaches
-# a fresh sum while it holds the lock.
+# Each stored trajectory's own ``_Characteristics``, held no longer than the
+# trajectory.  The lock makes finding, feeding and reading one step; it is
+# reentrant, as ``topo_modified_surfaces`` holds it across the quadrature.
+_OF_TRAJECTORY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _SUMS_LOCK = threading.RLock()
 
 
@@ -232,36 +237,38 @@ def _cross_integral_nodes(b: BathymetryProfile, counter: Trajectory, m: int) -> 
 
     N1's integrand b'(x+t-s) U0(x+t-2s) collapses to y once the snapshot
     time matches s.  b' is evaluated unwrapped, the snapshots wrap
-    periodically.  The sum is the trajectory's own, advanced over its
-    snapshots (module docstring).
+    periodically.  The sum is the trajectory's own, fed over its snapshots
+    (module docstring); at m = 0 its end weights cancel it to zero.
     """
-    grid = counter.grid
-    if m == 0:
-        return np.zeros(grid.num_points)
     with _SUMS_LOCK:
+        chars = _OF_TRAJECTORY.get(counter)
+        if chars is None or not chars.matches(b):
+            # M, the last stored step, bounds every m the trajectory can resolve
+            chars = _OF_TRAJECTORY[counter] = _Characteristics(b, counter.grid,
+                                                               int(counter.step_indices[-1]))
         if not counter.has_every_step_upto(m):
             raise ConfigurationError(
                 f"the right-going trajectory must be stored at every step up to {m} "
                 "(stride 1) to resolve the characteristic quadrature")
-        state = counter.topo_sum
-        if state is None or not state.matches(b) or state.step > m:
-            # M, the last stored step, bounds every m the trajectory can resolve.
-            state = _RunningSum(b, grid, int(counter.step_indices[-1]))
-            state.attach(counter)
-        state.advance(m)
-        return state.read()
+        if chars.step > m:
+            chars.step = -1
+        for j in range(chars.step + 1, m + 1):
+            chars.feed(counter.data[j])
+        return chars.read()
 
 
 def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
                      t: float) -> CorrectorBreakdown:
-    """U1's two bottom terms at time t, per node (``_BottomLattice.u1_terms``).
+    """U1's two bottom terms at time t, per node (``_Characteristics.u1_terms``
+    over the trajectory's last stored step, as ``growth_diagnostic``).
 
     ``n_traj`` must be None (N0 = 0).  U1 needs only the snapshot at t, so
     ``u_traj`` may be stored at any stride."""
     _refuse_counter(n_traj)
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
-    return CorrectorBreakdown(*_BottomLattice(b, u_traj.grid, m).u1_terms(u_traj.at_step(m), m))
+    chars = _Characteristics(b, u_traj.grid, int(u_traj.step_indices[-1]), with_n1=False)
+    return CorrectorBreakdown(*chars.u1_terms(u_traj.at_step(m), m))
 
 
 def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
@@ -283,24 +290,11 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfil
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
     u = u_traj.at_step(m)
-    n1 = _cross_integral_nodes(b, u_traj, m)
-    v, eta = _surfaces(u, m, b, u_traj.grid, n1, coeffs, eta_bracket)
+    with _SUMS_LOCK:
+        n1 = _cross_integral_nodes(b, u_traj, m)
+        chars = _OF_TRAJECTORY[u_traj]  # the object the quadrature matched to b
+    v, eta = chars.surfaces(u, m, n1, coeffs, eta_bracket)
     return SurfaceReconstruction(v=Field(v, u_traj.grid), eta=Field(eta, u_traj.grid))
-
-
-def _surfaces(u: np.ndarray, m: int, b: BathymetryProfile, grid: Grid1D, n1: np.ndarray,
-              coeffs: ModelCoefficients, bracket: str) -> tuple[np.ndarray, np.ndarray]:
-    """K_topo's (v, eta) values at step m from the snapshot u there: U1's
-    bottom terms from b over the m steps back, N1_b from ``n1``, the
-    characteristic sum Int_0^t b'(x+t-s) u(s, x+t-2s) ds at the nodes, and
-    the eta bracket's sign (``topo_modified_surfaces``)."""
-    jump, integral = _BottomLattice(b, grid, m).u1_terms(u, m)
-    n1_b = -n1 / 4.0
-    half = u / 2.0
-    half_eps = coeffs.epsilon / 2.0
-    u1 = jump + integral
-    eta_sign = 1.0 if bracket == "identical" else -1.0
-    return half + half_eps * (u1 + n1_b), half + half_eps * (u1 + eta_sign * n1_b)
 
 
 @dataclass
@@ -347,7 +341,7 @@ class _CorrectorSeries:
         if np.count_nonzero(self.mask) < 4:
             raise DiagnosticError("fit window contains fewer than 4 snapshots")
         self.grid, self.s, self.fit_window = grid, s, fit_window
-        self.lattice = _BottomLattice(b, grid, int(steps[-1]))
+        self.characteristics = _Characteristics(b, grid, int(steps[-1]), with_n1=False)
         self.row_of = {m: k for k, m in enumerate(steps.tolist())}
         self.norms = np.empty(len(times))
         # the terms that multiply N0 keep their columns at an exact 0.0
@@ -356,7 +350,7 @@ class _CorrectorSeries:
     def record(self, m: int, u: np.ndarray) -> None:
         k = self.row_of.get(m)
         if k is not None:
-            u1 = CorrectorBreakdown(*self.lattice.u1_terms(u, m))
+            u1 = CorrectorBreakdown(*self.characteristics.u1_terms(u, m))
             self.norms[k] = discrete_sobolev(Field(u1.total, self.grid), self.s)
             for name, vals in u1.terms().items():
                 self.term_norms[name][k] = discrete_sobolev(Field(vals, self.grid), self.s)

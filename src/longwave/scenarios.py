@@ -66,9 +66,8 @@ from .kdv import (
 from .reconstruct import (
     ETA_BRACKETS,
     GrowthDiagnostic,
+    _Characteristics,
     _CorrectorSeries,
-    _RunningSum,
-    _surfaces,
 )
 
 __all__ = [
@@ -436,7 +435,11 @@ class ComparisonReport:
     stored_bytes: int  # the trajectories and B's eta rows the run held
 
     def error_at(self, t: float, which: str = "kdv") -> float:
-        series = self.err_kdv if which == "kdv" else self.err_kdv_topo
+        """K's (``which="kdv"``) or K_topo's (``"kdv_topo"``) error at the
+        error sample nearest t."""
+        series = {"kdv": self.err_kdv, "kdv_topo": self.err_kdv_topo}.get(which)
+        if series is None:
+            raise ConfigurationError(f"which must be 'kdv' or 'kdv_topo', got {which!r}")
         idx = int(np.argmin(np.abs(self.error_times - t)))
         if abs(self.error_times[idx] - t) > self.config.error_interval / 2.0 + 1e-9:
             raise ConfigurationError(f"no error sample near t={t}")
@@ -568,20 +571,21 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         run_boussinesq, config.build_boussinesq_problem(grid, time_grid), half, half,
         stride=num_steps, hook=b_metrics)
 
-    # K_topo's one sum over u, N1's Int_0^t b'(x+t-s) u(s, x+t-2s) ds, fed as K runs
-    topo_sum = _RunningSum(bottom, grid, num_steps)
+    # K_topo's bottom over the run's lattice: U1's terms, and N1's
+    # Int_0^t b'(x+t-s) u(s, x+t-2s) ds fed as K runs
+    characteristics = _Characteristics(bottom, grid, num_steps)
     l2_ref = discrete_l2(u0)
     snapshots: list[SnapshotRecord] = []
 
     def k_metrics(m: int, u: np.ndarray) -> None:
-        topo_sum.feed(u)
+        characteristics.feed(u)
         row = row_of.get(m)
         if row is None:
             return
         eta_b = eta_rows[row]
         eta_k = u / 2.0
-        _, eta_kt = _surfaces(u, m, bottom, grid, topo_sum.read(), coeffs,
-                              config.topo_eta_bracket)
+        _, eta_kt = characteristics.surfaces(u, m, characteristics.read(), coeffs,
+                                             config.topo_eta_bracket)
         err_k[row] = relative_linf_error(eta_k, eta_b)
         err_kt[row] = relative_linf_error(eta_kt, eta_b)
         refl_k[row] = refl(eta_k)

@@ -42,10 +42,13 @@ def two_dirs(tmp_path):
 
 def test_files_are_compared_by_kind(two_dirs):
     files = compare_outputs.compare_dirs(*two_dirs)
-    assert files["errors.csv"] == {"cmp": True, "max_abs_diff": {"t": 0.0, "err": 0.0}}
+    assert files["errors.csv"] == {"cmp": True, "max_abs_diff": {"t": 0.0, "err": 0.0},
+                                   "max_ulp_diff": {"t": 0.0, "err": 0.0}}
     snapshot = files["snapshot_t1.csv"]
     assert snapshot["cmp"] is False
     assert snapshot["max_abs_diff"] == {"x": 0.0, "eta": pytest.approx(1.1e-16, rel=0.01)}
+    # 0.50000000000000011 parses to the double after 0.5
+    assert snapshot["max_ulp_diff"] == {"x": 0.0, "eta": 1.0}
     # runtimes, BLAS and output directory left out; NaN equals NaN
     assert files["meta.json"] == {"differing_keys": ["stored_bytes"]}
     assert files["extra.csv"] == {"missing_in": "parent"}
@@ -68,3 +71,29 @@ def test_verdict(two_dirs):
     assert not compare_outputs.verdict([command], set())["ok"]
     for broken in ({"exit": [0, 2]}, {"stdout_same": False}, {"files": files}):
         assert not compare_outputs.verdict([{**command, **broken}], {"stored_bytes"})["ok"]
+
+
+def test_a_column_moved_by_one_ulp(tmp_path):
+    # each row of "moved" is its neighbour double, on both sides of zero and
+    # across a binade edge; "same" differs only in how its values are written
+    values = [-2.5, -1.0, 5e-324, 0.5, 1e300]
+    moved = [math.nextafter(-2.5, 0.0), math.nextafter(-1.0, -math.inf), 0.0,
+             math.nextafter(0.5, 0.0), math.nextafter(1e300, math.inf)]
+    rows_a = "".join(f"{v!r},{v!r}\n" for v in values)
+    rows_b = "".join(f"{v!r},{w!r}\n" for v, w in zip(values, moved))
+    a = _write(tmp_path / "a", {"e.csv": "same,moved\n" + rows_a})
+    b = _write(tmp_path / "b", {"e.csv": "same,moved\n" + rows_b.replace("\n0.5,", "\n5e-1,")})
+    result = compare_outputs.compare_dirs(a, b)["e.csv"]
+    assert result["cmp"] is False
+    assert result["max_ulp_diff"] == {"same": 0.0, "moved": 1.0}
+    assert result["max_abs_diff"]["same"] == 0.0
+    assert result["max_abs_diff"]["moved"] == math.ulp(1e300)
+
+
+def test_ulp_distance():
+    assert compare_outputs.ulp_distance(0.0, -0.0) == 0.0
+    assert compare_outputs.ulp_distance(-5e-324, 5e-324) == 2.0
+    assert compare_outputs.ulp_distance(1.0, 1.0 + 2.0**-52) == 1.0
+    assert compare_outputs.ulp_distance(1.0, 1.0 - 2.0**-53) == 1.0
+    assert compare_outputs.ulp_distance(math.nan, math.nan) == 0.0
+    assert compare_outputs.ulp_distance(1.0, math.nan) == math.inf

@@ -21,14 +21,15 @@ from longwave.grid import (
     StepBottom,
     TimeGrid,
     bathymetry_from_config,
+    discrete_sobolev,
     soliton_field,
 )
 from longwave.kdv import KdvProblem, Trajectory, run
 from longwave.reconstruct import (
     TERM_NAMES,
-    _RunningSum,
+    _OF_TRAJECTORY,
+    _Characteristics,
     _cross_integral_nodes,
-    _surfaces,
     corrector_fields,
     growth_diagnostic,
     topo_modified_surfaces,
@@ -232,12 +233,12 @@ class TestRunningSum:
         assert not traj.data.any()
 
     def test_sum_goes_with_its_trajectory(self, step_run):
-        # the sum lives on the trajectory, so no module state keeps it alive
+        # the module's table is weak-keyed, so it does not keep the trajectory alive
         eps, grid, tg, spec, _, bottom, coeffs = step_run
         traj = run(KdvProblem(eps, grid, TimeGrid(40, tg.dt)), soliton_field(spec, grid),
                    stride=1)
         topo_modified_surfaces(traj, None, bottom, coeffs, 40 * tg.dt)
-        assert isinstance(traj.topo_sum, _RunningSum)
+        assert isinstance(_OF_TRAJECTORY.get(traj), _Characteristics)
         ref = weakref.ref(traj)
         del traj
         gc.collect()
@@ -280,7 +281,7 @@ class TestRunningSum:
         np.save(path, traj.data)
         loaded = Trajectory(grid, tg.dt, traj.step_indices, np.load(path))
         fed = []
-        feed = _RunningSum.feed
+        feed = _Characteristics.feed
 
         def counting_feed(self, values):
             fed.append(None)
@@ -288,7 +289,7 @@ class TestRunningSum:
 
         times = [m * tg.dt for m in range(20, tg.num_steps + 1, 20)]
         want = [topo_modified_surfaces(traj, None, bottom, coeffs, t) for t in times]
-        monkeypatch.setattr(_RunningSum, "feed", counting_feed)
+        monkeypatch.setattr(_Characteristics, "feed", counting_feed)
         for t, expected in zip(times, want):
             got = topo_modified_surfaces(loaded, None, bottom, coeffs, t)
             np.testing.assert_array_equal(got.eta.values, expected.eta.values)
@@ -462,14 +463,14 @@ class TestStreamedTopoSum:
                 topo_modified_surfaces(sparse, None, bottom, coeffs,
                                        sparse.times[1], eta_bracket=eta_bracket)
         # the sum fed by the run's hook, K_topo built from the snapshot in hand
-        topo_sum = _RunningSum(bottom, grid, steps)
+        characteristics = _Characteristics(bottom, grid, steps)
         streamed = {}
 
         def hook(m, u):
-            topo_sum.feed(u)
+            characteristics.feed(u)
             if m in sparse.step_indices:
-                streamed[m] = _surfaces(u, m, bottom, grid, topo_sum.read(), coeffs,
-                                        eta_bracket)
+                streamed[m] = characteristics.surfaces(u, m, characteristics.read(), coeffs,
+                                                       eta_bracket)
 
         assert np.array_equal(run(problem, u0, stride=stride, on_step=hook).data, sparse.data)
         assert sorted(streamed) == sparse.step_indices.tolist()
@@ -481,6 +482,21 @@ class TestStreamedTopoSum:
 
 
 class TestGrowthDiagnostic:
+    @pytest.mark.parametrize("bottom", [SinusoidBottom(0.3, 10.125, 0.7),
+                                        SlowSinusoidBottom(0.5, 0.2),
+                                        StepBottom(0.5, 40.0, 1.5)],
+                             ids=["sinusoid", "slow_sinusoid", "step"])
+    def test_corrector_fields_equal_the_series_bit_for_bit(self, step_run, bottom):
+        # both build U1 over the trajectory's last stored step, so the H^2 norm
+        # of corrector_fields' total is the diagnostic's own at every step
+        eps, grid, tg, _, traj, _, coeffs = step_run
+        sparse = Trajectory(grid, tg.dt, traj.step_indices[::10], traj.data[::10])
+        assert sparse.step_indices[-1] == tg.num_steps
+        diag = growth_diagnostic(sparse, None, bottom, coeffs, s=2)
+        for k, t in enumerate(sparse.times):
+            u1 = corrector_fields(sparse, None, bottom, t)
+            assert discrete_sobolev(Field(u1.total, grid), 2) == diag.u1_norms[k]
+
     def test_flat_bottom_zero_series(self, step_run):
         eps, grid, tg, spec, traj, _, coeffs = step_run
         diag = growth_diagnostic(traj, None, FlatBottom(), coeffs, s=2)

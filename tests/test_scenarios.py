@@ -334,6 +334,15 @@ class TestRunScenario:
         assert np.all(np.diff(err) >= -0.05 * err[:-1])
         assert np.all(report.err_kdv_topo[mask] <= report.err_kdv[mask])
 
+    def test_error_at_reads_the_named_series_only(self, step_report):
+        _, report = step_report
+        t = report.error_times[3]
+        assert report.error_at(t, "kdv") == report.err_kdv[3]
+        assert report.error_at(t, "kdv_topo") == report.err_kdv_topo[3]
+        for which in ("topo", "kdv-topo", "boussinesq"):
+            with pytest.raises(ConfigurationError, match="'kdv' or 'kdv_topo'"):
+                report.error_at(t, which)
+
     def test_reconstruction_cheaper_than_coupled_solve(self, step_report):
         _, report = step_report
         assert report.runtimes["reconstruction"] < report.runtimes["boussinesq_solve"]
@@ -640,9 +649,9 @@ class TestStreaming:
         # one 0.5 s pause in the per-snapshot work counts as reconstruction
         # (simulate) or diagnostic (growth), not as time of a stepper run
         if command == "simulate":
-            target, config = scenarios, ScenarioConfig(scenario="validate", epsilon=0.2,
-                                                       final_time=1.0)
-            name, runner, key, steppers = ("_surfaces", run_scenario,
+            target, config = reconstruct._Characteristics, ScenarioConfig(
+                scenario="validate", epsilon=0.2, final_time=1.0)
+            name, runner, key, steppers = ("surfaces", run_scenario,
                                            "reconstruction", ("kdv_solve", "boussinesq_solve"))
         else:
             target, config = reconstruct._CorrectorSeries, ScenarioConfig(
@@ -1067,6 +1076,33 @@ class TestCli:
         path.write_text(json.dumps({"scenario": "step", "epsilon": 0.2}))
         assert main(["growth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "use longwave simulate instead" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,bathymetry,named", [
+        ("growth", {"kind": "step", "beta0": 0.5, "center": "40"}, "'step' parameter 'center'"),
+        ("growth", {"kind": "step", "beta0": True, "center": 40.0}, "'step' parameter 'beta0'"),
+        ("simulate", {"kind": "sinusoid", "b0": 0.1, "wavelength": "9.0"},
+         "'sinusoid' parameter 'wavelength'"),
+        ("simulate", {"kind": "sampled", "nodes": [0.0, 1.0], "values": [0.0, True]},
+         "'sampled' parameter 'values'"),
+        ("simulate", {"kind": "sampled", "nodes": [0.0, "1"], "values": [0.0, 1.0]},
+         "'sampled' parameter 'nodes'"),
+    ])
+    def test_bathymetry_parameter_that_is_no_number_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                             command, bathymetry, named):
+        # float() would take True as 1.0 and "40" as 40.0; a bool or a string
+        # is refused before any run, naming the kind and the parameter
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        cfg = {"scenario": "growth", "growth_kind": "step"} if command == "growth" \
+            else {"scenario": "step"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "epsilon": 0.2, "bathymetry": bathymetry}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bathymetry") and named in err
 
     def test_growth_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
         # eps = 12 leaves 3 snapshots, too few for the growth fit: a

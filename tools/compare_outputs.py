@@ -11,7 +11,7 @@ either); the report's ``env`` records both.  Per command it reports the exit cod
 once each run's output directory reads OUT, and per output file:
 
 * a CSV: whether the bytes are the same (``cmp``) and the largest absolute
-  difference of each column;
+  and the largest ULP difference of each column;
 * a JSON file: every key whose value differs, as a dotted path, leaving out
   ``runtimes_seconds``, ``output_dir`` and ``blas``;
 * a file that only one tree wrote.
@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -55,18 +56,37 @@ THREADS = "2"
 IGNORED_KEYS = frozenset({"runtimes_seconds", "output_dir", "blas"})
 
 
+def ulp_distance(x: float, y: float) -> float:
+    """How many doubles lie from x up to y, counting y: 0 for equal values
+    (and for 0.0 against -0.0, or NaN against NaN), inf against one NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+
+    def ordinal(v: float) -> int:
+        # the bit pattern as an integer, mirrored below zero so that it is monotonic
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+    return float(abs(ordinal(x) - ordinal(y)))
+
+
 def compare_csv(a: Path, b: Path) -> dict:
-    """Byte identity of two CSV files and the largest |a - b| of each column
-    (inf where the headers or row counts differ)."""
+    """Byte identity of two CSV files and, per column, the largest |a - b|
+    and the largest distance in units in the last place (``ulp_distance``);
+    inf where the headers or row counts differ."""
     same = a.read_bytes() == b.read_bytes()
     (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(p.open())) for p in (a, b))
     if head_a != head_b or len(rows_a) != len(rows_b):
-        return {"cmp": same, "max_abs_diff": {name: math.inf for name in head_a}}
+        return {"cmp": same, "max_abs_diff": {name: math.inf for name in head_a},
+                "max_ulp_diff": {name: math.inf for name in head_a}}
     diffs = {name: 0.0 for name in head_a}
+    ulps = dict(diffs)
     for row_a, row_b in zip(rows_a, rows_b):
         for name, x, y in zip(head_a, row_a, row_b):
-            diffs[name] = max(diffs[name], abs(float(x) - float(y)))
-    return {"cmp": same, "max_abs_diff": diffs}
+            x, y = float(x), float(y)
+            diffs[name] = max(diffs[name], abs(x - y))
+            ulps[name] = max(ulps[name], ulp_distance(x, y))
+    return {"cmp": same, "max_abs_diff": diffs, "max_ulp_diff": ulps}
 
 
 def differing_keys(a, b, prefix: str = "") -> list[str]:
