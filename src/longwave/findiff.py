@@ -31,7 +31,11 @@ slot, refinement and refactor rules.
 ``scipy.libs/libscipy_openblas-*.so``, the OpenBLAS that scipy's wheel ships
 and its compiled wrappers call, so results are theirs bit for bit; no scipy
 module is imported.  The names and 32-bit integers were checked on scipy
-1.17.1 only; no such library, or more than one, fails at import.
+1.17.1 only; no such library, or more than one, fails at import.  The
+library runs on one thread, the caller's: loaded first here, it starts no
+thread pool.  So no sum is split by the host's thread count, and B's
+results do not depend on it; a ``scipy.linalg`` in the same process shares
+the setting.
 """
 
 from __future__ import annotations
@@ -77,11 +81,24 @@ _C_TYPES = {bytes: ctypes.c_char, float: ctypes.c_double, int: ctypes.c_int}
 
 
 def _load_openblas(directory: str) -> ctypes.CDLL:
-    """The one OpenBLAS library of scipy's wheel in ``directory``."""
+    """The one OpenBLAS library of scipy's wheel in ``directory``, set to run
+    every call on the calling thread.  Loaded with OPENBLAS_NUM_THREADS=1, a
+    first load starts no thread pool; the variable is then restored, or
+    removed, as it was found.  A library loaded before keeps its pool idle."""
     paths = glob.glob(os.path.join(directory, _OPENBLAS_FILES))
     if len(paths) != 1:
         raise ImportError(f"{len(paths)} files match {_OPENBLAS_FILES} in {directory}, not one")
-    return ctypes.CDLL(paths[0])
+    found = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        library = ctypes.CDLL(paths[0])
+    finally:
+        if found is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = found
+    library.scipy_openblas_set_num_threads(1)
+    return library
 
 
 _scipy = importlib.util.find_spec("scipy")  # locates the package without importing it

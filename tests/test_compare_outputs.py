@@ -1,5 +1,5 @@
 """The output gate's comparison (tools/compare_outputs.py) on hand-made
-output directories; no command is run."""
+output directories, and its report on one gate command that exits at once."""
 
 import importlib.util
 import json
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_outputs)
@@ -97,3 +98,22 @@ def test_ulp_distance():
     assert compare_outputs.ulp_distance(1.0, 1.0 - 2.0**-53) == 1.0
     assert compare_outputs.ulp_distance(math.nan, math.nan) == 0.0
     assert compare_outputs.ulp_distance(1.0, math.nan) == math.inf
+
+
+def test_env_names_each_trees_blas_threads(tmp_path, monkeypatch, capsys):
+    # a stand-in for a tree older than the one-thread solver: its blas_info
+    # reports the OPENBLAS_NUM_THREADS it runs under, and it has no CLI
+    old = tmp_path / "old" / "src" / "longwave"
+    old.mkdir(parents=True)
+    (old / "__init__.py").write_text("")
+    (old / "findiff.py").write_text(
+        "import os\n\ndef blas_info():\n"
+        "    return {'threads': int(os.environ['OPENBLAS_NUM_THREADS'])}\n")
+    monkeypatch.setattr(compare_outputs, "GATE_COMMANDS",
+                        (("simulate", "--scenario", "step", "--epsilon", "-1"),))
+    assert compare_outputs.main([str(old.parents[1]), str(_ROOT)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["env"]["OPENBLAS_NUM_THREADS"] == compare_outputs.THREADS
+    assert report["env"]["blas_threads"] == [int(compare_outputs.THREADS), 1]
+    # the stand-in has no longwave.cli, so only the change exits 2
+    assert report["commands"][0]["exit"][1] == 2 != report["commands"][0]["exit"][0]

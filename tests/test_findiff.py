@@ -629,12 +629,15 @@ class TestStepOperator:
                                        rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
 
-def _fresh_interpreter(code):
-    """Run ``code`` in a new interpreter that imports longwave from this tree."""
+def _fresh_interpreter(code, **variables):
+    """Run ``code`` in a new interpreter that imports longwave from this tree,
+    with the environment ``variables`` set (None: unset)."""
     src = str(Path(findiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **variables)
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -720,6 +723,20 @@ class TestOpenBlasBinding:
             "      '_fblas' in maps, '_flapack' in maps, 'libscipy_openblas' in maps)"
         )
         assert out.strip() == "[] False False True"
+
+    @pytest.mark.parametrize("first", ["numpy", "scipy.linalg"])
+    @pytest.mark.parametrize("found", ["2", None])
+    def test_import_starts_no_thread_pool(self, first, found):
+        # the variables the benchmark sets for its workers; a scipy.linalg
+        # imported first has loaded the library, and its pool, already
+        out = _fresh_interpreter(
+            f"import os, {first}\n"
+            "before = len(os.listdir('/proc/self/task'))\n"
+            "import longwave\n"
+            "print(len(os.listdir('/proc/self/task')) - before,\n"
+            "      os.environ.get('OPENBLAS_NUM_THREADS'), longwave.blas_info()['threads'])",
+            OPENBLAS_NUM_THREADS=found, OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        assert out.split() == ["0", str(found), "1"]
 
     @pytest.mark.parametrize("copies", [0, 2])
     def test_no_single_library_names_the_directory(self, tmp_path, copies):

@@ -6,8 +6,12 @@ Each gate command (``GATE_COMMANDS``) runs once per tree as
 ``python -m longwave.cli ...`` in a fresh process, with the tree's ``src``
 first on PYTHONPATH, OPENBLAS_NUM_THREADS pinned to ``THREADS`` and
 OPENBLAS_CORETYPE to the core type OpenBLAS picks on the machine, read from
-``blas_info()`` in the change tree (outputs move at about 5e-15 with
-either); the report's ``env`` records both.  Per command it reports the exit codes, whether stdout is the same
+``blas_info()`` in the change tree (outputs move at about 5e-15 with the
+core type).  The report's ``env`` records both pins and, as ``blas_threads``
+(parent first), the threads each tree's solver runs under them: 1 in a tree
+whose solver loads its OpenBLAS with one thread, which ignores the thread
+pin, and ``THREADS`` in an older tree, whose B columns then differ at
+round-off.  Per command it reports the exit codes, whether stdout is the same
 once each run's output directory reads OUT, and per output file:
 
 * a CSV: whether the bytes are the same (``cmp``) and the largest absolute
@@ -50,7 +54,7 @@ GATE_COMMANDS = (
     ("convergence", "--epsilon", "0.2", "--out", "OUT"),
     ("convergence", "--epsilon", "0.2"),
 )
-# OPENBLAS_NUM_THREADS of every run
+# OPENBLAS_NUM_THREADS of every run; only trees older than the one-thread solver read it
 THREADS = "2"
 # JSON keys that differ between any two runs, or name their machine
 IGNORED_KEYS = frozenset({"runtimes_seconds", "output_dir", "blas"})
@@ -146,17 +150,23 @@ def run_command(tree: Path, argv: tuple, out: Path, env: dict) -> tuple[int, str
     return proc.returncode, proc.stdout.replace(str(out), "OUT")
 
 
+def blas_info_field(tree: Path, field: str, env: dict) -> str:
+    """``blas_info()[field]`` of the tree's solver, printed by a fresh process
+    run in ``env``."""
+    return subprocess.run(
+        [sys.executable, "-c", "from longwave.findiff import blas_info; "
+                               f"print(blas_info()[{field!r}])"],
+        capture_output=True, text=True, check=True,
+        env={**env, "PYTHONPATH": str(tree / "src")}).stdout.strip()
+
+
 def detected_coretype(tree: Path) -> str:
     """The OpenBLAS core type named in ``blas_info()``'s build configuration,
     the word before MAX_THREADS=, with neither variable set; exits with the
     configuration when it names none."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
-    config = subprocess.run(
-        [sys.executable, "-c", "from longwave.findiff import blas_info; "
-                               "print(blas_info()['config'])"],
-        capture_output=True, text=True, check=True,
-        env={**env, "PYTHONPATH": str(tree / "src")}).stdout.strip()
+    config = blas_info_field(tree, "config", env)
     words = config.split()
     coretype = next((words[i - 1] for i, word in enumerate(words)
                      if i and word.startswith("MAX_THREADS=")), None)
@@ -175,6 +185,7 @@ def main(argv=None) -> int:
     trees = [args.parent.resolve(), args.change.resolve()]
     pins = {"OPENBLAS_NUM_THREADS": THREADS, "OPENBLAS_CORETYPE": detected_coretype(trees[1])}
     env = {**os.environ, **pins}
+    threads = [int(blas_info_field(tree, "threads", env)) for tree in trees]
     commands = []
     with tempfile.TemporaryDirectory() as work:
         for index, argv_ in enumerate(GATE_COMMANDS):
@@ -189,7 +200,8 @@ def main(argv=None) -> int:
                 files = {}
             commands.append({"argv": list(argv_), "exit": [code for code, _ in runs],
                              "stdout_same": runs[0][1] == runs[1][1], "files": files})
-    report = {"trees": [str(args.parent), str(args.change)], "env": pins, "commands": commands,
+    report = {"trees": [str(args.parent), str(args.change)],
+              "env": {**pins, "blas_threads": threads}, "commands": commands,
               "summary": verdict(commands, set(args.allow_key))}
     print(json.dumps(report, indent=1))
     return 0 if report["summary"]["ok"] else 1
