@@ -9,6 +9,9 @@
 Each command is one row of ``_COMMANDS``, run by one body (``_run``).  Beside
 --config, --scenario, --epsilon and --overtime exit 2; --out and --levels are
 laid over the file's fields.  ``growth`` needs --out or the config's output_dir.
+A config another command runs is refused by ``scenarios._check_runner``,
+naming that command; every other refusal comes before the command's first
+stepper run too.
 
 Exit codes: 0 success, 2 invalid input (any other package error), 3 numerical
 instability, 4 I/O error.
@@ -27,6 +30,7 @@ from .errors import ConfigurationError, LongwaveError, SolverError
 from .scenarios import (
     SCENARIOS,
     ScenarioConfig,
+    _check_runner,
     convergence_study,
     run_growth,
     run_scenario,
@@ -176,18 +180,13 @@ def _check_output_dir(config: ScenarioConfig) -> None:
 
 
 def _run(args) -> int:
-    """Build the command's config, refuse a scenario another command runs,
-    check its output directory, run, write when there is an output
-    directory, and print the summary."""
+    """Build the command's config, refuse a scenario another command runs
+    (naming that command), check its output directory, run, write when there
+    is an output directory, and print the summary."""
     command = _COMMANDS[args.command]
     config = _config(args, command)
-    own = SCENARIOS[config.scenario, config.growth_kind].runner
-    if own != command.runner:
-        handled = dict.fromkeys(key[0] for key, record in SCENARIOS.items()
-                                if record.runner == command.runner)
-        other = next(name for name, row in _COMMANDS.items() if row.runner == own)
-        raise ConfigurationError(f"{args.command} needs a {'/'.join(handled)} scenario, got "
-                                 f"{config.scenario!r}; use longwave {other} instead")
+    _check_runner(config, command.runner,
+                  {row.runner: f"longwave {name}" for name, row in _COMMANDS.items()})
     if command.needs_out and not config.output_dir:
         raise ConfigurationError(f"{args.command} needs --out or output_dir in the config")
     _check_output_dir(config)

@@ -410,7 +410,8 @@ class SolitonSpec:
     def evaluate(self, x, t: float = 0.0):
         x = np.asarray(x, dtype=float)
         arg = self.width_param * (x - self.speed * t + self.shift)
-        return self.alpha / np.cosh(arg) ** 2
+        with np.errstate(over="ignore"):  # far tails: cosh^2 is inf, alpha / inf is 0
+            return self.alpha / np.cosh(arg) ** 2
 
 
 def soliton_field(spec: SolitonSpec, grid: Grid1D, t: float = 0.0) -> Field:

@@ -313,13 +313,12 @@ def _check_work(what: str, work: float) -> None:
         )
 
 
-def _check_storage(what: str, nbytes: float) -> None:
-    """Refuse storage above the 1 GB guard."""
+def _check_storage(what: str, nbytes: float,
+                   advice: str = "increase the stride or coarsen the run") -> None:
+    """Refuse storage above the 1 GB guard, with ``advice`` on what to change."""
     if nbytes > _MEMORY_GUARD_BYTES:
         raise ConfigurationError(
-            f"{what} would need {nbytes / 2**30:.2f} GB (> 1 GB guard); "
-            "increase the stride or coarsen the run"
-        )
+            f"{what} would need {nbytes / 2**30:.2f} GB (> 1 GB guard); {advice}")
 
 
 def _stored_rows(num_steps: int, stride: int) -> int:

@@ -16,6 +16,12 @@ defaults" lists it), with dt = dx always.  Growth scenarios integrate the
 right-going equation only and track the corrector norm series;
 growth/sinusoid scales with 1/eps so runs at different eps see the same
 modulation phase.
+
+The three runners (``run_scenario``, ``run_growth``, ``convergence_study``)
+start with one prelude, ``_setup``, and refuse a run before their first
+stepper call, in one order: a scenario another runner handles
+(``_check_runner``, which the CLI also calls with its command names), the
+run's node-steps, its storage, and a crest that would leave the window.
 """
 
 from __future__ import annotations
@@ -250,7 +256,7 @@ class ScenarioConfig:
         # before any array of n nodes exists: a run takes >= 1 step, stores >= 2 rows
         n = np.rint(self.domain_length / self.dx)  # a float: inf for a ratio past 1.8e308
         _check_work("run", n * max(1.0, np.rint(self.final_time / self.dt)))
-        _check_storage("trajectory storage", 8 * 2 * n)
+        _check_storage("trajectory storage", 8 * 2 * n, "coarsen dx or shorten domain_length")
         length = self.build_grid().length  # domain_length rounded to whole dx
         if not 0.0 <= -self.shift < length:
             raise ConfigurationError(
@@ -471,14 +477,18 @@ class ConvergenceReport:
 # Scenario runners
 # ---------------------------------------------------------------------------
 
-def _check_runner(config: ScenarioConfig, runner: str) -> None:
-    """Refuse a config whose scenario another runner handles, naming that runner."""
+def _check_runner(config: ScenarioConfig, runner: str, names: dict | None = None) -> None:
+    """Refuse a config whose scenario another runner handles, naming that
+    runner; ``names`` maps runners to what the caller calls them (the CLI's
+    ``longwave simulate``, ...), else the runners are named as they are."""
     own = SCENARIOS[config.scenario, config.growth_kind].runner
     if own != runner:
+        names = names or {}
         handled = dict.fromkeys(key[0] for key, record in SCENARIOS.items()
                                 if record.runner == runner)
-        raise ConfigurationError(f"{runner} needs a {'/'.join(handled)} scenario, "
-                                 f"got {config.scenario!r}; use {own} instead")
+        raise ConfigurationError(f"{names.get(runner, runner)} needs a {'/'.join(handled)} "
+                                 f"scenario, got {config.scenario!r}; use "
+                                 f"{names.get(own, own)} instead")
 
 
 def _check_crest_path(config: ScenarioConfig, grid: Grid1D, time_grid: TimeGrid) -> None:
@@ -509,9 +519,16 @@ def _timed_run(runner, problem, *fields, stride: int, hook=None):
     return traj, _time.perf_counter() - t0 - hook_seconds, hook_seconds
 
 
+def _analytic_error(u_traj, spec: SolitonSpec, time_grid: TimeGrid) -> float:
+    """K's error at the last step against the analytic wave at T."""
+    exact = soliton_field(spec, u_traj.grid, time_grid.final_time)
+    return relative_linf_error(u_traj.at_step(time_grid.num_steps), exact.values)
+
+
 def _setup(config: ScenarioConfig, runner: str) -> tuple:
-    """Refuse a config another runner handles, then build the run's grid,
-    time grid, bottom, soliton, initial wave u0 and error stride."""
+    """The prelude of every runner: refuse a config another runner handles,
+    then build the run's grid, time grid, bottom, soliton, initial wave u0
+    and error stride."""
     _check_runner(config, runner)
     grid, time_grid = config.build_grid(), config.build_time_grid()
     spec = config.build_soliton()
@@ -534,7 +551,8 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
     # B's eta, n floats per error step
     _check_storage("simulate storage at the error steps",
-                   8 * grid.num_points * _stored_rows(num_steps, stride))
+                   8 * grid.num_points * _stored_rows(num_steps, stride),
+                   "raise error_interval, shorten final_time or coarsen dx")
     _check_crest_path(config, grid, time_grid)
     error_steps = _stored_steps(num_steps, stride)
     row_of = {m: row for row, m in enumerate(error_steps.tolist())}
@@ -599,13 +617,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     u_traj, kdv_seconds, k_hook_seconds = _timed_run(
         run, config.build_kdv_problem(grid, time_grid), u0, stride=num_steps, hook=k_metrics)
 
-    validation_error = None
-    if bottom.is_flat():
-        tf = time_grid.final_time
-        exact = soliton_field(spec, grid, tf)
-        validation_error = relative_linf_error(u_traj.at_step(time_grid.num_steps),
-                                               exact.values)
-
+    validation_error = _analytic_error(u_traj, spec, time_grid) if bottom.is_flat() else None
     return ComparisonReport(
         config=config,
         realized_final_time=time_grid.final_time,
@@ -662,31 +674,37 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
 def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     """Observed orders of both steppers under successive halvings of dx = dt.
 
-    The scalar stepper is measured against the analytic solitary wave; the
-    coupled stepper against its own next-finer solution (the grids nest, so
-    coarse nodes are a subset of fine ones).  A study whose levels add up to
-    more node-steps, over both steppers, than one run may take is refused
-    before any level's grid is built."""
-    _check_runner(config, "convergence_study")
-    deltas = [config.dx / 2**k for k in range(config.refinement_levels)]
-    # (nodes, steps) of each level, checked before any level's grid exists
-    sizes = [(round(config.domain_length / config.dx) * 2**k,
-              round(config.final_time / config.dx) * 2**k) for k in range(len(deltas))]
-    _check_work("convergence study", 2 * sum(n * steps for n, steps in sizes))
-    levels = [(Grid1D(n, d), TimeGrid(steps, d)) for (n, steps), d in zip(sizes, deltas)]
-    _check_crest_path(config, *levels[0])
+    Level k is ``_setup``'s grid and time grid refined by 2^k.  The scalar
+    stepper is measured against the analytic solitary wave; the coupled
+    stepper against its own next-finer solution (the grids nest, so coarse
+    nodes are a subset of fine ones).  A study whose levels add up to more
+    node-steps, over both steppers, than one run may take, or whose finest
+    coupled run would store more than the 1 GB guard, is refused before any
+    grid finer than level 0 is built."""
+    grid0, time0, _, spec, _, _ = _setup(config, "convergence_study")
+    levels = config.refinement_levels
+    # the finest level's refinement 2^(levels - 1) as a float, inf past the
+    # largest float; float products then overflow to inf, never raise
+    finest = 2.0 ** (levels - 1) if levels <= 1024 else math.inf
+    # level k takes 4^k times level 0's node-steps, for each stepper
+    _check_work("convergence study", 2.0 * grid0.num_points * time0.num_steps
+                * (4.0 * finest * finest - 1.0) / 3.0)
+    # the finest coupled run stores two rows of (v, eta)
+    _check_storage("convergence study's finest coupled run", 8 * 2 * 2 * grid0.num_points * finest,
+                   "use fewer refinement levels or coarsen dx")
+    _check_crest_path(config, grid0, time0)
 
-    kdv_errors = []
-    eta_fields = []
+    deltas, kdv_errors, eta_fields = [], [], []
     runtimes = {"kdv_solve": [], "boussinesq_solve": []}
-    spec = config.build_soliton()
-    for grid, time_grid in levels:
+    for k in range(levels):
+        grid = Grid1D(grid0.num_points * 2**k, grid0.dx / 2**k)
+        time_grid = TimeGrid(time0.num_steps * 2**k, time0.dt / 2**k)
+        deltas.append(grid.dx)
         u0 = soliton_field(spec, grid)
         traj, seconds, _ = _timed_run(run, config.build_kdv_problem(grid, time_grid), u0,
                                       stride=time_grid.num_steps)
         runtimes["kdv_solve"].append(seconds)
-        exact = soliton_field(spec, grid, time_grid.final_time)
-        kdv_errors.append(relative_linf_error(traj.at_step(time_grid.num_steps), exact.values))
+        kdv_errors.append(_analytic_error(traj, spec, time_grid))
 
         half = Field(u0.values / 2.0, grid)
         btraj, seconds, _ = _timed_run(run_boussinesq,
@@ -696,13 +714,10 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
         _, eta = btraj.at_step(time_grid.num_steps)
         eta_fields.append(eta)
 
-    kdv_orders = [math.log2(kdv_errors[k] / kdv_errors[k + 1])
-                  for k in range(len(deltas) - 1)]
-    b_diffs = []
-    for k in range(len(deltas) - 1):
-        ratio = int(round(deltas[k] / deltas[k + 1]))
-        coarse, fine = eta_fields[k], eta_fields[k + 1][::ratio]
-        b_diffs.append(float(np.max(np.abs(coarse - fine))))
+    kdv_orders = [math.log2(kdv_errors[k] / kdv_errors[k + 1]) for k in range(levels - 1)]
+    # level k's nodes are every other node of level k + 1
+    b_diffs = [float(np.max(np.abs(eta_fields[k] - eta_fields[k + 1][::2])))
+               for k in range(levels - 1)]
     b_orders = [math.log2(b_diffs[k] / b_diffs[k + 1]) for k in range(len(b_diffs) - 1)]
     monotone = all(np.diff(kdv_errors) < 0) and all(np.diff(b_diffs) < 0)
     return ConvergenceReport(

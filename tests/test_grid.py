@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ class TestSoliton:
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(ConfigurationError):
             SolitonSpec(alpha=0.0, shift=0.0, epsilon=0.2)
+
+    def test_far_tails_are_zero_without_an_overflow_warning(self):
+        # the validate 0.2 window stretched to L = 2000: cosh overflows past
+        # |k (x - x0)| ~ 710, and alpha / inf is an exact 0 there
+        spec = SolitonSpec(alpha=0.5, shift=-30.0, epsilon=0.2)
+        grid = Grid1D.from_length(2000.0, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = soliton_field(spec, grid).values
+        far = spec.width_param * np.abs(grid.nodes - 30.0) > 720.0
+        assert far.any() and np.all(values[far] == 0.0)
+        assert values.max() == 0.5
 
 
 class TestNorms:

@@ -706,6 +706,15 @@ class TestCli:
             capture_output=True, text=True,
         )
 
+    def test_runner_names_are_the_runners_functions(self):
+        # the runner refusal names runners by these strings, and the CLI
+        # maps each to its command
+        scenario_runners = {record.runner for record in scenarios.SCENARIOS.values()}
+        command_runners = {command.runner for command in cli._COMMANDS.values()}
+        assert scenario_runners == command_runners
+        for name in scenario_runners:
+            assert getattr(scenarios, name).__name__ == name
+
     def test_simulate_smoke(self, tmp_path):
         out = tmp_path / "sim"
         proc = self._run("simulate", "--scenario", "validate", "--epsilon", "0.2",
@@ -1121,6 +1130,7 @@ class TestCli:
          "needs a convergence scenario"),
         (["--levels", "0"], {"scenario": "convergence", "epsilon": 0.1},
          "at least 3 refinement levels"),
+        (["--epsilon", "0.1", "--levels", "1000"], None, "convergence study would take"),
     ])
     def test_convergence_refused_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                  argv, cfg, message):
@@ -1136,16 +1146,50 @@ class TestCli:
         assert main(["convergence", *argv]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg,message", [
+        ({"refinement_levels": 40}, "convergence study would take"),
+        ({"domain_length": 24000, "final_time": 0.04, "refinement_levels": 7}, "1 GB guard"),
+    ], ids=["work", "storage"])
     def test_convergence_levels_refused_before_their_grids_exist(self, tmp_path, monkeypatch,
-                                                                capsys):
+                                                                capsys, cfg, message):
         # 40 levels would end at 2000 x 2^39 nodes: the study is refused from
-        # its level sizes, before any level's nodes are allocated
+        # its level sizes, before any level's nodes are allocated.  The 24000
+        # window passes the node-step guard (6.6e9 over 14 runs), but its
+        # finest coupled run would store 1.14 GB: refused before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
         monkeypatch.setattr(scenarios, "Grid1D", _SmallGrid)
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
         path = tmp_path / "conv.json"
-        path.write_text(json.dumps({"scenario": "convergence", "epsilon": 0.1,
-                                    "refinement_levels": 40}))
+        path.write_text(json.dumps({"scenario": "convergence", "epsilon": 0.1, **cfg}))
         assert main(["convergence", "--config", str(path)]) == 2
-        assert "convergence study would take" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,advice", [
+        ("simulate", {"scenario": "step", "epsilon": 0.2, "final_time": 5000.0,
+                      "error_interval": 0.05}, "raise error_interval"),
+        ("convergence", {"scenario": "convergence", "epsilon": 0.1, "domain_length": 24000,
+                         "final_time": 0.04, "refinement_levels": 7},
+         "use fewer refinement levels"),
+        ("simulate", {"scenario": "validate", "epsilon": 0.2, "domain_length": 4e6,
+                      "final_time": 0.05}, "shorten domain_length"),
+    ], ids=["simulate", "convergence", "config"])
+    def test_storage_refusal_names_what_a_config_can_set(self, tmp_path, monkeypatch, capsys,
+                                                          command, cfg, advice):
+        # no command takes a stride, so a storage refusal names the config
+        # fields that lower the storage
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "1 GB guard" in err and advice in err and "stride" not in err
 
     @pytest.mark.parametrize("below", [False, True])
     @pytest.mark.parametrize("argv", [
