@@ -21,11 +21,10 @@ discretization of the continuum L2 norm.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,17 +327,17 @@ class ModelCoefficients:
 
     Admissibility (a1 == a3, a2 >= 0, a4 >= 0) is enforced at construction;
     it implies a1 + (a2 + a4)/2 = 1/6, the dispersion coefficient of the
-    uncoupled wave equations.
+    uncoupled wave equations.  a1..a4 are derived only, never passed.
     """
 
     theta: float
     lambda1: float
     lambda2: float
     epsilon: float
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
-    a4: float = 0.0
+    a1: float = field(init=False)
+    a2: float = field(init=False)
+    a3: float = field(init=False)
+    a4: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -454,19 +453,14 @@ def discrete_h1_eps(v: Field, eta: Field, coeffs: ModelCoefficients) -> float:
     return math.sqrt(dx * total)
 
 
-@functools.lru_cache(maxsize=8)
-def _d1(grid: Grid1D):
-    """The grid's ``findiff.make_d1``, built once per grid."""
-    from .findiff import make_d1  # findiff imports this module
-    return make_d1(grid)
-
-
 def discrete_sobolev(f: Field, s: int) -> float:
     """sqrt(sum_{m=0..s} |D1^m f|^2) with the discrete L2 norm, 0 <= s <= 5,
     D1 the steppers' own (``findiff.make_d1``)."""
+    from .findiff import make_d1  # findiff imports this module
+
     if not 0 <= s <= 5:
         raise ConfigurationError(f"Sobolev order must lie in [0, 5], got {s}")
-    d1 = _d1(f.grid)
+    d1 = make_d1(f.grid)
     values = f.values
     total = float(np.dot(values, values))
     for _ in range(s):

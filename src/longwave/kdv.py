@@ -228,11 +228,10 @@ class RelaxationState:
     is taken, advancing it again gives the same successor."""
 
     def __init__(self, current: np.ndarray, predictor: np.ndarray, step_index: int,
-                 dt: float, operator: StepOperator, history: np.ndarray):
+                 operator: StepOperator, history: np.ndarray):
         self.current = current
         self.predictor = predictor
         self.step_index = int(step_index)
-        self.dt = float(dt)
         self.operator = operator
         self.history = history
 
@@ -264,8 +263,7 @@ def _start(problem, current: np.ndarray) -> RelaxationState:
     blocks = problem.blocks
     size = blocks * problem.grid.num_points
     operator = StepOperator(size, blocks, problem.add_constant_terms)
-    return RelaxationState(current, predictor, 0, dt, operator,
-                           np.zeros((_GUESS_DEPTH + 1, size)))
+    return RelaxationState(current, predictor, 0, operator, np.zeros((_GUESS_DEPTH + 1, size)))
 
 
 def _advance(problem, state: RelaxationState) -> RelaxationState:
@@ -288,7 +286,7 @@ def _advance(problem, state: RelaxationState) -> RelaxationState:
         raise InstabilityError("non-finite solution", step_index=m + 1)
     predictor = np.multiply(current, 2.0)
     predictor -= state.predictor
-    return RelaxationState(current, predictor, m + 1, state.dt, operator, history)
+    return RelaxationState(current, predictor, m + 1, operator, history)
 
 
 def init_predictor(problem: KdvProblem, u0: Field) -> RelaxationState:
@@ -303,13 +301,14 @@ def step(problem: KdvProblem, state: RelaxationState) -> RelaxationState:
     return _advance(problem, state)
 
 
-def _check_work(what: str, work: float) -> None:
-    """Refuse work above the node-step guard (grid points x time steps)."""
+def _check_work(what: str, work: float,
+                advice: str = "shorten final_time or coarsen the grid") -> None:
+    """Refuse work above the node-step guard, with ``advice`` on what to
+    change; a run's node-steps are its unknowns x its time steps."""
     if work > _WORK_GUARD_NODE_STEPS:
         raise ConfigurationError(
             f"{what} would take {work:.3g} node-steps, about {work / 1e6 / 3600:.3g} h "
-            f"at 1e6 node-steps/s (> {_WORK_GUARD_NODE_STEPS:.0e} guard); "
-            "shorten final_time or coarsen the grid"
+            f"at 1e6 node-steps/s (> {_WORK_GUARD_NODE_STEPS:.0e} guard); {advice}"
         )
 
 
@@ -331,13 +330,13 @@ def _stored_steps(num_steps: int, stride: int) -> np.ndarray:
     return np.append(np.arange(0, num_steps, stride), num_steps)
 
 
-def _failed_step(exc: SolverError, state: RelaxationState, dx: float) -> SolverError:
-    """``exc`` as raised by the step after ``state``, the last finite state:
-    the same error type, naming the failed step, its time and that state's
-    norms in its message and attributes."""
+def _failed_step(exc: SolverError, state: RelaxationState, problem) -> SolverError:
+    """``exc`` as raised by the step after ``state``, the last finite state
+    of ``problem``'s run: the same error type, naming the failed step, its
+    time and that state's norms in its message and attributes."""
     step_index, z = state.step_index + 1, state.current
-    time = step_index * state.dt
-    l2, peak = math.sqrt(dx * float(z @ z)), float(np.max(np.abs(z)))
+    time = step_index * problem.time_grid.dt
+    l2, peak = math.sqrt(problem.grid.dx * float(z @ z)), float(np.max(np.abs(z)))
     return type(exc)(
         f"{exc} (at step {step_index}) at t = {time:.6g}; last finite state: "
         f"L2 norm {l2:.6e}, max norm {peak:.6e}",
@@ -365,7 +364,7 @@ def _drive(problem, start, advance, stride: int, on_step=None):
     blocks = problem.blocks
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
-    _check_work("run", n * num_steps)
+    _check_work("run", blocks * n * num_steps)
     shape = (blocks, _stored_rows(num_steps, stride), n)
     _check_storage("trajectory storage", 8 * shape[0] * shape[1] * shape[2])
     plan = _stored_steps(num_steps, stride)
@@ -378,7 +377,7 @@ def _drive(problem, start, advance, stride: int, on_step=None):
             try:
                 state = advance(problem, state)
             except SolverError as exc:
-                raise _failed_step(exc, state, problem.grid.dx) from exc
+                raise _failed_step(exc, state, problem) from exc
             on_step(state.step_index, state.current)
         data[:, row] = state.current.reshape(n, blocks).T
     data.flags.writeable = False

@@ -208,12 +208,10 @@ class ScenarioConfig:
                                      f"got {(self.scenario, self.growth_kind)}")
         if self.epsilon <= 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"soliton amplitude must be positive, got {self.alpha}")
         if self.refinement_levels < 3:
             raise ConfigurationError(f"refinement_levels {self.refinement_levels} < 3; a "
                                      "convergence study needs at least 3 refinement levels")
-        if self.overtime and self.final_time not in (None, self.epsilon ** -1.5):
+        if self.overtime and self.final_time not in (None, self.overtime_horizon()):
             raise ConfigurationError(f"overtime sets final_time to epsilon^-1.5, not to the "
                                      f"given {self.final_time}; give overtime or final_time")
         self._fill_defaults()
@@ -224,7 +222,7 @@ class ScenarioConfig:
         t_def, l_def, dx_def, x0_def = (record.published.get(self.epsilon)
                                         or record.rule(self.epsilon))
         if self.final_time is None:
-            self.final_time = self.epsilon ** -1.5 if self.overtime else t_def
+            self.final_time = self.overtime_horizon() if self.overtime else t_def
         if self.domain_length is None:
             self.domain_length = l_def
         if self.dx is None:
@@ -238,8 +236,9 @@ class ScenarioConfig:
         if self.bathymetry is None:
             self.bathymetry = record.bottom(self)
         if self.error_interval is None:
+            # np.rint, not round: an inf horizon stays inf for the node-step guard
             target = self.final_time / 100.0
-            self.error_interval = max(self.dx, round(target / self.dx) * self.dx)
+            self.error_interval = max(self.dx, float(np.rint(target / self.dx)) * self.dx)
         if self.snapshot_times is None:
             if record.final_snapshot_only:
                 self.snapshot_times = [self.final_time]
@@ -251,11 +250,13 @@ class ScenarioConfig:
                 self.snapshot_times = sorted(times)
 
     def _validate_filled(self) -> None:
+        self.build_soliton()  # raises on a non-positive amplitude
         if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
             raise ConfigurationError("dx, final_time and domain_length must be positive")
-        # before any array of n nodes exists: a run takes >= 1 step, stores >= 2 rows
-        n = np.rint(self.domain_length / self.dx)  # a float: inf for a ratio past 1.8e308
-        _check_work("run", n * max(1.0, np.rint(self.final_time / self.dt)))
+        # before any array of n nodes exists: a run takes >= 1 step, stores >= 2
+        # rows; Python floats, which overflow to inf without a warning
+        n = float(np.rint(self.domain_length / self.dx))
+        _check_work("run", n * max(1.0, float(np.rint(self.final_time / self.dt))))
         _check_storage("trajectory storage", 8 * 2 * n, "coarsen dx or shorten domain_length")
         length = self.build_grid().length  # domain_length rounded to whole dx
         if not 0.0 <= -self.shift < length:
@@ -297,6 +298,14 @@ class ScenarioConfig:
             )
 
     # -- derived quantities ------------------------------------------------
+
+    def overtime_horizon(self) -> float:
+        """The demonstration horizon epsilon^(-3/2) of ``overtime``; inf where
+        the power overflows."""
+        try:
+            return self.epsilon ** -1.5
+        except OverflowError:
+            return math.inf
 
     @property
     def dt(self) -> float:
@@ -502,9 +511,9 @@ def _check_crest_path(config: ScenarioConfig, grid: Grid1D, time_grid: TimeGrid)
             f"[0, {grid.length:g})")
 
 
-def _timed_run(runner, problem, *fields, stride: int, hook=None):
-    """``runner(problem, *fields)`` storing every ``stride``-th step, with
-    ``hook`` as its per-step hook; returns the trajectory, the stepper's
+def _timed_run(runner, problem, *fields, hook=None):
+    """``runner(problem, *fields)`` storing only its first and last steps,
+    with ``hook`` as its per-step hook; returns the trajectory, the stepper's
     seconds without the hook's, and the hook's seconds."""
     hook_seconds = 0.0
 
@@ -515,7 +524,8 @@ def _timed_run(runner, problem, *fields, stride: int, hook=None):
         hook_seconds += _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    traj = runner(problem, *fields, stride=stride, on_step=timed if hook else None)
+    traj = runner(problem, *fields, stride=problem.time_grid.num_steps,
+                  on_step=timed if hook else None)
     return traj, _time.perf_counter() - t0 - hook_seconds, hook_seconds
 
 
@@ -587,7 +597,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
 
     b_traj, boussinesq_seconds, b_hook_seconds = _timed_run(
         run_boussinesq, config.build_boussinesq_problem(grid, time_grid), half, half,
-        stride=num_steps, hook=b_metrics)
+        hook=b_metrics)
 
     # K_topo's bottom over the run's lattice: U1's terms, and N1's
     # Int_0^t b'(x+t-s) u(s, x+t-2s) ds fed as K runs
@@ -615,7 +625,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
                                             -1.0 + bottom.sample(grid)))
 
     u_traj, kdv_seconds, k_hook_seconds = _timed_run(
-        run, config.build_kdv_problem(grid, time_grid), u0, stride=num_steps, hook=k_metrics)
+        run, config.build_kdv_problem(grid, time_grid), u0, hook=k_metrics)
 
     validation_error = _analytic_error(u_traj, spec, time_grid) if bottom.is_flat() else None
     return ComparisonReport(
@@ -657,8 +667,7 @@ def run_growth(config: ScenarioConfig) -> GrowthReport:
                               _stored_steps(time_grid.num_steps, stride), fit_window)
 
     u_traj, kdv_seconds, hook_seconds = _timed_run(
-        run, config.build_kdv_problem(grid, time_grid), u0, stride=time_grid.num_steps,
-        hook=series.record)
+        run, config.build_kdv_problem(grid, time_grid), u0, hook=series.record)
     t1 = _time.perf_counter()
     diag = series.diagnostic()
     return GrowthReport(
@@ -686,9 +695,11 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     # the finest level's refinement 2^(levels - 1) as a float, inf past the
     # largest float; float products then overflow to inf, never raise
     finest = 2.0 ** (levels - 1) if levels <= 1024 else math.inf
-    # level k takes 4^k times level 0's node-steps, for each stepper
-    _check_work("convergence study", 2.0 * grid0.num_points * time0.num_steps
-                * (4.0 * finest * finest - 1.0) / 3.0)
+    # level k takes 4^k times level 0's node-steps, K's plus twice B's: the
+    # levels sum to 3 (4^levels - 1) / 3 times those of level 0's K run
+    _check_work("convergence study", grid0.num_points * time0.num_steps
+                * (4.0 * finest * finest - 1.0),
+                "use fewer refinement levels, shorten final_time or coarsen dx")
     # the finest coupled run stores two rows of (v, eta)
     _check_storage("convergence study's finest coupled run", 8 * 2 * 2 * grid0.num_points * finest,
                    "use fewer refinement levels or coarsen dx")
@@ -701,15 +712,13 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
         time_grid = TimeGrid(time0.num_steps * 2**k, time0.dt / 2**k)
         deltas.append(grid.dx)
         u0 = soliton_field(spec, grid)
-        traj, seconds, _ = _timed_run(run, config.build_kdv_problem(grid, time_grid), u0,
-                                      stride=time_grid.num_steps)
+        traj, seconds, _ = _timed_run(run, config.build_kdv_problem(grid, time_grid), u0)
         runtimes["kdv_solve"].append(seconds)
         kdv_errors.append(_analytic_error(traj, spec, time_grid))
 
         half = Field(u0.values / 2.0, grid)
-        btraj, seconds, _ = _timed_run(run_boussinesq,
-                                       config.build_boussinesq_problem(grid, time_grid), half,
-                                       half, stride=time_grid.num_steps)
+        btraj, seconds, _ = _timed_run(
+            run_boussinesq, config.build_boussinesq_problem(grid, time_grid), half, half)
         runtimes["boussinesq_solve"].append(seconds)
         _, eta = btraj.at_step(time_grid.num_steps)
         eta_fields.append(eta)

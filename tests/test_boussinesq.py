@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from longwave import findiff
+from longwave import findiff, kdv
 from longwave.boussinesq import (
     BoussinesqProblem,
     init_boussinesq,
@@ -175,6 +175,22 @@ class TestStep:
 
 
 class TestRun:
+    def test_work_guard_counts_both_fields(self, setup, monkeypatch):
+        # 800 nodes x 50 steps: n N = 4e4 is under the lowered guard, but the
+        # run's unknowns (v, eta) take 2 n N = 8e4 node-steps, refused before
+        # the run starts
+        _, grid, tg, coeffs, half = setup
+
+        def no_start(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(kdv, "_WORK_GUARD_NODE_STEPS", 6e4)
+        monkeypatch.setattr(kdv, "_start", no_start)
+        assert grid.num_points * tg.num_steps < 6e4
+        with pytest.raises(ConfigurationError, match="8e\\+04 node-steps"):
+            run_boussinesq(BoussinesqProblem(coeffs, FlatBottom(), grid, tg), half, half,
+                           stride=tg.num_steps)
+
     def test_zero_run(self, setup):
         _, grid, tg, coeffs, _ = setup
         traj = run_boussinesq(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -185,6 +186,14 @@ class TestModelCoefficients:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelCoefficients(math.sqrt(2.0 / 3.0), 0.5, 0.5, 0.0)
+
+    def test_derived_coefficients_cannot_be_passed(self):
+        # a1..a4 follow from the triple; a given a1 is refused, not overwritten
+        with pytest.raises(TypeError, match="a1"):
+            ModelCoefficients(math.sqrt(2.0 / 3.0), 0.5, 0.5, 0.1, a1=1.0)
+        c = ModelCoefficients(math.sqrt(2.0 / 3.0), 0.5, 0.5, 0.1)
+        assert list(dataclasses.asdict(c)) == ["theta", "lambda1", "lambda2", "epsilon",
+                                               "a1", "a2", "a3", "a4"]
 
 
 class TestSoliton:

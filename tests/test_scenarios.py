@@ -176,6 +176,9 @@ class TestScenarioConfig:
         # overtime would replace the given final_time by epsilon^-1.5
         with pytest.raises(ConfigurationError, match="overtime .* given 1.0; .* final_time"):
             ScenarioConfig(scenario="validate", epsilon=0.2, overtime=True, final_time=1.0)
+        # also where epsilon^-1.5 overflows: the horizon is then inf
+        with pytest.raises(ConfigurationError, match="overtime .* given 1.0; .* final_time"):
+            ScenarioConfig(scenario="validate", epsilon=1e-300, overtime=True, final_time=1.0)
         # the config echo of an overtime run, which holds epsilon^-1.5, runs again
         echo = json.loads(json.dumps(ScenarioConfig(scenario="step", epsilon=0.2,
                                                     overtime=True).to_dict()))
@@ -699,6 +702,7 @@ class TestStreaming:
             assert len(seconds) == len(report.deltas) and min(seconds) > 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCli:
     def _run(self, *args):
         return subprocess.run(
@@ -834,6 +838,26 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "step", "--epsilon", "1e-300", "--overtime"],
+        ["growth", "--scenario", "sinusoid", "--epsilon", "1e-300", "--out", "OUT"],
+    ], ids=["overtime", "growth"])
+    def test_horizon_past_the_float_range_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # epsilon^-1.5 overflows (overtime), and the growth rule's window of
+        # 4/eps over T = 1/eps takes more node-steps than a float holds: both
+        # are refused by the node-step guard as inf, without an OverflowError
+        # or a RuntimeWarning (which this class turns into errors)
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: run would take inf node-steps"), err
         assert not (tmp_path / "out").exists()
 
     def test_simulate_guard_counts_k_and_twice_b(self, tmp_path, monkeypatch, capsys):
@@ -1125,6 +1149,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,cfg,message", [
         (["--epsilon", "0.1", "--levels", "9"], None, "convergence study would take"),
+        (["--epsilon", "0.1", "--levels", "9"], None, "guard); use fewer refinement levels"),
         (["--levels", "9"], {"scenario": "convergence", "epsilon": 0.1}, "node-steps"),
         ([], {"scenario": "growth", "epsilon": 0.2, "growth_kind": "step"},
          "needs a convergence scenario"),
@@ -1154,8 +1179,9 @@ class TestCli:
                                                                 capsys, cfg, message):
         # 40 levels would end at 2000 x 2^39 nodes: the study is refused from
         # its level sizes, before any level's nodes are allocated.  The 24000
-        # window passes the node-step guard (6.6e9 over 14 runs), but its
-        # finest coupled run would store 1.14 GB: refused before any run
+        # window passes the node-step guard (9.8e9, K's plus twice B's, over 14
+        # runs), but its finest coupled run would store 1.14 GB: refused
+        # before any run
         def no_run(*args, **kwargs):
             raise AssertionError("a stepper ran")
 
