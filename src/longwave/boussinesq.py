@@ -61,7 +61,7 @@ from .grid import (
     TimeGrid,
     _padded,
 )
-from .kdv import PairTrajectory, RelaxationState, _advance, _drive, _start
+from .kdv import RelaxationState, Trajectory, _advance, _drive, _start
 
 __all__ = [
     "BoussinesqProblem",
@@ -249,13 +249,14 @@ def step_boussinesq(problem: BoussinesqProblem, state: RelaxationState) -> Relax
 
 
 def run_boussinesq(problem: BoussinesqProblem, v0: Field, eta0: Field,
-                   stride: int = 1, on_step=None) -> PairTrajectory:
+                   stride: int = 1, on_step=None) -> Trajectory:
     """Integrate over the full time grid, storing every stride-th pair.
 
     ``on_step(m, z)`` is called at step 0 and after every step with the
     interleaved z = (v_0, eta_0, v_1, eta_1, ...) (see ``kdv._drive``).  The
-    returned ``v_data`` and ``eta_data`` arrays are read-only."""
-    plan, (v_data, eta_data) = _drive(
+    returned ``data``, of shape (snapshots, 2, n), is read-only, and
+    ``v, eta = at_step(m)`` unpacks a stored step."""
+    plan, data = _drive(
         problem, lambda: init_boussinesq(problem, v0, eta0), step_boussinesq, stride, on_step,
     )
-    return PairTrajectory(problem.grid, problem.time_grid.dt, plan, v_data, eta_data)
+    return Trajectory(problem.grid, problem.time_grid.dt, plan, data)

@@ -41,7 +41,6 @@ the setting.
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import importlib.util
 import os
@@ -205,17 +204,14 @@ def make_d3(grid: Grid1D) -> CyclicBandedOperator:
     return CyclicBandedOperator((-2, -1, 1, 2), (-s, 2.0 * s, -2.0 * s, s), grid.num_points)
 
 
-@functools.lru_cache(maxsize=32)
 def _fold_layout(n: int, reach: int):
     """Folded positions and half-bandwidth k.
 
     Node i sits at folded position pos[i]; an entry at cyclic offset
-    |o| <= reach keeps |pos[i] - pos[j]| <= 2 reach.  The array is read-only
-    because every call with the same (n, reach) shares it.
+    |o| <= reach keeps |pos[i] - pos[j]| <= 2 reach.
     """
     nodes = np.arange(n)
     pos = np.where(nodes < (n + 1) // 2, 2 * nodes, 2 * (n - 1 - nodes) + 1)
-    pos.flags.writeable = False
     return pos, min(2 * reach, n - 1)
 
 

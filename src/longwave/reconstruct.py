@@ -49,8 +49,7 @@ out.  Each runner holds its own object:
   hook feeds it, and at each error step builds K_topo from the snapshot in
   hand (``_Characteristics.surfaces``), with no trajectory stored at stride 1;
 * ``_CorrectorSeries`` (``growth_diagnostic`` and ``run_growth``) and
-  ``corrector_fields`` build one over the last stored step for U1 alone; it
-  never feeds N1, so b' is not evaluated;
+  ``corrector_fields`` build one over the last stored step for U1 alone;
 * over a stored trajectory, ``topo_modified_surfaces`` uses the
   trajectory's own object (M its last stored step), which this module keeps
   in a weak-keyed table under ``_SUMS_LOCK``, so it goes when the trajectory
@@ -145,6 +144,11 @@ def _refuse_counter(n_traj) -> None:
 
 
 def _check_alignment(traj: Trajectory) -> None:
+    """Refuse a trajectory that is not one right-going field of shape
+    (snapshots, n), such as a coupled run's (v, eta), or whose dt is not dx."""
+    if traj.data.shape != (len(traj.step_indices), traj.grid.num_points):
+        raise ConfigurationError(f"reconstruction needs right-going data of shape "
+                                 f"(snapshots, n), got {traj.data.shape}")
     if traj.dt != traj.grid.dx:
         raise ConfigurationError(
             f"reconstruction requires dt == dx, got dt={traj.dt}, dx={traj.grid.dx}"
@@ -154,23 +158,22 @@ def _check_alignment(traj: Trajectory) -> None:
 class _Characteristics:
     """The bottom on one run's lattice x_j = j dx, sampled once, and the
     grid's D1 (module docstring): b on [-M, n) with its prefix sums, for U1's
-    two terms at any step m <= M, and, unless ``with_n1`` is False, b' on
-    [0, n + M) for N1's running sum, fed one snapshot at a time (``feed``,
-    ``read``).  ``surfaces`` combines them into K_topo at step m."""
+    two terms at any step m <= M, and b' on [0, n + M) for N1's running sum,
+    fed one snapshot at a time (``feed``, ``read``).  ``surfaces`` combines
+    them into K_topo at step m."""
 
-    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int, with_n1: bool = True):
-        self.grid, self.big_m, self.with_n1 = grid, big_m, with_n1
+    def __init__(self, b: BathymetryProfile, grid: Grid1D, big_m: int):
+        self.grid, self.big_m = grid, big_m
         self.values, self.slopes = self._sample(b)
         self.sums = np.concatenate(([0.0], np.cumsum(self.values)))
         self.d1 = make_d1(grid)
         self.step = -1  # the last snapshot fed to N1's sum
 
-    def _sample(self, b: BathymetryProfile) -> tuple[np.ndarray, np.ndarray | None]:
-        """b on [-M, n) and, for N1 only, b' on [0, n + M)."""
+    def _sample(self, b: BathymetryProfile) -> tuple[np.ndarray, np.ndarray]:
+        """b on [-M, n) and b' on [0, n + M)."""
         n, big_m, dx = self.grid.num_points, self.big_m, self.grid.dx
-        slopes = (np.asarray(b.derivative(np.arange(0, n + big_m) * dx), dtype=float)
-                  if self.with_n1 else None)
-        return np.asarray(b.value(np.arange(-big_m, n) * dx), dtype=float), slopes
+        return (np.asarray(b.value(np.arange(-big_m, n) * dx), dtype=float),
+                np.asarray(b.derivative(np.arange(0, n + big_m) * dx), dtype=float))
 
     def matches(self, b: BathymetryProfile) -> bool:
         """Whether b and b' on this object's lattice are the ones it holds."""
@@ -267,7 +270,7 @@ def corrector_fields(u_traj: Trajectory, n_traj: None, b: BathymetryProfile,
     _refuse_counter(n_traj)
     _check_alignment(u_traj)
     m = u_traj.step_of_time(t)
-    chars = _Characteristics(b, u_traj.grid, int(u_traj.step_indices[-1]), with_n1=False)
+    chars = _Characteristics(b, u_traj.grid, int(u_traj.step_indices[-1]))
     return CorrectorBreakdown(*chars.u1_terms(u_traj.at_step(m), m))
 
 
@@ -341,7 +344,7 @@ class _CorrectorSeries:
         if np.count_nonzero(self.mask) < 4:
             raise DiagnosticError("fit window contains fewer than 4 snapshots")
         self.grid, self.s, self.fit_window = grid, s, fit_window
-        self.characteristics = _Characteristics(b, grid, int(steps[-1]), with_n1=False)
+        self.characteristics = _Characteristics(b, grid, int(steps[-1]))
         self.row_of = {m: k for k, m in enumerate(steps.tolist())}
         self.norms = np.empty(len(times))
         # the terms that multiply N0 keep their columns at an exact 0.0

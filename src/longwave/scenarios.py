@@ -214,6 +214,10 @@ class ScenarioConfig:
         if self.overtime and self.final_time not in (None, self.overtime_horizon()):
             raise ConfigurationError(f"overtime sets final_time to epsilon^-1.5, not to the "
                                      f"given {self.final_time}; give overtime or final_time")
+        # before _fill_defaults derives anything from them
+        for name in ("dx", "final_time", "domain_length"):
+            if (value := getattr(self, name)) is not None and value <= 0.0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
         self._fill_defaults()
         self._validate_filled()
 
@@ -251,12 +255,11 @@ class ScenarioConfig:
 
     def _validate_filled(self) -> None:
         self.build_soliton()  # raises on a non-positive amplitude
-        if self.dx <= 0.0 or self.final_time <= 0.0 or self.domain_length <= 0.0:
-            raise ConfigurationError("dx, final_time and domain_length must be positive")
         # before any array of n nodes exists: a run takes >= 1 step, stores >= 2
         # rows; Python floats, which overflow to inf without a warning
         n = float(np.rint(self.domain_length / self.dx))
-        _check_work("run", n * max(1.0, float(np.rint(self.final_time / self.dt))))
+        _check_work("run", n * max(1.0, float(np.rint(self.final_time / self.dt))),
+                    f"{self._shorter_run()} or coarsen dx")
         _check_storage("trajectory storage", 8 * 2 * n, "coarsen dx or shorten domain_length")
         length = self.build_grid().length  # domain_length rounded to whole dx
         if not 0.0 <= -self.shift < length:
@@ -298,6 +301,11 @@ class ScenarioConfig:
             )
 
     # -- derived quantities ------------------------------------------------
+
+    def _shorter_run(self) -> str:
+        """What shortens this config's run: final_time, or epsilon where
+        ``overtime`` sets final_time to epsilon^(-3/2)."""
+        return "raise epsilon" if self.overtime else "shorten final_time"
 
     def overtime_horizon(self) -> float:
         """The demonstration horizon epsilon^(-3/2) of ``overtime``; inf where
@@ -558,11 +566,12 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     coeffs = config.build_coefficients()
     half = Field(u0.values / 2.0, grid)
     num_steps = time_grid.num_steps
-    _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps)
+    _check_work("simulate (K + 2 x B)", 3 * grid.num_points * num_steps,
+                f"{config._shorter_run()} or coarsen dx")
     # B's eta, n floats per error step
     _check_storage("simulate storage at the error steps",
                    8 * grid.num_points * _stored_rows(num_steps, stride),
-                   "raise error_interval, shorten final_time or coarsen dx")
+                   f"raise error_interval, {config._shorter_run()} or coarsen dx")
     _check_crest_path(config, grid, time_grid)
     error_steps = _stored_steps(num_steps, stride)
     row_of = {m: row for row, m in enumerate(error_steps.tolist())}
@@ -647,8 +656,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         },
         validation_error=validation_error,
         wrap_contamination=float(seam_peaks.max()),
-        stored_bytes=u_traj.data.nbytes + b_traj.v_data.nbytes + b_traj.eta_data.nbytes
-        + eta_rows.nbytes,
+        stored_bytes=u_traj.data.nbytes + b_traj.data.nbytes + eta_rows.nbytes,
     )
 
 
@@ -699,7 +707,7 @@ def convergence_study(config: ScenarioConfig) -> ConvergenceReport:
     # levels sum to 3 (4^levels - 1) / 3 times those of level 0's K run
     _check_work("convergence study", grid0.num_points * time0.num_steps
                 * (4.0 * finest * finest - 1.0),
-                "use fewer refinement levels, shorten final_time or coarsen dx")
+                f"use fewer refinement levels, {config._shorter_run()} or coarsen dx")
     # the finest coupled run stores two rows of (v, eta)
     _check_storage("convergence study's finest coupled run", 8 * 2 * 2 * grid0.num_points * finest,
                    "use fewer refinement levels or coarsen dx")

@@ -198,8 +198,8 @@ class TestRun:
             Field(np.zeros(grid.num_points), grid), Field(np.zeros(grid.num_points), grid),
             stride=10,
         )
-        assert np.all(traj.v_data == 0.0) and np.all(traj.eta_data == 0.0)
-        for data in (traj.v_data, traj.eta_data):
+        assert np.all(traj.data[:, 0] == 0.0) and np.all(traj.data[:, 1] == 0.0)
+        for data in (traj.data[:, 0], traj.data[:, 1]):
             with pytest.raises(ValueError):
                 data[0, 0] = 1.0
 
@@ -210,8 +210,8 @@ class TestRun:
         )
         ref = discrete_h1_eps(half, half, coeffs)
         for i in range(len(traj.step_indices)):
-            v = Field(traj.v_data[i], grid)
-            eta = Field(traj.eta_data[i], grid)
+            v = Field(traj.data[i, 0], grid)
+            eta = Field(traj.data[i, 1], grid)
             assert abs(discrete_h1_eps(v, eta, coeffs) - ref) / ref < 1e-6
 
     def test_step_bottom_drift_bounded(self):
@@ -229,8 +229,8 @@ class TestRun:
         )
         ref = discrete_h1_eps(half, half, coeffs)
         drifts = [
-            abs(discrete_h1_eps(Field(traj.v_data[i], grid),
-                                Field(traj.eta_data[i], grid), coeffs) - ref) / ref
+            abs(discrete_h1_eps(Field(traj.data[i, 0], grid),
+                                Field(traj.data[i, 1], grid), coeffs) - ref) / ref
             for i in range(len(traj.step_indices))
         ]
         assert max(drifts) < 0.05
@@ -250,8 +250,8 @@ class TestRun:
         )
         ref = discrete_h1_eps(half, half, coeffs)
         drifts = [
-            abs(discrete_h1_eps(Field(traj.v_data[i], grid),
-                                Field(traj.eta_data[i], grid), coeffs) - ref) / ref
+            abs(discrete_h1_eps(Field(traj.data[i, 0], grid),
+                                Field(traj.data[i, 1], grid), coeffs) - ref) / ref
             for i in range(len(traj.step_indices))
         ]
         assert len(drifts) > 4 and max(drifts) <= 1e-12
@@ -290,9 +290,14 @@ class TestRun:
         traj = run_boussinesq(
             BoussinesqProblem(coeffs, FlatBottom(), grid, tg), half, half, stride=25,
         )
+        # one (snapshots, 2, n) array holds both fields; at_step unpacks a row
+        assert traj.data.shape == (len(traj.step_indices), 2, grid.num_points)
         v, eta = traj.at_step(traj.step_of_time(25 * tg.dt))
-        np.testing.assert_array_equal(v, traj.v_data[1])
-        np.testing.assert_array_equal(eta, traj.eta_data[1])
+        np.testing.assert_array_equal(v, traj.data[1, 0])
+        np.testing.assert_array_equal(eta, traj.data[1, 1])
+        for field in (v, eta):
+            with pytest.raises(ValueError):
+                field[0] = 1.0
 
     def test_block_system_solve_roundtrip(self, setup, rng):
         # solve(A, A x) == x for the coupled per-step system matrix: the run's

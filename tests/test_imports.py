@@ -109,4 +109,4 @@ def test_package_publishes_exactly_every_modules_all():
     modules = {module[:-3] for module in MODULES}
     public = {name for name in dir(longwave) if not name.startswith("_")} - modules
     assert public == published
-    assert len(public) == 59
+    assert len(public) == 58

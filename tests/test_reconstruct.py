@@ -8,6 +8,7 @@ import pytest
 from conftest import bottom_shift_integral, characteristic_cross_integral
 from hypothesis import given, settings, strategies as st
 
+from longwave.boussinesq import BoussinesqProblem, run_boussinesq
 from longwave.errors import ConfigurationError, DiagnosticError, MissingSnapshotError
 from longwave.findiff import make_d1
 from longwave.grid import (
@@ -81,6 +82,23 @@ class TestRefusals:
         traj = step_run[4]
         with pytest.raises(ConfigurationError, match="left-going component is identically zero"):
             call(traj)
+
+    @pytest.mark.parametrize("call", [
+        lambda traj, bottom, coeffs: topo_modified_surfaces(traj, None, bottom, coeffs, 0.5),
+        lambda traj, bottom, coeffs: growth_diagnostic(traj, None, bottom, coeffs, 2),
+        lambda traj, bottom, coeffs: corrector_fields(traj, None, bottom, 0.5),
+    ], ids=["topo_modified_surfaces", "growth_diagnostic", "corrector_fields"])
+    def test_coupled_trajectory_refused(self, short_run, call):
+        # a coupled run stores (v, eta) rows of shape (2, n), not the
+        # right-going u the reconstruction reads
+        eps, grid, _, _, _, bottom, coeffs = short_run
+        tg = TimeGrid(10, grid.dx)
+        half = Field(np.zeros(grid.num_points), grid)
+        traj = run_boussinesq(BoussinesqProblem(ModelCoefficients.balanced(eps), bottom, grid,
+                                                tg), half, half, stride=1)
+        assert traj.data.shape == (11, 2, grid.num_points)
+        with pytest.raises(ConfigurationError, match=r"shape \(snapshots, n\)"):
+            call(traj, bottom, coeffs)
 
 
 class TestBottomShiftIntegral:

@@ -860,6 +860,45 @@ class TestCli:
         assert err.startswith("configuration error: run would take inf node-steps"), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("simulate", {"scenario": "step", "epsilon": 0.1, "dx": 0.0}),
+        ("growth", {"scenario": "growth", "growth_kind": "sinusoid", "epsilon": 0.1,
+                    "dx": 0.0}),
+        ("simulate", {"scenario": "step", "epsilon": 0.1, "final_time": 0.0}),
+        ("simulate", {"scenario": "validate", "epsilon": 0.1, "domain_length": -80.0}),
+    ], ids=["simulate-dx", "growth-dx", "final_time", "domain_length"])
+    def test_non_positive_length_exits_2(self, tmp_path, command, cfg):
+        # checked before any default is derived from it: dx = 0 divided the
+        # default error_interval (a ZeroDivisionError, exit 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = self._run(command, "--config", str(path))
+        assert proc.returncode == 2, proc.stderr
+        name = next(key for key in ("dx", "final_time", "domain_length") if key in cfg)
+        assert f"configuration error: {name} must be positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("epsilon,refusal", [
+        ("1e-05", "run would take 1.58e+12"),
+        ("1e-300", "run would take inf"),
+        ("0.0004", "simulate (K + 2 x B) would take 1.88e+10"),  # the config's n N passes
+    ])
+    def test_overtime_refusal_names_what_the_config_sets(self, monkeypatch, capsys,
+                                                         epsilon, refusal):
+        # overtime sets final_time to epsilon^-1.5, so the advice names
+        # epsilon and dx, and an inf count has no hours clause
+        def no_run(*args, **kwargs):
+            raise AssertionError("a stepper ran")
+
+        monkeypatch.setattr(scenarios, "run", no_run)
+        monkeypatch.setattr(scenarios, "run_boussinesq", no_run)
+        assert main(["simulate", "--scenario", "step", "--epsilon", epsilon, "--overtime"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {refusal} node-steps"), err
+        assert err.rstrip().endswith("guard); raise epsilon or coarsen dx"), err
+        assert "final_time" not in err and "inf h" not in err
+        assert ("h at 1e6 node-steps/s" in err) == ("inf" not in refusal)
+
     def test_simulate_guard_counts_k_and_twice_b(self, tmp_path, monkeypatch, capsys):
         # 1600 nodes x 5e6 steps = 8e9 node-steps passes the 1e10 guard of one
         # K run, but the command's K + 2 x B = 2.4e10 is refused before any run

@@ -5,8 +5,12 @@
   bottom and any data.
 * Mirror symmetry: (v, eta) -> (-v(-x), eta(-x)) maps the coupled step on a
   flat bottom onto itself in the conservative assembly.
+* One scalar step in the ``split_form`` assembly conserves the discrete L2
+  norm to round-off, for any grid, dt, epsilon and data: its step matrix is
+  (2/dt) I plus a skew-symmetric part.  The default ``neighbor_average``
+  assembly does not (its drift is a truncation error, not round-off).
 
-Both draw the zero-smoothing coefficients (a2 = a4 = 0) for about half their
+The two coupled properties draw the zero-smoothing coefficients (a2 = a4 = 0) for about half their
 examples, besides the general admissible ones (so the example counts are
 doubled), and run them as an explicit example, so every run covers the mass
 terms with zero D2 parts.
@@ -25,7 +29,9 @@ from longwave.grid import (
     StepBottom,
     TimeGrid,
     discrete_h1_eps,
+    discrete_l2,
 )
+from longwave.kdv import KdvProblem, init_predictor, step
 
 grids = st.builds(Grid1D, st.integers(16, 400), st.floats(0.01, 0.5))
 epsilons = st.floats(0.01, 0.5)
@@ -102,3 +108,16 @@ def test_mirror_maps_coupled_flat_bottom_onto_itself(grid, coeffs, seed, amplitu
     np.testing.assert_allclose(v_m.values, -_mirror(v.values), rtol=0, atol=1e-11 * amplitude)
     np.testing.assert_allclose(eta_m.values, _mirror(eta.values), rtol=0,
                                atol=1e-11 * amplitude)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=grids, dt=st.floats(0.001, 0.5), epsilon=epsilons, seed=seeds,
+       amplitude=st.floats(0.01, 1.0))
+@example(grid=Grid1D(64, 0.1), dt=0.1, epsilon=0.2, seed=0, amplitude=0.5)
+def test_split_form_kdv_step_conserves_l2(grid, dt, epsilon, seed, amplitude):
+    rng = np.random.default_rng(seed)
+    u0 = Field(amplitude * rng.standard_normal(grid.num_points), grid)
+    problem = KdvProblem(epsilon, grid, TimeGrid(1, dt), nonlinear_mode="split_form")
+    state = step(problem, init_predictor(problem, u0))
+    before, after = discrete_l2(u0), discrete_l2(Field(state.current, grid))
+    assert abs(after - before) <= 1e-12 * before
