@@ -248,7 +248,8 @@ class SampledBottom(BathymetryProfile):
 
     Outside the sampled range both b and b' continue constantly (b' = 0).
     Derivative samples are centered differences of the values, interpolated
-    linearly like the values themselves.
+    linearly like the values themselves; nodes so close that a difference is
+    not finite are refused, with no numpy warning.
     """
 
     def __init__(self, nodes, values):
@@ -265,7 +266,13 @@ class SampledBottom(BathymetryProfile):
         if nodes.size == 1:
             self.derivative_values = np.zeros(1)
         else:
-            self.derivative_values = np.gradient(values, nodes)
+            with np.errstate(all="ignore"):
+                self.derivative_values = np.gradient(values, nodes)
+            bad = np.flatnonzero(~np.isfinite(self.derivative_values))
+            if bad.size:
+                raise ConfigurationError(
+                    f"sampled bathymetry slope is not finite at nodes {bad.tolist()} "
+                    f"(x = {nodes[bad].tolist()}); spread those nodes apart")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

@@ -302,7 +302,8 @@ def topo_modified_surfaces(u_traj: Trajectory, n_traj: None, b: BathymetryProfil
 
 @dataclass
 class GrowthDiagnostic:
-    """Corrector norm time series with a least-squares line through them."""
+    """Corrector norm time series with the closed-form least-squares line
+    through them over ``fit_window`` (``_linear_fit``, no ``numpy.linalg``)."""
 
     times: np.ndarray
     u1_norms: np.ndarray
@@ -315,7 +316,13 @@ class GrowthDiagnostic:
 
 
 def _linear_fit(times: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(times, values, 1)
+    """The least-squares line through (times, values), in closed form about
+    the mean time with numpy reductions only (no ``numpy.linalg``), and its
+    r².  All-zero values fit a slope and intercept of exactly 0."""
+    t_mean = np.mean(times)
+    centered = times - t_mean
+    slope = np.sum(centered * values) / np.sum(centered * centered)
+    intercept = np.mean(values) - slope * t_mean
     predicted = slope * times + intercept
     ss_res = float(np.sum((values - predicted) ** 2))
     ss_tot = float(np.sum((values - np.mean(values)) ** 2))

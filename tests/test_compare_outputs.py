@@ -51,15 +51,45 @@ def test_files_are_compared_by_kind(two_dirs):
     # 0.50000000000000011 parses to the double after 0.5
     assert snapshot["max_ulp_diff"] == {"x": 0.0, "eta": 1.0}
     # runtimes, BLAS and output directory left out; NaN equals NaN
-    assert files["meta.json"] == {"differing_keys": ["stored_bytes"]}
+    assert files["meta.json"] == {"differing_keys": ["stored_bytes"],
+                                  "moved": {"stored_bytes": {"max_abs_diff": 400.0,
+                                                             "max_ulp_diff": 2.0**52}}}
     assert files["extra.csv"] == {"missing_in": "parent"}
 
 
 def test_nested_and_one_sided_keys_are_named():
     a = {"config": {"epsilon": 0.2, "dx": 0.05}, "fit": {"window": [1, 2]}}
     b = {"config": {"epsilon": 0.1}, "fit": {"window": [1, 3]}, "new": 1}
-    assert compare_outputs.differing_keys(a, b) == ["config.dx", "config.epsilon",
-                                                    "fit.window", "new"]
+    assert list(compare_outputs.differing_keys(a, b)) == ["config.dx", "config.epsilon",
+                                                          "fit.window", "new"]
+
+
+def test_json_numbers_report_how_far_they_moved(tmp_path):
+    # one number moved by 1 ULP, one list with one entry moved by 3 ULP, and
+    # values that are no numbers, which are named without a distance
+    slope = 0.1326
+    window = [26.84, 89.01]
+    end = window[1]
+    for _ in range(3):
+        end = math.nextafter(end, 0.0)
+    a = {"fit": {"slope": slope, "window": window, "kind": "step"}, "r2": [0.9, 1.0]}
+    b = {"fit": {"slope": math.nextafter(slope, 1.0), "window": [26.84, end], "kind": "ramp"},
+         "r2": [0.9, 1.0, 1.0]}
+    keys = compare_outputs.differing_keys(a, b)
+    assert keys == {"fit.kind": None,
+                    "fit.slope": {"max_abs_diff": math.ulp(slope), "max_ulp_diff": 1.0},
+                    "fit.window": {"max_abs_diff": 3 * math.ulp(89.01), "max_ulp_diff": 3.0},
+                    "r2": {"max_abs_diff": math.inf, "max_ulp_diff": math.inf}}
+    meta = compare_outputs.compare_dirs(_write(tmp_path / "a", {"meta.json": a}),
+                                        _write(tmp_path / "b", {"meta.json": b}))["meta.json"]
+    assert meta["differing_keys"] == ["fit.kind", "fit.slope", "fit.window", "r2"]
+    assert set(meta["moved"]) == {"fit.slope", "fit.window", "r2"}
+    # the verdict still reads only the names
+    command = {"argv": ["growth"], "exit": [0, 0], "stdout_same": True, "files": {"m": meta}}
+    allowed = {"fit.kind", "fit.slope", "fit.window", "r2"}
+    summary = compare_outputs.verdict([command], allowed)
+    assert summary["ok"] and summary["csv_files"] == 0 and summary["json_files"] == 1
+    assert not compare_outputs.verdict([command], allowed - {"fit.slope"})["ok"]
 
 
 def test_verdict(two_dirs):

@@ -2,6 +2,7 @@ import gc
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from longwave.reconstruct import (
     _OF_TRAJECTORY,
     _Characteristics,
     _cross_integral_nodes,
+    _linear_fit,
     corrector_fields,
     growth_diagnostic,
     topo_modified_surfaces,
@@ -548,6 +550,36 @@ class TestGrowthDiagnostic:
         eps, grid, tg, spec, traj, bottom, coeffs = step_run
         with pytest.raises(DiagnosticError, match="fit window contains fewer than 4"):
             growth_diagnostic(traj, None, bottom, coeffs, s=2, fit_window=(0.0, 0.1))
+
+
+@st.composite
+def _series(draw):
+    """Strictly increasing times (gaps >= 1e-3) and finite values."""
+    n = draw(st.integers(4, 40))
+    gaps = draw(st.lists(st.floats(1e-3, 1e2), min_size=n - 1, max_size=n - 1))
+    times = np.cumsum([draw(st.floats(-1e3, 1e3)), *gaps])
+    return times, np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_series())
+def test_linear_fit_is_the_exact_least_squares_line(series):
+    # against the line in exact rationals, within n rounding units scaled by
+    # the values over the time spread, and by how far the times sit from 0
+    times, values = series
+    t, y = [Fraction(v) for v in times.tolist()], [Fraction(v) for v in values.tolist()]
+    t_mean, y_mean = sum(t) / len(t), sum(y) / len(y)
+    exact_slope = (sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y))
+                   / sum((a - t_mean) ** 2 for a in t))
+    exact_intercept = y_mean - exact_slope * t_mean
+    slope, intercept, _ = _linear_fit(times, values)
+    t_max, spread = float(np.max(np.abs(times))), float(times[-1] - times[0])
+    rounding = 4 * len(times) * np.finfo(float).eps * float(np.max(np.abs(values)))
+    slope_tol = rounding / spread * (1.0 + t_max / spread)
+    assert abs(float(Fraction(slope) - exact_slope)) <= slope_tol
+    assert abs(float(Fraction(intercept) - exact_intercept)) <= slope_tol * t_max + rounding
+    # a flat-bottom series, all zeros, fits exactly zero
+    assert _linear_fit(times, np.zeros_like(times)) == (0.0, 0.0, 1.0)
 
 
 # growth sinusoid 0.2 (n = 500, 125 steps) at error stride 3, whose last

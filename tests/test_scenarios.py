@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from longwave import cli, kdv, reconstruct, scenarios
+from longwave import boussinesq, cli, kdv, reconstruct, scenarios
 from longwave.boussinesq import run_boussinesq
 from longwave.cli import main
 from longwave.errors import ConfigurationError, DiagnosticError
@@ -1178,6 +1178,41 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: bathymetry") and named in err
+
+    def test_sampled_bottom_with_a_non_finite_slope_exits_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys):
+        # nodes 1e-320 apart overflow np.gradient's slope: refused when the
+        # bottom is built, naming it, with no overflow warning (this class
+        # turns one into an error)
+        def no_start(*args, **kwargs):
+            raise AssertionError("a stepper started")
+
+        monkeypatch.setattr(kdv, "_start", no_start)
+        monkeypatch.setattr(boussinesq, "_start", no_start)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            **_SMALL_VALIDATE,
+            "bathymetry": {"kind": "sampled", "nodes": [0.0, 1e-320, 50.0],
+                           "values": [0.0, 0.1, 0.0]}}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sampled bathymetry slope is not finite "
+                              "at nodes [0, 1]")
+        assert "Traceback" not in err
+
+    def test_growth_calls_no_numpy_linalg(self, tmp_path, monkeypatch, capsys):
+        # the fit is closed-form: a run never loads numpy's LAPACK
+        def no_linalg(*args, **kwargs):
+            raise AssertionError("a growth run called numpy.linalg")
+
+        monkeypatch.setattr(np, "polyfit", no_linalg)
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):  # all but LinAlgError
+                monkeypatch.setattr(np.linalg, name, no_linalg)
+        argv, _, expected = PINNED_STDOUT["growth"]
+        out = tmp_path / "out"
+        assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 0
+        assert capsys.readouterr().out.replace(str(out), "OUT") == expected
 
     def test_growth_with_too_few_snapshots_exits_2(self, tmp_path, capsys):
         # eps = 12 leaves 3 snapshots, too few for the growth fit: a

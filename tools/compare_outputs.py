@@ -17,7 +17,8 @@ once each run's output directory reads OUT, and per output file:
 * a CSV: whether the bytes are the same (``cmp``) and the largest absolute
   and the largest ULP difference of each column;
 * a JSON file: every key whose value differs, as a dotted path, leaving out
-  ``runtimes_seconds``, ``output_dir`` and ``blas``;
+  ``runtimes_seconds``, ``output_dir`` and ``blas``, and for each such number
+  or list of numbers (``moved``) the largest absolute and ULP difference;
 * a file that only one tree wrote.
 
 The report is one JSON object on stdout.  The exit code is 0
@@ -93,19 +94,43 @@ def compare_csv(a: Path, b: Path) -> dict:
     return {"cmp": same, "max_abs_diff": diffs, "max_ulp_diff": ulps}
 
 
-def differing_keys(a, b, prefix: str = "") -> list[str]:
-    """Dotted paths of the values that differ between two parsed JSON
-    documents, leaving out ``IGNORED_KEYS`` at any depth."""
+def _moved(x: list, y: list) -> dict:
+    """The largest |x - y| and ``ulp_distance`` over two equal-length lists of
+    numbers (0 for NaN against NaN, inf against one NaN); inf when the
+    lengths differ."""
+    if len(x) != len(y):
+        return {"max_abs_diff": math.inf, "max_ulp_diff": math.inf}
+    ulps = [ulp_distance(float(u), float(v)) for u, v in zip(x, y)]
+    diffs = [0.0 if d == 0.0 else math.inf if math.isinf(d) else abs(float(u) - float(v))
+             for u, v, d in zip(x, y, ulps)]
+    return {"max_abs_diff": max(diffs, default=0.0), "max_ulp_diff": max(ulps, default=0.0)}
+
+
+def _numbers(value) -> list | None:
+    """A number or a list of numbers as a list; None for anything else."""
+    items = value if isinstance(value, list) else [value]
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+    return items if numeric else None
+
+
+def differing_keys(a, b, prefix: str = "") -> dict:
+    """The dotted paths of the values that differ between two parsed JSON
+    documents, leaving out ``IGNORED_KEYS`` at any depth, each mapped to
+    ``_moved`` where both values are numbers or both lists of numbers, else
+    to None."""
     if not (isinstance(a, dict) and isinstance(b, dict)):
         # as JSON text, so that NaN equals NaN
-        same = json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        return [] if same else [prefix.rstrip(".") or "<root>"]
-    paths = []
+        if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+            return {}
+        x, y = _numbers(a), _numbers(b)
+        comparable = x is not None and y is not None and isinstance(a, list) == isinstance(b, list)
+        return {prefix.rstrip(".") or "<root>": _moved(x, y) if comparable else None}
+    paths = {}
     for key in sorted((a.keys() | b.keys()) - IGNORED_KEYS):
         if key in a and key in b:
-            paths += differing_keys(a[key], b[key], f"{prefix}{key}.")
+            paths.update(differing_keys(a[key], b[key], f"{prefix}{key}."))
         else:
-            paths.append(prefix + key)
+            paths[prefix + key] = None
     return paths
 
 
@@ -120,8 +145,9 @@ def compare_dirs(a: Path, b: Path) -> dict:
         elif name.endswith(".csv"):
             files[name] = compare_csv(pa, pb)
         elif name.endswith(".json"):
-            files[name] = {"differing_keys": differing_keys(json.loads(pa.read_text()),
-                                                            json.loads(pb.read_text()))}
+            keys = differing_keys(json.loads(pa.read_text()), json.loads(pb.read_text()))
+            files[name] = {"differing_keys": list(keys),
+                           "moved": {key: move for key, move in keys.items() if move}}
         else:
             files[name] = {"cmp": pa.read_bytes() == pb.read_bytes()}
     return files
